@@ -47,7 +47,6 @@ from .model import (
     WeightedL1Reward,
     box_polytope,
 )
-from .occupancy import OccupancySolution
 
 
 class SchemaError(ValueError):
@@ -223,14 +222,6 @@ def solution_to_json(
     return out
 
 
-def occupancy_solution_to_json(
-    instance: CmdpInstance, sol: OccupancySolution, policy: Policy
-) -> dict:
-    return solution_to_json(
-        instance, sol.objective, sol.visit_mass, policy, bound=sol.bound
-    )
-
-
 def report_to_json(report: EvaluationReport) -> dict:
     out = {
         "visit_mass": report.visit_mass,
@@ -252,10 +243,6 @@ def visit_mass_csv(instance: CmdpInstance, visit_mass: dict[str, float]) -> str:
         for s in layer:
             lines.append(f"{s},{t + 1},{visit_mass.get(s, 0.0)!r}")
     return "\n".join(lines) + "\n"
-
-
-def vertices_to_json(vertex_set) -> dict:
-    return {s: v.tolist() for s, v in vertex_set.vertices.items()}
 
 
 def dump_json(obj: dict, path) -> None:

@@ -205,8 +205,10 @@ def box_simplex_vertices(lower, upper) -> np.ndarray:
     pts = np.clip(np.vstack(rows), 0.0, None)
     pts = pts[np.abs(pts.sum(axis=1) - 1.0) <= 1e-9]
     # bound arithmetic is exact, so duplicates (free coord landing on a
-    # bound) collapse under rounding
-    pts = np.unique(np.round(pts, 9), axis=0)
+    # bound) collapse under rounding; the kept vertices stay unrounded, in
+    # the lexicographic order of their rounded keys
+    _, first = np.unique(np.round(pts, 9), axis=0, return_index=True)
+    pts = pts[first]
     if pts.shape[0] <= 400:
         pts = _dedup(pts, DEDUP_TOL)
     return pts

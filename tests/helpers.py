@@ -154,3 +154,82 @@ def random_instance(
             bound = mass * float(rng.uniform(0.8, 1.4)) + 1e-3
             constraints.append(QualityConstraint(members, bound))
     return CmdpInstance(space, polytopes, rewards, alpha, constraints)
+
+
+def loop_occupancy_lp(instance):
+    """Dense occupancy LP for affine and weighted-L1 rewards, assembled
+    row by row with the textbook L1 epigraph: one column z_k per
+    coordinate and the two rows |u_k - center_k * d| <= z_k. Columns are
+    every state's u block, then every d, then the z columns. Returns
+    (c, a_eq, b_eq, a_in, b_in) for a maximization with x >= 0."""
+    space = instance.states
+    u_start, d_index, z_start = {}, {}, {}
+    col = 0
+    for t in range(space.horizon - 1):
+        for s in space.layers[t]:
+            u_start[s] = col
+            col += len(space.layers[t + 1])
+    for s in space.all_states():
+        d_index[s] = col
+        col += 1
+    for s in space.nonterminal():
+        if isinstance(instance.rewards[s], WeightedL1Reward):
+            z_start[s] = col
+            col += instance.rewards[s].dim
+    c = np.zeros(col)
+    eq, b_eq, ineq, b_in = [], [], [], []
+
+    def row(entries):
+        r = np.zeros(col)
+        for j, v in entries:
+            r[j] += v
+        return r
+
+    for i, s in enumerate(space.layers[0]):
+        eq.append(row([(d_index[s], 1.0)]))
+        b_eq.append(instance.alpha[i])
+    for t in range(space.horizon - 1):
+        nxt = space.layers[t + 1]
+        for s in space.layers[t]:
+            eq.append(row([(u_start[s] + j, 1.0) for j in range(len(nxt))]
+                          + [(d_index[s], -1.0)]))
+            b_eq.append(0.0)
+    for t in range(1, space.horizon):
+        for j, s2 in enumerate(space.layers[t]):
+            eq.append(row([(u_start[s] + j, 1.0) for s in space.layers[t - 1]]
+                          + [(d_index[s2], -1.0)]))
+            b_eq.append(0.0)
+    for qc in instance.constraints:
+        ineq.append(row([(d_index[s], 1.0) for s in qc.states]))
+        b_in.append(qc.bound)
+    for s in space.nonterminal():
+        poly = instance.polytopes[s]
+        for hrow, hval in zip(poly.H, poly.h):
+            ineq.append(row([(u_start[s] + k, v) for k, v in enumerate(hrow)]
+                            + [(d_index[s], -hval)]))
+            b_in.append(0.0)
+    for s in space.nonterminal():
+        rew, u0, d = instance.rewards[s], u_start[s], d_index[s]
+        if isinstance(rew, AffineReward):
+            c[u0 : u0 + rew.dim] += rew.e
+            c[d] += rew.f
+            continue
+        z0 = z_start[s]
+        c[z0 : z0 + rew.dim] = -rew.weights
+        for k, ck in enumerate(rew.center):
+            for sign in (1.0, -1.0):
+                ineq.append(row([(u0 + k, sign), (d, -sign * ck), (z0 + k, -1.0)]))
+                b_in.append(0.0)
+    return c, np.array(eq), np.array(b_eq), np.array(ineq), np.array(b_in)
+
+
+def loop_occupancy_value(instance):
+    """Optimal value of :func:`loop_occupancy_lp` by scipy, or None when
+    the caps are infeasible."""
+    c, a_eq, b_eq, a_in, b_in = loop_occupancy_lp(instance)
+    res = linprog(-c, A_ub=a_in, b_ub=b_in, A_eq=a_eq, b_eq=b_eq,
+                  bounds=[(0, None)] * c.size, method="highs")
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return -res.fun

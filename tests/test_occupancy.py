@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import backward_induction_value, random_instance
+from helpers import (
+    backward_induction_value,
+    loop_occupancy_lp,
+    loop_occupancy_value,
+    random_instance,
+)
 
 from modcmdp import (
+    ActionPolytope,
+    AffineReward,
     CmdpInstance,
     LayeredStateSpace,
     OccupancySolution,
@@ -12,9 +19,12 @@ from modcmdp import (
     QuadraticDeviationReward,
     WeightedL1Reward,
     box_polytope,
+    build_finite_cmdp,
     build_occupancy_lp,
+    enumerate_for_instance,
     evaluate_exact,
     extract_policy,
+    solve_finite,
     solve_occupancy,
 )
 
@@ -43,12 +53,19 @@ def grid_oracle_l1(bound):
 class TestBuild:
     def test_variable_census(self):
         prob = build_occupancy_lp(l1_instance())
-        # 2 edge masses, 3 visit masses, 2 L1 deviation auxiliaries
+        # the L1 state's 2 edge masses are u = center * d + p - m: 2 upward
+        # and 2 downward deviations, plus 3 visit masses
         assert prob.nvars == 7
         kinds = [n.split(":")[0] for n in prob.names]
-        assert kinds.count("u") == 2
+        assert kinds.count("p") == 2
+        assert kinds.count("m") == 2
         assert kinds.count("d") == 3
-        assert kinds.count("z") == 2
+        assert kinds.count("u") == 0
+        assert kinds.count("z") == 0
+        # rows: 1 initial + 1 outgoing + 2 incoming flow rows, 1 cap and
+        # the 4 box rows; the box's lower rows already imply u >= 0
+        assert prob.b_eq.size == 4
+        assert prob.b_in.size == 1 + 4
 
     def test_invalid_instance_rejected(self):
         inst = l1_instance()
@@ -143,6 +160,103 @@ class TestSolve:
             sol = solve_occupancy(inst, backend="dense")
             assert sol.objective == pytest.approx(
                 backward_induction_value(inst), abs=1e-7
+            )
+
+
+class TestAgainstLoopAssembly:
+    def test_affine_lp_is_unchanged(self, rng):
+        for _ in range(10):
+            inst = random_instance(rng, reward="affine")
+            prob = build_occupancy_lp(inst)
+            c, a_eq, b_eq, a_in, b_in = loop_occupancy_lp(inst)
+            np.testing.assert_array_equal(prob.c, c)
+            np.testing.assert_array_equal(prob.a_eq.toarray(), a_eq)
+            np.testing.assert_array_equal(prob.b_eq, b_eq)
+            np.testing.assert_array_equal(prob.a_in.toarray(), a_in)
+            np.testing.assert_array_equal(prob.b_in, b_in)
+
+    def test_l1_and_mixed_values_match_the_epigraph_lp(self, rng):
+        for k in range(20):
+            inst = random_instance(rng, reward="l1")
+            if k % 2:
+                rewards = dict(inst.rewards)
+                for s in list(rewards)[::2]:
+                    rewards[s] = AffineReward(rng.normal(size=rewards[s].dim))
+                inst = CmdpInstance(
+                    inst.states, inst.polytopes, rewards, inst.alpha, inst.constraints
+                )
+            want = loop_occupancy_value(inst)
+            for backend in ("dense", "highs"):
+                if want is None:
+                    with pytest.raises(QualityInfeasibleError):
+                        solve_occupancy(inst, backend=backend)
+                    continue
+                got = solve_occupancy(inst, backend=backend).objective
+                assert got == pytest.approx(want, abs=1e-7)
+
+
+class TestSignRows:
+    """L1 states whose polytope rows do not imply u >= 0 get explicit
+    nonnegativity rows. Here a cheap deviation at s1 would push its mass
+    to "c" below zero, with s2's mass keeping d("c") nonnegative. The
+    halfspace a - b <= 0 binds at the optimum (-0.5525 against -0.3025
+    without it)."""
+
+    BASES = {"s1": [0.45, 0.5, 0.05], "s2": [0.2, 0.3, 0.5]}
+    WEIGHTS = {"s1": [1.0, 10.0, 0.1], "s2": [1.0, 20.0, 20.0]}
+    BOUND = 0.625  # on the mass of {b, c}; the base policy puts 0.675 there
+
+    def make(self, H=None, h=None):
+        space = LayeredStateSpace([["s1", "s2"], ["a", "b", "c"]])
+        polys = {s: ActionPolytope(b, H, h) for s, b in self.BASES.items()}
+        rews = {s: WeightedL1Reward(b, self.WEIGHTS[s]) for s, b in self.BASES.items()}
+        caps = [QualityConstraint({"b", "c"}, self.BOUND)]
+        return CmdpInstance(space, polys, rews, [0.5, 0.5], caps)
+
+    def grid_oracle(self, H=None, h=None, step=0.025):
+        """Best return over pairs of grid actions for s1 and s2."""
+        ticks = np.arange(0.0, 1.0 + 1e-12, step)
+        a, b = np.meshgrid(ticks, ticks, indexing="ij")
+        pts = np.stack([a.ravel(), b.ravel(), 1.0 - a.ravel() - b.ravel()], axis=1)
+        pts = pts[pts[:, 2] >= -1e-12]
+        if H is not None:
+            pts = pts[np.all(pts @ np.atleast_2d(H).T <= np.asarray(h) + 1e-12, axis=1)]
+        ret, mass = [], []
+        for s, base in self.BASES.items():
+            w = np.array(self.WEIGHTS[s])
+            ret.append(-0.5 * (np.abs(pts - base) @ w))
+            mass.append(0.5 * (pts[:, 1] + pts[:, 2]))
+        total = ret[0][:, None] + ret[1][None, :]
+        ok = mass[0][:, None] + mass[1][None, :] <= self.BOUND + 1e-12
+        return float(np.max(np.where(ok, total, -np.inf)))
+
+    def extreme_value(self, inst):
+        vs = enumerate_for_instance(inst, method="exhaustive", kink_planes=True)
+        return solve_finite(build_finite_cmdp(inst, vs), backend="highs")[0]
+
+    @pytest.mark.parametrize(
+        "H, h",
+        [(None, None), ([[1.0, -1.0, 0.0]], [0.0])],
+        ids=["no-rows", "one-halfspace"],
+    )
+    def test_objective_matches_extreme_route_and_grid(self, H, h):
+        inst = self.make(H, h)
+        prob = build_occupancy_lp(inst)
+        # 3 sign rows per L1 state, beyond the cap and the H rows
+        n_h = 0 if H is None else 1
+        assert prob.b_in.size == 1 + 2 * n_h + 2 * 3
+        dense = solve_occupancy(inst, backend="dense")
+        highs = solve_occupancy(inst, backend="highs")
+        assert dense.objective == pytest.approx(highs.objective, abs=1e-7)
+        assert dense.objective == pytest.approx(self.extreme_value(inst), abs=1e-9)
+        assert dense.objective == pytest.approx(self.grid_oracle(H, h), abs=1e-9)
+        for sol in (dense, highs):
+            assert min(sol.edge_mass.values()) >= 0.0
+            assert sol.check(inst) == []
+            policy = extract_policy(sol, inst)
+            assert policy.check(inst) == []
+            assert evaluate_exact(inst, policy).value == pytest.approx(
+                sol.objective, abs=1e-7
             )
 
 
