@@ -85,10 +85,7 @@ def cmd_solve(args) -> int:
     try:
         if method == "convex":
             sol = solve_occupancy(
-                instance,
-                backend=args.backend,
-                tangent_cuts=args.tangent_cuts,
-                time_limit=args.timeout,
+                instance, tangent_cuts=args.tangent_cuts, time_limit=args.timeout
             )
             policy = extract_policy(sol, instance)
             objective, visit, bound = sol.objective, sol.visit_mass, sol.bound
@@ -99,23 +96,19 @@ def cmd_solve(args) -> int:
                 instance, method="exhaustive", kink_planes=kinks, deadline=deadline
             )
             fc = build_finite_cmdp(instance, vs)
-            objective, policy = solve_finite(
-                fc, backend=args.backend, time_limit=args.timeout
-            )
+            objective, policy = solve_finite(fc, time_limit=args.timeout)
             visit = evaluate_exact(instance, policy).visit_mass
             bound = None
         elif method == "envelope":
-            objective, policy = solve_with_envelope(
-                instance, backend=args.backend, time_limit=args.timeout
-            )
+            objective, policy = solve_with_envelope(instance, time_limit=args.timeout)
             visit = evaluate_exact(instance, policy).visit_mass
             bound = None
         elif method == "greedy":
-            objective, policy = greedy_baseline(instance, backend=args.backend)
+            objective, policy = greedy_baseline(instance)
             visit = evaluate_exact(instance, policy).visit_mass
             bound = None
         elif method == "naive-linear":
-            objective, policy = naive_linear_baseline(instance, backend=args.backend)
+            objective, policy = naive_linear_baseline(instance)
             visit = evaluate_exact(instance, policy).visit_mass
             bound = None
         else:
@@ -123,8 +116,6 @@ def cmd_solve(args) -> int:
             return EXIT_ERROR
     except QualityInfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
-        if exc.certificate is not None:
-            print("  (a Farkas-type certificate is available)", file=sys.stderr)
         return EXIT_INFEASIBLE
     except TimeoutError as exc:
         print(f"timeout: {exc}", file=sys.stderr)
@@ -223,8 +214,7 @@ def cmd_benchmark(args) -> int:
     )
     q_values = _parse_sweep(args.q_sweep) if args.q_sweep else None
     records = run_benchmark(
-        args.states_list, methods, cfg=cfg, q_values=q_values,
-        timeout=args.timeout, backend=args.backend,
+        args.states_list, methods, cfg=cfg, q_values=q_values, timeout=args.timeout
     )
     write_benchmark_csv(records, args.out)
     wall = time.perf_counter() - t0
@@ -252,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["convex", "extreme", "envelope", "greedy",
                              "naive-linear"])
     sv.add_argument("--out", required=True)
-    sv.add_argument("--backend", default="auto",
-                    choices=["auto", "dense", "highs"])
     sv.add_argument("--tangent-cuts", type=int, default=None,
                     help="opt-in K-cut outer approximation for concave "
                     "quadratic rewards (objective becomes an upper bound)")
@@ -300,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     bm.add_argument("--seed", type=int, default=0)
     bm.add_argument("--timeout", type=float,
                     default=_default_timeout() or 300.0)
-    bm.add_argument("--backend", default="auto",
-                    choices=["auto", "dense", "highs"])
     bm.add_argument("--out", required=True)
     bm.set_defaults(func=cmd_benchmark)
     return ap

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp as lpmod
 from .evaluate import evaluate_exact
 from .model import (
     AffineReward,
@@ -32,6 +31,7 @@ from .vertices import (
     VertexSet,
     build_finite_cmdp,
     enumerate_for_instance,
+    hull_envelope,
     solve_finite,
 )
 
@@ -83,25 +83,6 @@ def build_envelope(
     )
 
 
-def hull_envelope(points, values, query) -> tuple[float, np.ndarray]:
-    """Envelope of arbitrary generators: the largest convex combination of
-    ``values`` whose combination of ``points`` equals ``query``. Returns
-    (value, weight vector); raises DecompositionError outside the hull.
-    """
-    pts = np.asarray(points, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    q = np.asarray(query, dtype=float)
-    nv = pts.shape[0]
-    a_eq = np.vstack([pts.T, np.ones((1, nv))])
-    b_eq = np.concatenate([q, [1.0]])
-    problem = lpmod.LpProblem(c=vals, a_eq=a_eq, b_eq=b_eq)
-    sol = lpmod.solve_lp(problem, backend="dense")
-    if sol.status != "optimal":
-        raise DecompositionError("query point is outside the generator hull")
-    lam = np.clip(sol.x, 0.0, None)
-    return float(sol.objective), lam
-
-
 def envelope_value(
     model: EnvelopeModel, state: str, a
 ) -> tuple[float, np.ndarray]:
@@ -118,7 +99,6 @@ def envelope_value(
 
 def solve_with_envelope(
     instance: CmdpInstance,
-    backend: str = "auto",
     method: str = "auto",
     time_limit=None,
 ) -> tuple[float, RandomizedPolicy]:
@@ -136,12 +116,10 @@ def solve_with_envelope(
     _check_envelope_rewards(instance)
     vertex_set = enumerate_for_instance(instance, method=method)
     fc = build_finite_cmdp(instance, vertex_set)
-    return solve_finite(fc, backend=backend, time_limit=time_limit)
+    return solve_finite(fc, time_limit=time_limit)
 
 
-def naive_linear_baseline(
-    instance: CmdpInstance, backend: str = "auto"
-) -> tuple[float, DeterministicPolicy]:
+def naive_linear_baseline(instance: CmdpInstance) -> tuple[float, DeterministicPolicy]:
     """First-order baseline: replace each reward by its tangent plane at
     the base action, solve the resulting LP, and score the policy under
     the true rewards.
@@ -177,7 +155,7 @@ def naive_linear_baseline(
         instance.alpha,
         instance.constraints,
     )
-    sol = solve_occupancy(lin_instance, backend=backend)
+    sol = solve_occupancy(lin_instance)
     policy = extract_policy(sol, lin_instance)
 
     base_policy = DeterministicPolicy(

@@ -160,9 +160,7 @@ def generate_loan_instance(cfg: LoanConfig) -> CmdpInstance:
 # greedy baseline
 
 
-def greedy_baseline(
-    instance: CmdpInstance, backend: str = "auto"
-) -> tuple[float, DeterministicPolicy]:
+def greedy_baseline(instance: CmdpInstance) -> tuple[float, DeterministicPolicy]:
     """Period-by-period myopic baseline: at each period, optimize that
     period's modulation assuming every later period keeps its base row,
     commit, and advance. Raises QualityInfeasibleError when some period's
@@ -211,10 +209,12 @@ def greedy_baseline(
             constraints.append(QualityConstraint(remaining, bound))
         sub = CmdpInstance(sub_space, polys, rews, dist, constraints)
         try:
-            sol = solve_occupancy(sub, backend=backend)
+            sol = solve_occupancy(sub)
         except QualityInfeasibleError as exc:
             raise QualityInfeasibleError(
-                f"greedy period {t + 1}: {exc}", certificate=exc.certificate
+                f"greedy period {t + 1}: {exc}",
+                certificate=exc.certificate,
+                excess=exc.excess,
             ) from exc
         policy = extract_policy(sol, sub)
         nxt = np.zeros(len(space.layers[t + 1]))
@@ -256,11 +256,11 @@ def _reward_ok(method: str, kind: str) -> bool:
     return False
 
 
-def _run_method(method, instance, kind, timeout, backend):
+def _run_method(method, instance, kind, timeout):
     """Returns (objective, vertices_total)."""
     deadline = None if timeout is None else time.monotonic() + timeout
     if method == "convex":
-        sol = solve_occupancy(instance, backend=backend, time_limit=timeout)
+        sol = solve_occupancy(instance, time_limit=timeout)
         return sol.objective, 0
     if method in ("extreme", "extreme-restricted"):
         kinks = kind == "l1" and method == "extreme"
@@ -269,19 +269,19 @@ def _run_method(method, instance, kind, timeout, backend):
         )
         fc = build_finite_cmdp(instance, vs)
         left = None if timeout is None else max(deadline - time.monotonic(), 1.0)
-        obj, _ = solve_finite(fc, backend=backend, time_limit=left)
+        obj, _ = solve_finite(fc, time_limit=left)
         return obj, vs.total()
     if method == "envelope":
         vs = enumerate_for_instance(instance, method="auto", deadline=deadline)
         fc = build_finite_cmdp(instance, vs)
         left = None if timeout is None else max(deadline - time.monotonic(), 1.0)
-        obj, _ = solve_finite(fc, backend=backend, time_limit=left)
+        obj, _ = solve_finite(fc, time_limit=left)
         return obj, vs.total()
     if method == "greedy":
-        obj, _ = greedy_baseline(instance, backend=backend)
+        obj, _ = greedy_baseline(instance)
         return obj, 0
     if method == "naive-linear":
-        obj, _ = naive_linear_baseline(instance, backend=backend)
+        obj, _ = naive_linear_baseline(instance)
         return obj, 0
     raise ValueError(f"unknown method {method!r}")
 
@@ -292,7 +292,6 @@ def run_benchmark(
     cfg: LoanConfig = LoanConfig(),
     q_values: Optional[Sequence[float]] = None,
     timeout: Optional[float] = 300.0,
-    backend: str = "auto",
 ) -> list[BenchmarkRecord]:
     """Time each method over the state counts (or, when ``q_values`` is
     given, over cap values at the config's state count). Failures are
@@ -324,7 +323,7 @@ def run_benchmark(
             vertices_total = 0
             try:
                 objective, vertices_total = _run_method(
-                    method, instance, cfg.reward_kind, timeout, backend
+                    method, instance, cfg.reward_kind, timeout
                 )
                 status = "optimal"
             except QualityInfeasibleError:

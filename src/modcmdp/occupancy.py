@@ -48,12 +48,37 @@ UNREACHABLE_TOL = 1e-9
 
 
 class QualityInfeasibleError(RuntimeError):
-    """The visitation-mass caps cannot all be met; carries the LP's
-    infeasibility certificate when the embedded engine produced one."""
+    """The visitation-mass caps cannot all be met. When an LP proved it,
+    ``certificate`` is its Farkas certificate and ``excess`` the smallest
+    attainable total cap excess, which is the certificate's margin."""
 
-    def __init__(self, message: str, certificate=None):
+    def __init__(self, message: str, certificate=None, excess=None):
         super().__init__(message)
         self.certificate = certificate
+        self.excess = excess
+
+
+def raise_for_status(
+    problem: lpmod.LpProblem, sol: lpmod.LpSolution, what: str
+) -> None:
+    """Turn a non-optimal solve of a route's LP into the package's error.
+
+    The flow and polytope rows always hold for the base policy, so an
+    infeasible LP means the caps cannot be met; the certificate's margin
+    (the phase-1 value) is the smallest total excess over the caps.
+    """
+    if sol.status == "infeasible":
+        excess = lpmod.farkas_gap(problem, sol.certificate)
+        raise QualityInfeasibleError(
+            "quality constraints unsatisfiable: the smallest attainable "
+            f"total cap excess is {excess:.6g}",
+            certificate=sol.certificate,
+            excess=excess,
+        )
+    if sol.status == "limit_exceeded":
+        raise TimeoutError(f"{what} hit a limit: {sol.message}")
+    if sol.status != "optimal":
+        raise RuntimeError(f"{what} {sol.status} — formulation bug")
 
 
 @dataclass(frozen=True)
@@ -359,7 +384,6 @@ def build_occupancy_lp(
 
 def solve_occupancy(
     instance: CmdpInstance,
-    backend: str = "auto",
     tangent_cuts: Optional[int] = None,
     time_limit: Optional[float] = None,
 ) -> OccupancySolution:
@@ -370,18 +394,8 @@ def solve_occupancy(
     for valid instances; indicates a formulation bug).
     """
     problem = build_occupancy_lp(instance, tangent_cuts)
-    sol = lpmod.solve_lp(problem, backend=backend, time_limit=time_limit)
-    if sol.status == "infeasible":
-        raise QualityInfeasibleError(
-            "quality constraints unsatisfiable: " + sol.message,
-            certificate=sol.certificate,
-        )
-    if sol.status == "unbounded":
-        raise RuntimeError("occupancy LP unbounded — formulation bug")
-    if sol.status == "limit_exceeded":
-        raise TimeoutError(f"occupancy LP hit a limit: {sol.message}")
-    if sol.status != "optimal":
-        raise RuntimeError(f"occupancy LP did not converge: {sol.status}")
+    sol = lpmod.solve_lp(problem, time_limit=time_limit)
+    raise_for_status(problem, sol, "occupancy LP")
 
     lay = problem.layout
     space = instance.states

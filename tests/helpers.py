@@ -1,8 +1,10 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's solver paths: forward
-recursion is reimplemented locally, and every oracle LP goes through
-scipy's HiGHS interface rather than the embedded engine.
+recursion is reimplemented locally, and every oracle LP is its own
+formulation (mixtures of whole deterministic policies, per-state
+backward induction, the textbook L1 epigraph), solved through scipy's
+``linprog`` rather than the package's LP layer.
 """
 
 import itertools
@@ -13,10 +15,12 @@ from scipy.optimize import linprog
 from modcmdp import (
     AffineReward,
     CmdpInstance,
+    DecompositionError,
     LayeredStateSpace,
     QualityConstraint,
     WeightedL1Reward,
     box_polytope,
+    point_to_mix,
 )
 
 
@@ -233,3 +237,20 @@ def loop_occupancy_value(instance):
         return None
     assert res.status == 0, res.message
     return -res.fun
+
+
+def certify_extreme(verts, tol=1e-7):
+    """LP check that no vertex is a convex combination of the others."""
+    nv = verts.shape[0]
+    for i in range(nv):
+        others = np.delete(verts, i, axis=0)
+        if others.shape[0] == 0:
+            continue
+        try:
+            pairs = point_to_mix(verts[i], others)
+        except DecompositionError:
+            continue
+        mix = sum(w * v for w, v in pairs)
+        if np.max(np.abs(mix - verts[i])) <= tol:
+            return False
+    return True

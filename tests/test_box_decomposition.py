@@ -1,8 +1,8 @@
 """Points inside a box polytope decompose over its enumerated vertices.
 
 Box vertices used to be returned rounded to 9 decimals; the rounding
-moved them off the simplex and the box by ~1e-9, and the dense engine's
-phase 1 then declared some in-box points outside the vertex hull.
+moved them off the simplex and the box by ~1e-9, and the former dense
+simplex's phase 1 then declared some in-box points outside the vertex hull.
 """
 
 import numpy as np

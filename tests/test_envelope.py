@@ -102,7 +102,7 @@ class TestEnvelopeValue:
 class TestSolveWithEnvelope:
     def test_capped_square_reward(self):
         inst = square_reward_instance(bound=0.4)
-        obj, pol = solve_with_envelope(inst, backend="dense")
+        obj, pol = solve_with_envelope(inst)
         assert obj == pytest.approx(0.4, abs=1e-9)
         weights = {tuple(np.round(a, 9)): w for w, a in pol.mixtures["s"]}
         assert weights[(0.0, 1.0)] == pytest.approx(0.4, abs=1e-9)
@@ -110,7 +110,7 @@ class TestSolveWithEnvelope:
 
     def test_uncapped_square_reward_goes_to_vertex(self):
         inst = square_reward_instance()
-        obj, pol = solve_with_envelope(inst, backend="dense")
+        obj, pol = solve_with_envelope(inst)
         assert obj == pytest.approx(1.0, abs=1e-9)
         assert len(pol.mixtures["s"]) == 1
         np.testing.assert_allclose(pol.mixtures["s"][0][1], [0.0, 1.0], atol=1e-9)
@@ -119,11 +119,11 @@ class TestSolveWithEnvelope:
         for _ in range(5):
             inst = random_instance(rng, max_states=3, reward="affine")
             try:
-                obj_env, _ = solve_with_envelope(inst, backend="dense")
+                obj_env, _ = solve_with_envelope(inst)
             except Exception:
                 continue
             vs = enumerate_for_instance(inst)
-            obj_fin, _ = solve_finite(build_finite_cmdp(inst, vs), backend="dense")
+            obj_fin, _ = solve_finite(build_finite_cmdp(inst, vs))
             assert obj_env == pytest.approx(obj_fin, abs=1e-8)
 
     def test_concave_rewards_rejected(self):
@@ -137,7 +137,7 @@ class TestSolveWithEnvelope:
 
     def test_transition_consistency_with_exact_evaluator(self):
         inst = square_reward_instance(bound=0.4)
-        obj, pol = solve_with_envelope(inst, backend="dense")
+        obj, pol = solve_with_envelope(inst)
         report = evaluate_exact(inst, pol)
         # the randomized policy achieves the envelope value in the original
         # problem, and its marginal transitions match the envelope LP's
@@ -162,7 +162,7 @@ class TestNaiveLinearBaseline:
             [1.0],
             [QualityConstraint({"bad"}, 0.6)],
         )
-        obj, pol = naive_linear_baseline(inst, backend="dense")
+        obj, pol = naive_linear_baseline(inst)
         assert obj == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(pol.actions["s"], [0.5, 0.5], atol=1e-12)
 
@@ -170,23 +170,23 @@ class TestNaiveLinearBaseline:
         for _ in range(5):
             inst = random_instance(rng, max_states=3, reward="affine")
             try:
-                exact = solve_occupancy(inst, backend="dense").objective
+                exact = solve_occupancy(inst).objective
             except Exception:
                 continue
-            obj, _ = naive_linear_baseline(inst, backend="dense")
+            obj, _ = naive_linear_baseline(inst)
             assert obj == pytest.approx(exact, abs=1e-8)
 
     def test_envelope_dominates_baseline(self):
         inst = square_reward_instance(bound=0.4)
-        env_obj, _ = solve_with_envelope(inst, backend="dense")
-        naive_obj, _ = naive_linear_baseline(inst, backend="dense")
+        env_obj, _ = solve_with_envelope(inst)
+        naive_obj, _ = naive_linear_baseline(inst)
         assert env_obj >= naive_obj - 1e-12
 
 
 class TestRandomizedVsDeterministicGap:
     def test_example_gap(self):
         inst = square_reward_instance(bound=0.4)
-        _, pol = solve_with_envelope(inst, backend="dense")
+        _, pol = solve_with_envelope(inst)
         randomized = evaluate_exact(inst, pol).value
         deterministic = evaluate_exact(
             inst, DeterministicPolicy({"s": pol.action_marginal("s")})

@@ -179,7 +179,7 @@ class TestOracleAgreement:
         for _ in range(8):
             inst = random_instance(rng, reward="l1")
             try:
-                sol = solve_occupancy(inst, backend="dense")
+                sol = solve_occupancy(inst)
             except Exception:
                 continue
             policy = extract_policy(sol, inst)

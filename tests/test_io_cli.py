@@ -172,7 +172,7 @@ class TestCli:
         assert self.run_cli("solve", prob, "--method", "convex", "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_infeasible_exit_code(self, tmp_path):
+    def test_infeasible_exit_code(self, tmp_path, capsys):
         d = small_problem_dict()
         d["constraints"][0]["bound"] = 0.05
         prob = tmp_path / "p.json"
@@ -181,6 +181,8 @@ class TestCli:
             "solve", prob, "--method", "convex", "--out", tmp_path / "s.json"
         )
         assert code == 2
+        # the box keeps 0.1 of the mass on "bad", 0.05 over the cap
+        assert "smallest attainable total cap excess is 0.05" in capsys.readouterr().err
 
     def test_method_mismatch_exit_code(self, tmp_path):
         d = small_problem_dict()

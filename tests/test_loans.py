@@ -121,7 +121,7 @@ class TestGreedy:
     def test_base_feasible_instance_returns_zero(self):
         cfg = LoanConfig(n_states=5, q_default=0.95)
         inst = generate_loan_instance(cfg)
-        obj, policy = greedy_baseline(inst, backend="dense")
+        obj, policy = greedy_baseline(inst)
         assert obj == pytest.approx(0.0, abs=1e-10)
         for s in inst.states.nonterminal():
             np.testing.assert_allclose(
@@ -130,8 +130,8 @@ class TestGreedy:
 
     def test_greedy_strictly_below_global(self):
         inst = adversarial_gap_instance()
-        greedy_obj, greedy_pol = greedy_baseline(inst, backend="dense")
-        global_obj = solve_occupancy(inst, backend="dense").objective
+        greedy_obj, greedy_pol = greedy_baseline(inst)
+        global_obj = solve_occupancy(inst).objective
         oracle = grid_oracle_gap_instance()
         # the optimum leaves period 1 alone and corrects in period 2,
         # where deviations are cheap and weighted by the 0.5 visit mass
@@ -144,8 +144,8 @@ class TestGreedy:
     def test_greedy_infeasible_but_global_feasible(self):
         inst = greedy_infeasible_instance()
         with pytest.raises(QualityInfeasibleError, match="greedy period 1"):
-            greedy_baseline(inst, backend="dense")
-        sol = solve_occupancy(inst, backend="dense")
+            greedy_baseline(inst)
+        sol = solve_occupancy(inst)
         assert sol.constraint_masses(inst)[0] <= 0.2 + 1e-9
 
     def test_greedy_never_beats_global(self, rng):
@@ -155,8 +155,8 @@ class TestGreedy:
 
             inst = random_instance(rng, max_states=3, reward="l1")
             try:
-                g, _ = greedy_baseline(inst, backend="dense")
-                o = solve_occupancy(inst, backend="dense").objective
+                g, _ = greedy_baseline(inst)
+                o = solve_occupancy(inst).objective
             except QualityInfeasibleError:
                 continue
             assert g <= o + 1e-7

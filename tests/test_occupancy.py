@@ -24,6 +24,7 @@ from modcmdp import (
     enumerate_for_instance,
     evaluate_exact,
     extract_policy,
+    farkas_gap,
     solve_finite,
     solve_occupancy,
 )
@@ -102,23 +103,38 @@ class TestBuild:
 
 class TestSolve:
     def test_binding_cap_matches_grid_oracle(self):
-        sol = solve_occupancy(l1_instance(0.2), backend="dense")
+        sol = solve_occupancy(l1_instance(0.2))
         assert sol.objective == pytest.approx(grid_oracle_l1(0.2), abs=1e-9)
         assert sol.objective == pytest.approx(-0.6, abs=1e-9)
         pol = extract_policy(sol, l1_instance(0.2))
         np.testing.assert_allclose(pol.actions["s"], [0.8, 0.2], atol=1e-8)
 
     def test_slack_cap_is_free(self):
-        sol = solve_occupancy(l1_instance(0.5), backend="dense")
+        sol = solve_occupancy(l1_instance(0.5))
         assert sol.objective == pytest.approx(0.0, abs=1e-10)
 
     def test_unreachable_cap_is_infeasible(self):
         with pytest.raises(QualityInfeasibleError):
-            solve_occupancy(l1_instance(0.05), backend="dense")
+            solve_occupancy(l1_instance(0.05))
+
+    def test_infeasible_cap_states_the_smallest_excess(self):
+        # the box keeps at least 0.1 of the mass on "bad", 0.05 over the cap
+        inst = l1_instance(0.05)
+        with pytest.raises(QualityInfeasibleError) as occupancy:
+            solve_occupancy(inst)
+        cert = occupancy.value.certificate
+        gap = farkas_gap(build_occupancy_lp(inst), cert)
+        assert gap == pytest.approx(0.05, abs=1e-9)
+        vs = enumerate_for_instance(inst)
+        with pytest.raises(QualityInfeasibleError) as finite:
+            solve_finite(build_finite_cmdp(inst, vs))
+        for exc in (occupancy.value, finite.value):
+            assert exc.excess == pytest.approx(0.05, abs=1e-9)
+            assert "total cap excess is 0.05" in str(exc)
 
     def test_degenerate_box_forces_base(self):
         inst = l1_instance(bound=0.6, eps=0.0)
-        sol = solve_occupancy(inst, backend="dense")
+        sol = solve_occupancy(inst)
         assert sol.edge_mass[("s", "ok")] == pytest.approx(0.5, abs=1e-9)
         assert sol.edge_mass[("s", "bad")] == pytest.approx(0.5, abs=1e-9)
 
@@ -126,7 +142,7 @@ class TestSolve:
         for _ in range(15):
             inst = random_instance(rng, reward="l1")
             try:
-                sol = solve_occupancy(inst, backend="dense")
+                sol = solve_occupancy(inst)
             except QualityInfeasibleError:
                 continue
             assert sol.check(inst) == []
@@ -135,7 +151,7 @@ class TestSolve:
         for _ in range(15):
             inst = random_instance(rng, reward=["affine", "l1"][int(rng.integers(2))])
             try:
-                sol = solve_occupancy(inst, backend="dense")
+                sol = solve_occupancy(inst)
             except QualityInfeasibleError:
                 continue
             policy = extract_policy(sol, inst)
@@ -149,7 +165,7 @@ class TestSolve:
 
     def test_relaxation_monotonicity(self):
         objs = [
-            solve_occupancy(l1_instance(b), backend="dense").objective
+            solve_occupancy(l1_instance(b)).objective
             for b in (0.12, 0.2, 0.3, 0.45, 0.6)
         ]
         assert all(b >= a - 1e-10 for a, b in zip(objs, objs[1:]))
@@ -157,7 +173,7 @@ class TestSolve:
     def test_unconstrained_affine_matches_backward_induction(self, rng):
         for _ in range(10):
             inst = random_instance(rng, reward="affine", constraint_chance=0.0)
-            sol = solve_occupancy(inst, backend="dense")
+            sol = solve_occupancy(inst)
             assert sol.objective == pytest.approx(
                 backward_induction_value(inst), abs=1e-7
             )
@@ -186,13 +202,12 @@ class TestAgainstLoopAssembly:
                     inst.states, inst.polytopes, rewards, inst.alpha, inst.constraints
                 )
             want = loop_occupancy_value(inst)
-            for backend in ("dense", "highs"):
-                if want is None:
-                    with pytest.raises(QualityInfeasibleError):
-                        solve_occupancy(inst, backend=backend)
-                    continue
-                got = solve_occupancy(inst, backend=backend).objective
-                assert got == pytest.approx(want, abs=1e-7)
+            if want is None:
+                with pytest.raises(QualityInfeasibleError):
+                    solve_occupancy(inst)
+                continue
+            got = solve_occupancy(inst).objective
+            assert got == pytest.approx(want, abs=1e-7)
 
 
 class TestSignRows:
@@ -232,7 +247,7 @@ class TestSignRows:
 
     def extreme_value(self, inst):
         vs = enumerate_for_instance(inst, method="exhaustive", kink_planes=True)
-        return solve_finite(build_finite_cmdp(inst, vs), backend="highs")[0]
+        return solve_finite(build_finite_cmdp(inst, vs))[0]
 
     @pytest.mark.parametrize(
         "H, h",
@@ -245,19 +260,16 @@ class TestSignRows:
         # 3 sign rows per L1 state, beyond the cap and the H rows
         n_h = 0 if H is None else 1
         assert prob.b_in.size == 1 + 2 * n_h + 2 * 3
-        dense = solve_occupancy(inst, backend="dense")
-        highs = solve_occupancy(inst, backend="highs")
-        assert dense.objective == pytest.approx(highs.objective, abs=1e-7)
-        assert dense.objective == pytest.approx(self.extreme_value(inst), abs=1e-9)
-        assert dense.objective == pytest.approx(self.grid_oracle(H, h), abs=1e-9)
-        for sol in (dense, highs):
-            assert min(sol.edge_mass.values()) >= 0.0
-            assert sol.check(inst) == []
-            policy = extract_policy(sol, inst)
-            assert policy.check(inst) == []
-            assert evaluate_exact(inst, policy).value == pytest.approx(
-                sol.objective, abs=1e-7
-            )
+        sol = solve_occupancy(inst)
+        assert sol.objective == pytest.approx(self.extreme_value(inst), abs=1e-9)
+        assert sol.objective == pytest.approx(self.grid_oracle(H, h), abs=1e-9)
+        assert min(sol.edge_mass.values()) >= 0.0
+        assert sol.check(inst) == []
+        policy = extract_policy(sol, inst)
+        assert policy.check(inst) == []
+        assert evaluate_exact(inst, policy).value == pytest.approx(
+            sol.objective, abs=1e-7
+        )
 
 
 class TestExtractPolicy:
@@ -323,7 +335,7 @@ class TestTangentCuts:
 
     def test_objective_is_true_return_with_upper_bound(self):
         inst = self.make()
-        sol = solve_occupancy(inst, backend="dense", tangent_cuts=16)
+        sol = solve_occupancy(inst, tangent_cuts=16)
         assert sol.bound is not None
         assert sol.objective <= sol.bound + 1e-9
         policy = extract_policy(sol, inst)
@@ -336,6 +348,6 @@ class TestTangentCuts:
 
     def test_more_cuts_tighten_the_bound(self):
         inst = self.make()
-        b4 = solve_occupancy(inst, backend="dense", tangent_cuts=4).bound
-        b32 = solve_occupancy(inst, backend="dense", tangent_cuts=32).bound
+        b4 = solve_occupancy(inst, tangent_cuts=4).bound
+        b32 = solve_occupancy(inst, tangent_cuts=32).bound
         assert b32 <= b4 + 1e-9

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import brute_force_mixture_value, random_instance
+from helpers import brute_force_mixture_value, certify_extreme, random_instance
 
 from modcmdp import (
     ActionPolytope,
@@ -25,7 +25,7 @@ from modcmdp import (
     solve_finite,
     solve_occupancy,
 )
-from modcmdp.vertices import box_simplex_vertices, box_bounds, certify_extreme
+from modcmdp.vertices import box_simplex_vertices, box_bounds
 
 
 def brute_vertices(poly):
@@ -187,7 +187,7 @@ class TestSolveFinite:
         # optimum -0.6, which needs the kink refinement)
         inst = l1_instance(0.2)
         obj, pol = solve_finite(
-            build_finite_cmdp(inst, enumerate_for_instance(inst)), backend="dense"
+            build_finite_cmdp(inst, enumerate_for_instance(inst))
         )
         assert obj == pytest.approx(-0.8, abs=1e-9)
         report = evaluate_exact(inst, pol)
@@ -196,7 +196,7 @@ class TestSolveFinite:
     def test_l1_kink_refinement_recovers_continuum(self):
         inst = l1_instance(0.2)
         vs = enumerate_for_instance(inst, kink_planes=True)
-        obj, _ = solve_finite(build_finite_cmdp(inst, vs), backend="dense")
+        obj, _ = solve_finite(build_finite_cmdp(inst, vs))
         assert obj == pytest.approx(-0.6, abs=1e-9)
 
     def test_affine_extreme_equals_convex(self):
@@ -208,9 +208,8 @@ class TestSolveFinite:
         )
         obj_f, _ = solve_finite(
             build_finite_cmdp(affine, enumerate_for_instance(affine)),
-            backend="dense",
         )
-        obj_c = solve_occupancy(affine, backend="dense").objective
+        obj_c = solve_occupancy(affine).objective
         oracle = brute_force_mixture_value(
             affine, enumerate_for_instance(affine).vertices
         )
@@ -226,7 +225,6 @@ class TestSolveFinite:
         )
         obj, pol = solve_finite(
             build_finite_cmdp(affine, enumerate_for_instance(affine)),
-            backend="dense",
         )
         assert obj == pytest.approx(0.9, abs=1e-9)
         assert len(pol.mixtures["s"]) == 1
@@ -237,13 +235,12 @@ class TestSolveFinite:
         with pytest.raises(QualityInfeasibleError):
             solve_finite(
                 build_finite_cmdp(inst, enumerate_for_instance(inst)),
-                backend="dense",
             )
 
     def test_policy_satisfies_mass_ratio_identity(self):
         inst = l1_instance(0.2)
         obj, pol = solve_finite(
-            build_finite_cmdp(inst, enumerate_for_instance(inst)), backend="dense"
+            build_finite_cmdp(inst, enumerate_for_instance(inst))
         )
         report = evaluate_exact(inst, pol)
         assert report.value == pytest.approx(obj, abs=1e-9)
@@ -257,10 +254,10 @@ class TestSolveFinite:
             if np.prod([v.shape[0] for v in vs.vertices.values()]) > 3000:
                 continue
             try:
-                convex = solve_occupancy(inst, backend="dense").objective
+                convex = solve_occupancy(inst).objective
             except QualityInfeasibleError:
                 continue
-            finite, _ = solve_finite(build_finite_cmdp(inst, vs), backend="dense")
+            finite, _ = solve_finite(build_finite_cmdp(inst, vs))
             oracle = brute_force_mixture_value(inst, vs.vertices)
             assert finite == pytest.approx(convex, abs=1e-6)
             assert oracle == pytest.approx(convex, abs=1e-6)
@@ -271,11 +268,11 @@ class TestSolveFinite:
         while done < 6:
             inst = random_instance(rng, max_states=3, max_horizon=3, reward="l1")
             try:
-                convex = solve_occupancy(inst, backend="dense").objective
+                convex = solve_occupancy(inst).objective
             except QualityInfeasibleError:
                 continue
             vs = enumerate_for_instance(inst, kink_planes=True)
-            finite, _ = solve_finite(build_finite_cmdp(inst, vs), backend="dense")
+            finite, _ = solve_finite(build_finite_cmdp(inst, vs))
             assert finite == pytest.approx(convex, abs=1e-6)
             done += 1
 
