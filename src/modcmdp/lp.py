@@ -47,7 +47,8 @@ def _as_matrix(a, ncols: int):
     if a is None:
         return np.zeros((0, ncols))
     if sp.issparse(a):
-        return a.tocsr()
+        # CSC stays CSC: column slices and the HiGHS load want it
+        return a if a.format in ("csr", "csc") else a.tocsr()
     arr = np.asarray(a, dtype=float)
     if arr.size == 0:
         return np.zeros((0, ncols))

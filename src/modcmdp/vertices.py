@@ -3,6 +3,12 @@ polytopes, the finite-action reduction built on those vertices, its
 occupancy LP, and conversions between randomized vertex policies and
 deterministic interior ones.
 
+The finite-action LP has one column per (state, vertex), hundreds of
+thousands once box polytopes reach ten or more dimensions, of which a few
+thousand carry mass. ``solve_finite`` therefore solves it by delayed
+column generation over a restricted master, and proves the master's
+answer optimal (or infeasible) for the whole LP by pricing every column.
+
 Vertex enumeration is exhaustive basis enumeration by default: pick n-1
 active rows among the polytope rows and the nonnegativity bounds, solve
 together with the simplex equality, keep feasible solutions, dedup. Its
@@ -37,6 +43,9 @@ VERTEX_FEAS_TOL = 1e-9
 MAX_EXHAUSTIVE_DIM = 25
 
 _BATCH = 1 << 15
+# Column generation in solve_finite: vertex columns per state in the first
+# restricted master, and the most added per state in one pricing round.
+COLUMNS_PER_STATE = 10
 
 
 class DecompositionError(RuntimeError):
@@ -59,14 +68,20 @@ class VertexSet:
 
 
 def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
-    kept: list[np.ndarray] = []
+    """Drop every point within ``tol`` (L-infinity) of an earlier kept
+    one; the first of each cluster wins."""
+    # a repeat of an earlier point always goes, so only first occurrences
+    # (in their order) reach the tolerance loop
+    _, first = np.unique(points, axis=0, return_index=True)
+    points = points[np.sort(first)]
+    kept = np.empty_like(points, dtype=float)
+    m = 0
     for p in points:
-        if kept:
-            arr = np.array(kept)
-            if np.min(np.max(np.abs(arr - p), axis=1)) <= tol:
-                continue
-        kept.append(p)
-    return np.array(kept) if kept else np.zeros((0, points.shape[1]))
+        if m and np.min(np.max(np.abs(kept[:m] - p), axis=1)) <= tol:
+            continue
+        kept[m] = p
+        m += 1
+    return kept[:m].copy()
 
 
 def _exhaustive(
@@ -309,11 +324,13 @@ def build_finite_cmdp(instance: CmdpInstance, vertex_set: VertexSet) -> FiniteCm
     return FiniteCmdp(instance, dict(vertex_set.vertices), rewards)
 
 
-def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPolicy]:
+def _finite_lp(fc: FiniteCmdp):
     """Occupancy LP of the finite-action reduction: one mass variable per
-    (state, vertex), flow conservation, initial distribution and the
-    visitation caps. Returns the optimal value and the randomized vertex
-    policy u(s, i) / d(s)."""
+    (state, vertex), then one visit mass d(s) per state; rows are the
+    initial distribution, the outgoing flow per state, the incoming flow
+    per state, then the visitation caps. Returns the problem (its
+    matrices column-compressed), the first vertex column of each
+    nonterminal state and the d column of each state."""
     import scipy.sparse as sp
 
     instance = fc.instance
@@ -378,7 +395,7 @@ def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPoli
             blocks_c.append([d_index[s2]])
             blocks_v.append([-1.0])
 
-    a_eq = sp.csr_matrix(
+    a_eq = sp.csc_matrix(
         (
             np.concatenate([np.asarray(b, dtype=float) for b in blocks_v]),
             (
@@ -397,26 +414,119 @@ def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPoli
                 ci.append(d_index[s])
                 vv.append(1.0)
             b_in[k] = qc.bound
-        a_in = sp.csr_matrix((vv, (ri, ci)), shape=(len(b_in), n))
+        a_in = sp.csc_matrix((vv, (ri, ci)), shape=(len(b_in), n))
     else:
         a_in, b_in = None, None
     problem = lpmod.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in)
-    sol = lpmod.solve_lp(problem, time_limit=time_limit)
+    return problem, u_start, d_index
+
+
+def _top_per_state(score, mask, state_of, k: int) -> np.ndarray:
+    """Indices of the (at most) ``k`` highest scores per state among the
+    vertex columns where ``mask`` holds; ties keep column order."""
+    idx = np.flatnonzero(mask)
+    order = np.lexsort((-score[idx], state_of[idx]))
+    idx = idx[order]
+    group = state_of[idx]
+    rank = np.arange(idx.size) - np.searchsorted(group, group)
+    return idx[rank < k]
+
+
+def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPolicy]:
+    """Occupancy LP of the finite-action reduction: one mass variable per
+    (state, vertex), flow conservation, initial distribution and the
+    visitation caps. Returns the optimal value and the randomized vertex
+    policy u(s, i) / d(s).
+
+    The LP is solved by delayed column generation (Dantzig & Wolfe 1960).
+    The restricted master holds every d column and, per state, the
+    ``COLUMNS_PER_STATE`` vertices of highest reward; when no state has
+    more vertices than that, the master is the whole LP and one solve
+    settles it. Each round prices every vertex column against the
+    master's duals and adds, per state, up to ``COLUMNS_PER_STATE``
+    columns of largest positive reduced cost. An infeasible master is
+    priced against its Farkas certificate instead, adding per state up to
+    as many of the columns that break it most. The loop stops when nothing
+    is added; the master's solution, zero-padded, then passes
+    :func:`lp.check_optimal` on the whole LP, and a certificate no column
+    breaks is a certificate for the whole LP. ``time_limit`` covers all
+    rounds.
+    """
+    problem, u_start, d_index = _finite_lp(fc)
+    n = problem.nvars
+    states = list(u_start)
+    counts = np.array([fc.actions[s].shape[0] for s in states])
+    n_u = int(counts.sum())
+    state_of = np.repeat(np.arange(len(states)), counts)
+    price_tol = lpmod.DUAL_TOL * max(1.0, float(np.abs(problem.c).max()))
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+
+    in_master = np.zeros(n, dtype=bool)
+    in_master[n_u:] = True
+    in_master[_top_per_state(problem.c, np.ones(n_u, dtype=bool), state_of,
+                             COLUMNS_PER_STATE)] = True
+    while True:
+        cols = np.flatnonzero(in_master)
+        master = problem if cols.size == n else lpmod.LpProblem(
+            c=problem.c[cols], a_eq=problem.a_eq[:, cols], b_eq=problem.b_eq,
+            a_in=problem.a_in[:, cols], b_in=problem.b_in,
+        )
+        left = None if deadline is None else deadline - time.monotonic()
+        sol = lpmod.solve_lp(master, time_limit=left)
+        if sol.status == "optimal":
+            y_eq, y_in = sol.dual_eq, sol.dual_in
+        elif sol.status == "infeasible":
+            y_eq, y_in = sol.certificate["eq"], sol.certificate["in"]
+        else:
+            raise_for_status(master, sol, "finite-action LP")
+        if master is problem:
+            break
+        priced = problem.a_eq.T @ y_eq + problem.a_in.T @ y_in
+        if sol.status == "optimal":
+            rc = problem.c - priced
+            score, add = rc[:n_u], rc[:n_u] > price_tol
+        else:
+            # a column j breaks the certificate when a_j @ y < 0
+            score, add = -priced[:n_u], priced[:n_u] < -lpmod.DUAL_TOL
+        new = _top_per_state(score, add & ~in_master[:n_u], state_of,
+                             COLUMNS_PER_STATE)
+        if new.size == 0:
+            break
+        in_master[new] = True
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("finite-action LP exceeded its time budget")
+
+    if master is not problem:
+        if sol.status == "optimal":
+            x = np.zeros(n)
+            x[cols] = sol.x
+            sol = lpmod.LpSolution(
+                "optimal", x=x, objective=float(problem.c @ x),
+                dual_eq=y_eq, dual_in=y_in, reduced_costs=rc,
+            )
+            lpmod.check_optimal(problem, sol)
+        else:
+            up = np.zeros(n)
+            up[cols] = sol.certificate["up"]
+            cert = {"eq": y_eq, "in": y_in, "up": up}
+            if not lpmod.farkas_gap(problem, cert) > 0.0:
+                raise lpmod.LpError("master certificate does not carry over")
+            sol = lpmod.LpSolution("infeasible", certificate=cert,
+                                   message=sol.message)
     raise_for_status(problem, sol, "finite-action LP")
 
     mixtures = {}
-    for t in range(space.horizon - 1):
-        for s in space.layers[t]:
-            verts = fc.actions[s]
-            nv = verts.shape[0]
-            d = float(sol.x[d_index[s]])
-            if d <= UNREACHABLE_TOL:
-                mixtures[s] = [(1.0, verts[0])]
-                continue
-            lam = np.clip(sol.x[u_start[s] : u_start[s] + nv], 0.0, None) / d
-            keep = np.flatnonzero(lam > 1e-12)
-            lam = lam[keep] / lam[keep].sum()
-            mixtures[s] = [(float(w), verts[i]) for w, i in zip(lam, keep)]
+    for s in states:
+        verts = fc.actions[s]
+        nv = verts.shape[0]
+        d = float(sol.x[d_index[s]])
+        if d <= UNREACHABLE_TOL:
+            mixtures[s] = [(1.0, verts[0])]
+            continue
+        lam = np.clip(sol.x[u_start[s] : u_start[s] + nv], 0.0, None) / d
+        keep = np.flatnonzero(lam > 1e-12)
+        lam = lam[keep] / lam[keep].sum()
+        mixtures[s] = [(float(w), verts[i]) for w, i in zip(lam, keep)]
     return float(sol.objective), RandomizedPolicy(mixtures)
 
 

@@ -4,12 +4,15 @@ The oracles here deliberately avoid the library's solver paths: forward
 recursion is reimplemented locally, and every oracle LP is its own
 formulation (mixtures of whole deterministic policies, per-state
 backward induction, the textbook L1 epigraph), solved through scipy's
-``linprog`` rather than the package's LP layer.
+``linprog`` rather than the package's LP layer. The exception is
+``single_lp_finite``, the whole finite-action LP in one checked solve,
+which column generation in ``solve_finite`` must reproduce.
 """
 
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from modcmdp import (
@@ -22,6 +25,7 @@ from modcmdp import (
     box_polytope,
     point_to_mix,
 )
+from modcmdp.lp import LpProblem, solve_lp
 
 
 def forward_masses(instance, actions):
@@ -254,3 +258,82 @@ def certify_extreme(verts, tol=1e-7):
         if np.max(np.abs(mix - verts[i])) <= tol:
             return False
     return True
+
+
+def single_lp_finite(fc):
+    """The finite-action occupancy LP as one problem, solved in one call:
+    the assembly ``vertices.solve_finite`` used before it generated
+    columns (same columns, same row order). Returns (problem, solution)
+    for the package's checked LP layer, so a test can compare objectives
+    or evaluate a certificate against the whole LP."""
+    instance = fc.instance
+    space = instance.states
+    col = 0
+    u_start = {}
+    for t in range(space.horizon - 1):
+        for s in space.layers[t]:
+            u_start[s] = col
+            col += fc.actions[s].shape[0]
+    d_index = {}
+    for layer in space.layers:
+        for s in layer:
+            d_index[s] = col
+            col += 1
+    n = col
+
+    # row order: initial | outgoing per state | incoming per state
+    row = 0
+    init_row = {s: (row := row + 1) - 1 for s in space.layers[0]}
+    out_row = {}
+    for t in range(space.horizon - 1):
+        for s in space.layers[t]:
+            out_row[s] = row
+            row += 1
+    in_row = {}
+    for t in range(1, space.horizon):
+        for s in space.layers[t]:
+            in_row[s] = row
+            row += 1
+
+    c = np.zeros(n)
+    b_eq = np.zeros(row)
+    rr, cc, vv = [], [], []
+    for i, s in enumerate(space.layers[0]):
+        rr.append([init_row[s]])
+        cc.append([d_index[s]])
+        vv.append([1.0])
+        b_eq[init_row[s]] = float(instance.alpha[i])
+    for t in range(space.horizon - 1):
+        nxt = space.layers[t + 1]
+        nxt_rows = np.array([in_row[s2] for s2 in nxt])
+        for s in space.layers[t]:
+            verts = fc.actions[s]
+            nv = verts.shape[0]
+            u0 = u_start[s]
+            c[u0 : u0 + nv] = fc.rewards[s]
+            cols = np.arange(u0, u0 + nv)
+            rr.append(np.full(nv + 1, out_row[s]))
+            cc.append(np.append(cols, d_index[s]))
+            vv.append(np.append(np.ones(nv), -1.0))
+            vi, vj = np.nonzero(verts)
+            rr.append(nxt_rows[vj])
+            cc.append(cols[vi])
+            vv.append(verts[vi, vj])
+        for s2 in nxt:
+            rr.append([in_row[s2]])
+            cc.append([d_index[s2]])
+            vv.append([-1.0])
+    a_eq = sp.csr_matrix(
+        (np.concatenate([np.asarray(b, dtype=float) for b in vv]),
+         (np.concatenate([np.asarray(b, dtype=np.int64) for b in rr]),
+          np.concatenate([np.asarray(b, dtype=np.int64) for b in cc]))),
+        shape=(row, n),
+    )
+    a_in = b_in = None
+    if instance.constraints:
+        a_in = np.zeros((len(instance.constraints), n))
+        for k, qc in enumerate(instance.constraints):
+            a_in[k, [d_index[s] for s in qc.states]] = 1.0
+        b_in = [qc.bound for qc in instance.constraints]
+    problem = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in)
+    return problem, solve_lp(problem)

@@ -267,11 +267,12 @@ def test_criterion_6_method_scaling_shape(tmp_path):
     csv_path = tmp_path / "fig3.csv"
     write_benchmark_csv(records, csv_path)
     by = {(r.method, r.n_states): r for r in records}
-    # the n=4/5 extreme cells take a few ms, so host drift can reorder one
-    # sweep's times: each extreme cell is timed as its best of three sweeps
+    # the small extreme cells take a few ms, so host drift can reorder one
+    # sweep's times: each is timed as its best of three sweeps (n=8, seconds
+    # long, keeps its one timing)
     best = {n: by[("extreme", n)].wall_ms for n in sweep}
     for _ in range(2):
-        for r in run_benchmark(sweep, ["extreme"], cfg=cfg, timeout=280):
+        for r in run_benchmark(sweep[:-1], ["extreme"], cfg=cfg, timeout=280):
             assert r.status == "optimal"
             best[r.n_states] = min(best[r.n_states], r.wall_ms)
     extreme_ms = [best[n] for n in sweep]

@@ -3,7 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import brute_force_mixture_value, certify_extreme, random_instance
+from helpers import (
+    brute_force_mixture_value,
+    certify_extreme,
+    random_instance,
+    single_lp_finite,
+)
 
 from modcmdp import (
     ActionPolytope,
@@ -11,6 +16,7 @@ from modcmdp import (
     CmdpInstance,
     DecompositionError,
     LayeredStateSpace,
+    LoanConfig,
     QualityConstraint,
     QualityInfeasibleError,
     RandomizedPolicy,
@@ -20,12 +26,15 @@ from modcmdp import (
     enumerate_for_instance,
     enumerate_vertices,
     evaluate_exact,
+    farkas_gap,
+    generate_loan_instance,
     mix_to_point,
     point_to_mix,
     solve_finite,
     solve_occupancy,
+    solve_with_envelope,
 )
-from modcmdp.vertices import box_simplex_vertices, box_bounds
+from modcmdp.vertices import COLUMNS_PER_STATE, box_simplex_vertices, box_bounds
 
 
 def brute_vertices(poly):
@@ -275,6 +284,71 @@ class TestSolveFinite:
             finite, _ = solve_finite(build_finite_cmdp(inst, vs))
             assert finite == pytest.approx(convex, abs=1e-6)
             done += 1
+
+
+class TestColumnGeneration:
+    """solve_finite prices columns into a restricted master; it must land
+    on the optimum of the whole LP, or prove the whole LP infeasible."""
+
+    @staticmethod
+    def assert_matches_single_lp(inst, vs):
+        fc = build_finite_cmdp(inst, vs)
+        problem, oracle = single_lp_finite(fc)
+        if oracle.status == "infeasible":
+            with pytest.raises(QualityInfeasibleError) as err:
+                solve_finite(fc)
+            excess = farkas_gap(problem, err.value.certificate)
+            assert excess > 0.0
+            assert excess == pytest.approx(err.value.excess, abs=1e-12)
+            assert excess == pytest.approx(farkas_gap(problem, oracle.certificate),
+                                           abs=1e-9)
+            return
+        obj, pol = solve_finite(fc)
+        assert obj == pytest.approx(oracle.objective, abs=1e-9)
+        assert evaluate_exact(inst, pol).value == pytest.approx(obj, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [10, 14])
+    def test_quadratic_loans_match_single_lp(self, n):
+        inst = generate_loan_instance(LoanConfig(n_states=n, reward_kind="quad_convex"))
+        vs = enumerate_for_instance(inst, method="auto")
+        assert max(vs.counts().values()) > COLUMNS_PER_STATE
+        self.assert_matches_single_lp(inst, vs)
+
+    def test_l1_loan_with_kink_planes_matches_single_lp(self):
+        inst = generate_loan_instance(LoanConfig(n_states=5, reward_kind="l1"))
+        vs = enumerate_for_instance(inst, kink_planes=True)
+        assert max(vs.counts().values()) > COLUMNS_PER_STATE
+        self.assert_matches_single_lp(inst, vs)
+
+    def test_random_instances_match_single_lp(self, rng):
+        priced = 0
+        for _ in range(24):
+            inst = random_instance(rng, max_states=6, reward="affine")
+            vs = enumerate_for_instance(inst)
+            priced += max(vs.counts().values()) > COLUMNS_PER_STATE
+            self.assert_matches_single_lp(inst, vs)
+        assert priced >= 8
+
+    def test_infeasible_cap_certifies_the_whole_lp(self):
+        inst = generate_loan_instance(LoanConfig(n_states=10, reward_kind="quad_convex"))
+        # every path passes layer 2, so half its mass is always in excess
+        cap = QualityConstraint(set(inst.states.layers[2]), 0.5)
+        inst = CmdpInstance(inst.states, inst.polytopes, inst.rewards,
+                            inst.alpha, [cap])
+        fc = build_finite_cmdp(inst, enumerate_for_instance(inst, method="auto"))
+        problem, _ = single_lp_finite(fc)
+        for route in (lambda: solve_finite(fc), lambda: solve_with_envelope(inst)):
+            with pytest.raises(QualityInfeasibleError) as err:
+                route()
+            assert err.value.excess == pytest.approx(0.5, abs=1e-9)
+            assert farkas_gap(problem, err.value.certificate) == pytest.approx(
+                0.5, abs=1e-9)
+
+    def test_zero_time_limit_times_out(self):
+        inst = generate_loan_instance(LoanConfig(n_states=16, reward_kind="quad_convex"))
+        fc = build_finite_cmdp(inst, enumerate_for_instance(inst, method="auto"))
+        with pytest.raises(TimeoutError):
+            solve_finite(fc, time_limit=0)
 
 
 class TestConversions:
