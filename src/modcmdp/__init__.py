@@ -56,17 +56,21 @@ from .envelope import (
 )
 from .evaluate import EvaluationReport, evaluate_exact, simulate
 from .loans import (
+    METHODS,
     BenchmarkRecord,
     LoanConfig,
+    SolveResult,
     generate_loan_instance,
     greedy_baseline,
     run_benchmark,
+    solve,
     write_benchmark_csv,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "METHODS",
     "ActionPolytope",
     "AffineReward",
     "BenchmarkRecord",
@@ -89,6 +93,7 @@ __all__ = [
     "QuadraticDeviationReward",
     "RandomizedPolicy",
     "RewardSpec",
+    "SolveResult",
     "VertexSet",
     "WeightedL1Reward",
     "box_polytope",
@@ -114,6 +119,7 @@ __all__ = [
     "point_to_mix",
     "run_benchmark",
     "simulate",
+    "solve",
     "solve_finite",
     "solve_lp",
     "solve_occupancy",

@@ -5,8 +5,8 @@ Every command writes a ``<out>.manifest.json`` next to its output with
 the argv, input hashes, seed, package version and wall time, so any
 published number can be regenerated from one command line. Exit codes:
 0 optimal/success, 2 infeasible, 3 timeout, 1 any other error. The
-environment variable MODCMDP_TIMEOUT sets the default per-solve time
-budget in seconds.
+environment variable MODCMDP_TIMEOUT sets the default time budget in
+seconds, which bounds every method.
 """
 
 from __future__ import annotations
@@ -17,24 +17,29 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, fileio
-from .envelope import naive_linear_baseline, solve_with_envelope
 from .evaluate import evaluate_exact, simulate
 from .loans import (
-    BENCH_METHODS,
+    METHODS,
     LoanConfig,
     generate_loan_instance,
-    greedy_baseline,
     run_benchmark,
+    solve,
     write_benchmark_csv,
 )
 from .model import validate
-from .occupancy import QualityInfeasibleError, extract_policy, solve_occupancy
-from .vertices import build_finite_cmdp, enumerate_for_instance, solve_finite
+from .occupancy import QualityInfeasibleError
 
 EXIT_OK, EXIT_ERROR, EXIT_INFEASIBLE, EXIT_TIMEOUT = 0, 1, 2, 3
+
+# How a command's failure is reported: the first matching type wins.
+_FAILURES = (
+    (fileio.SchemaError, "schema error", EXIT_ERROR),
+    (FileNotFoundError, "file not found", EXIT_ERROR),
+    (QualityInfeasibleError, "infeasible", EXIT_INFEASIBLE),
+    (TimeoutError, "timeout", EXIT_TIMEOUT),
+    (ValueError, "error", EXIT_ERROR),
+)
 
 
 def _hash_file(path) -> str:
@@ -81,73 +86,27 @@ def cmd_solve(args) -> int:
             print("  -", line, file=sys.stderr)
         return EXIT_ERROR
 
-    method = args.method
-    try:
-        if method == "convex":
-            sol = solve_occupancy(
-                instance, tangent_cuts=args.tangent_cuts, time_limit=args.timeout
-            )
-            policy = extract_policy(sol, instance)
-            objective, visit, bound = sol.objective, sol.visit_mass, sol.bound
-        elif method == "extreme":
-            kinks = not args.vertex_only
-            deadline = None if args.timeout is None else time.monotonic() + args.timeout
-            vs = enumerate_for_instance(
-                instance, method="exhaustive", kink_planes=kinks, deadline=deadline
-            )
-            fc = build_finite_cmdp(instance, vs)
-            objective, policy = solve_finite(fc, time_limit=args.timeout)
-            visit = evaluate_exact(instance, policy).visit_mass
-            bound = None
-        elif method == "envelope":
-            objective, policy = solve_with_envelope(instance, time_limit=args.timeout)
-            visit = evaluate_exact(instance, policy).visit_mass
-            bound = None
-        elif method == "greedy":
-            objective, policy = greedy_baseline(instance)
-            visit = evaluate_exact(instance, policy).visit_mass
-            bound = None
-        elif method == "naive-linear":
-            objective, policy = naive_linear_baseline(instance)
-            visit = evaluate_exact(instance, policy).visit_mass
-            bound = None
-        else:
-            print(f"unknown method {method!r}", file=sys.stderr)
-            return EXIT_ERROR
-    except QualityInfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except TimeoutError as exc:
-        print(f"timeout: {exc}", file=sys.stderr)
-        return EXIT_TIMEOUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-    payload = fileio.solution_to_json(instance, objective, visit, policy, bound)
+    res = solve(instance, args.method, time_limit=args.timeout,
+                tangent_cuts=args.tangent_cuts)
     wall = time.perf_counter() - t0
     _write_with_manifest(
-        payload,
-        args.out,
-        _manifest("solve", vars(args), [args.problem],
-                  [args.out], None, wall),
+        fileio.solution_to_json(instance, res), args.out,
+        _manifest("solve", vars(args), [args.problem], [args.out], None, wall),
     )
-    print(f"objective {objective:.9g} written to {args.out}")
+    print(f"objective {res.objective:.9g} written to {args.out}")
     return EXIT_OK
+
+
+def _loan_config(args, n_states: int) -> LoanConfig:
+    kind = {"l1": "l1", "quad": "quad_convex", "affine": "affine"}[args.reward]
+    return LoanConfig(n_states=n_states, horizon=args.horizon,
+                      epsilon=args.epsilon, q_default=args.qbound,
+                      reward_kind=kind, seed=args.seed)
 
 
 def cmd_generate(args) -> int:
     t0 = time.perf_counter()
-    kind = {"l1": "l1", "quad": "quad_convex"}[args.reward]
-    cfg = LoanConfig(
-        n_states=args.states,
-        horizon=args.horizon,
-        epsilon=args.epsilon,
-        q_default=args.qbound,
-        reward_kind=kind,
-        seed=args.seed,
-    )
-    instance = generate_loan_instance(cfg)
+    instance = generate_loan_instance(_loan_config(args, args.states))
     payload = fileio.problem_to_json(instance)
     wall = time.perf_counter() - t0
     _write_with_manifest(
@@ -162,15 +121,11 @@ def cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
     instance = fileio.problem_from_json(fileio.load_json(args.problem))
     policy = fileio.policy_from_json(fileio.load_json(args.policy))
-    try:
-        report = evaluate_exact(instance, policy)
-        payload = {"exact": fileio.report_to_json(report)}
-        if args.simulate:
-            emp = simulate(instance, policy, args.simulate, seed=args.seed)
-            payload["simulated"] = fileio.report_to_json(emp)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    report = evaluate_exact(instance, policy)
+    payload = {"exact": fileio.report_to_json(report)}
+    if args.simulate:
+        emp = simulate(instance, policy, args.simulate, seed=args.seed)
+        payload["simulated"] = fileio.report_to_json(emp)
     wall = time.perf_counter() - t0
     _write_with_manifest(
         payload, args.out,
@@ -203,15 +158,7 @@ def _parse_sweep(text: str) -> list[float]:
 def cmd_benchmark(args) -> int:
     t0 = time.perf_counter()
     methods = [m for m in args.methods.split(",") if m]
-    kind = {"l1": "l1", "quad": "quad_convex", "affine": "affine"}[args.reward]
-    cfg = LoanConfig(
-        n_states=args.states_list[0],
-        horizon=args.horizon,
-        epsilon=args.epsilon,
-        q_default=args.qbound,
-        reward_kind=kind,
-        seed=args.seed,
-    )
+    cfg = _loan_config(args, args.states_list[0])
     q_values = _parse_sweep(args.q_sweep) if args.q_sweep else None
     records = run_benchmark(
         args.states_list, methods, cfg=cfg, q_values=q_values, timeout=args.timeout
@@ -238,16 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sv = sub.add_parser("solve", help="solve a problem file")
     sv.add_argument("problem")
-    sv.add_argument("--method", required=True,
-                    choices=["convex", "extreme", "envelope", "greedy",
-                             "naive-linear"])
+    sv.add_argument("--method", required=True, choices=METHODS,
+                    help="extreme-restricted skips the L1 reward kink "
+                    "planes (a lower bound)")
     sv.add_argument("--out", required=True)
     sv.add_argument("--tangent-cuts", type=int, default=None,
                     help="opt-in K-cut outer approximation for concave "
                     "quadratic rewards (objective becomes an upper bound)")
-    sv.add_argument("--vertex-only", action="store_true",
-                    help="extreme method: skip the reward kink planes for "
-                    "L1 rewards (restricted, lower-bound variant)")
     sv.add_argument("--timeout", type=float, default=_default_timeout())
     sv.set_defaults(func=cmd_solve)
 
@@ -277,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     bm.add_argument("--states", required=True,
                     help="range a..b or comma list")
     bm.add_argument("--methods", required=True,
-                    help="comma list from " + ",".join(BENCH_METHODS))
+                    help="comma list from " + ",".join(METHODS))
     bm.add_argument("--q-sweep", default=None,
                     help="lo:hi:step cap sweep at the first state count")
     bm.add_argument("--reward", default="l1",
@@ -295,16 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.cmd == "benchmark":
-        args.states_list = _parse_states(args.states)
     try:
+        if args.cmd == "benchmark":
+            args.states_list = _parse_states(args.states)
         return args.func(args)
-    except fileio.SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        prefix, code = next((p, c) for k, p, c in _FAILURES if isinstance(exc, k))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

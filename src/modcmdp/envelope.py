@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lp as lpmod
 from .evaluate import evaluate_exact
 from .model import (
     AffineReward,
@@ -23,11 +24,12 @@ from .model import (
     QuadraticDeviationReward,
     RandomizedPolicy,
     RewardSpec,
-    validate,
+    require_valid,
 )
 from .occupancy import extract_policy, solve_occupancy
 from .vertices import (
     DecompositionError,
+    FiniteCmdp,
     VertexSet,
     build_finite_cmdp,
     enumerate_for_instance,
@@ -47,7 +49,8 @@ class EnvelopeModel:
     source: dict[str, RewardSpec]
 
 
-def _check_envelope_rewards(instance: CmdpInstance) -> None:
+def _check_envelope_instance(instance: CmdpInstance) -> None:
+    require_valid(instance)
     for s in instance.states.nonterminal():
         rew = instance.rewards[s]
         if isinstance(rew, AffineReward):
@@ -68,10 +71,7 @@ def build_envelope(
 ) -> EnvelopeModel:
     """Enumerate generators and tabulate vertex rewards for an instance
     with convex (quadratic or affine) rewards."""
-    bad = validate(instance)
-    if bad:
-        raise ValueError("invalid instance: " + "; ".join(bad))
-    _check_envelope_rewards(instance)
+    _check_envelope_instance(instance)
     if vertex_set is None:
         vertex_set = enumerate_for_instance(instance, method=method)
     rewards = {
@@ -97,6 +97,19 @@ def envelope_value(
         )
 
 
+def envelope_cmdp(
+    instance: CmdpInstance,
+    method: str = "auto",
+    deadline: float | None = None,
+) -> FiniteCmdp:
+    """The finite-action reduction the envelope LP solves: each polytope
+    vertex is an action, scored by the convex reward there. Enumeration
+    stops at ``deadline`` (a ``time.monotonic()`` reading)."""
+    _check_envelope_instance(instance)
+    vertex_set = enumerate_for_instance(instance, method=method, deadline=deadline)
+    return build_finite_cmdp(instance, vertex_set)
+
+
 def solve_with_envelope(
     instance: CmdpInstance,
     method: str = "auto",
@@ -108,18 +121,17 @@ def solve_with_envelope(
     with the vertex reward as its objective coefficient — the finite
     embedding of the piecewise-linear envelope) and returns the optimal
     value together with the randomized vertex policy w(s, i) / d(s),
-    which achieves that value in the original problem.
+    which achieves that value in the original problem. ``time_limit``
+    covers enumeration and the LP.
     """
-    bad = validate(instance)
-    if bad:
-        raise ValueError("invalid instance: " + "; ".join(bad))
-    _check_envelope_rewards(instance)
-    vertex_set = enumerate_for_instance(instance, method=method)
-    fc = build_finite_cmdp(instance, vertex_set)
-    return solve_finite(fc, time_limit=time_limit)
+    deadline = lpmod.deadline_after(time_limit)
+    fc = envelope_cmdp(instance, method, deadline)
+    return solve_finite(fc, time_limit=lpmod.time_left(deadline))
 
 
-def naive_linear_baseline(instance: CmdpInstance) -> tuple[float, DeterministicPolicy]:
+def naive_linear_baseline(
+    instance: CmdpInstance, time_limit=None
+) -> tuple[float, DeterministicPolicy]:
     """First-order baseline: replace each reward by its tangent plane at
     the base action, solve the resulting LP, and score the policy under
     the true rewards.
@@ -127,11 +139,10 @@ def naive_linear_baseline(instance: CmdpInstance) -> tuple[float, DeterministicP
     Ties in the linearized program are broken toward the base policy
     (when it is feasible), matching the natural behaviour of a local
     approximation anchored at the expansion point. Returns the true
-    return and the chosen policy.
+    return and the chosen policy. ``time_limit`` bounds the LP.
     """
-    bad = validate(instance)
-    if bad:
-        raise ValueError("invalid instance: " + "; ".join(bad))
+    deadline = lpmod.deadline_after(time_limit)
+    require_valid(instance)
     lin_rewards = {}
     for s in instance.states.nonterminal():
         rew = instance.rewards[s]
@@ -155,7 +166,7 @@ def naive_linear_baseline(instance: CmdpInstance) -> tuple[float, DeterministicP
         instance.alpha,
         instance.constraints,
     )
-    sol = solve_occupancy(lin_instance)
+    sol = solve_occupancy(lin_instance, time_limit=lpmod.time_left(deadline))
     policy = extract_policy(sol, lin_instance)
 
     base_policy = DeterministicPolicy(

@@ -23,7 +23,7 @@ from .model import (
     DeterministicPolicy,
     Policy,
     RandomizedPolicy,
-    validate,
+    require_valid,
 )
 
 
@@ -43,9 +43,7 @@ class EvaluationReport:
 
 
 def _require_valid(instance: CmdpInstance, policy: Policy) -> None:
-    bad = validate(instance)
-    if bad:
-        raise ValueError("invalid instance: " + "; ".join(bad))
+    require_valid(instance)
     bad = policy.check(instance)
     if bad:
         raise ValueError("infeasible policy: " + "; ".join(bad))

@@ -196,17 +196,13 @@ def policy_from_json(obj: dict) -> Policy:
     raise SchemaError(f"policy: unknown type {obj['type']!r}")
 
 
-def solution_to_json(
-    instance: CmdpInstance,
-    objective: float,
-    visit_mass: dict[str, float],
-    policy: Policy,
-    bound: float | None = None,
-) -> dict:
+def solution_to_json(instance: CmdpInstance, result) -> dict:
+    """The solution file of a :func:`modcmdp.solve` result."""
+    visit_mass = result.visit_mass
     out = {
-        "objective": objective,
+        "objective": result.objective,
         "visit_mass": visit_mass,
-        "policy": policy_to_json(policy),
+        "policy": policy_to_json(result.policy),
         "constraints": [
             {
                 "states": sorted(qc.states),
@@ -217,8 +213,8 @@ def solution_to_json(
             for qc in instance.constraints
         ],
     }
-    if bound is not None:
-        out["relaxation_bound"] = bound
+    if result.bound is not None:
+        out["relaxation_bound"] = result.bound
     return out
 
 

@@ -10,9 +10,9 @@ uniform over the less delinquent levels, and the stay probability is
 instantiation of the qualitative description they implement; absolute
 benchmark numbers therefore reproduce shapes, not published decimals.
 
-The harness times the solution methods over a range of state counts,
-sweeps the default-probability cap, and writes one CSV row per cell:
-``method,n_states,horizon,epsilon,q,objective,wall_ms,status,vertices_total``.
+:func:`solve` runs any solution method; the harness times the methods
+over a range of state counts or caps and writes one CSV row per cell:
+``method,n_states,horizon,epsilon,q,objective,wall_ms,status,vertices_total,error``.
 """
 
 from __future__ import annotations
@@ -25,14 +25,15 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .envelope import naive_linear_baseline, solve_with_envelope
+from .envelope import envelope_cmdp, naive_linear_baseline
 from .evaluate import evaluate_exact
+from .lp import deadline_after, time_left
 from .model import (
-    ActionPolytope,
     AffineReward,
     CmdpInstance,
     DeterministicPolicy,
     LayeredStateSpace,
+    Policy,
     QualityConstraint,
     QuadraticDeviationReward,
     WeightedL1Reward,
@@ -43,14 +44,16 @@ from .vertices import build_finite_cmdp, enumerate_for_instance, solve_finite
 
 REWARD_KINDS = ("l1", "quad_convex", "affine")
 
-BENCH_METHODS = (
-    "convex",
-    "extreme",
-    "extreme-restricted",
-    "envelope",
-    "greedy",
-    "naive-linear",
-)
+# The solution methods, each with the loan reward kinds it accepts.
+_LOAN_REWARDS = {
+    "convex": ("l1", "affine"),
+    "extreme": ("l1", "affine"),
+    "extreme-restricted": ("l1", "affine"),
+    "envelope": ("quad_convex", "affine"),
+    "greedy": ("l1",),
+    "naive-linear": ("quad_convex", "affine"),
+}
+METHODS = tuple(_LOAN_REWARDS)
 
 CSV_FIELDS = (
     "method",
@@ -62,6 +65,7 @@ CSV_FIELDS = (
     "wall_ms",
     "status",
     "vertices_total",
+    "error",
 )
 
 
@@ -160,13 +164,17 @@ def generate_loan_instance(cfg: LoanConfig) -> CmdpInstance:
 # greedy baseline
 
 
-def greedy_baseline(instance: CmdpInstance) -> tuple[float, DeterministicPolicy]:
+def greedy_baseline(
+    instance: CmdpInstance, time_limit=None
+) -> tuple[float, DeterministicPolicy]:
     """Period-by-period myopic baseline: at each period, optimize that
     period's modulation assuming every later period keeps its base row,
     commit, and advance. Raises QualityInfeasibleError when some period's
     subproblem cannot meet the (remaining) caps on its own — the global
-    method may still be feasible there.
+    method may still be feasible there. ``time_limit`` covers every
+    period's LP.
     """
+    deadline = deadline_after(time_limit)
     for s in instance.states.nonterminal():
         if not isinstance(instance.rewards[s], WeightedL1Reward):
             raise ValueError("greedy baseline is defined for L1 rewards")
@@ -209,7 +217,7 @@ def greedy_baseline(instance: CmdpInstance) -> tuple[float, DeterministicPolicy]
             constraints.append(QualityConstraint(remaining, bound))
         sub = CmdpInstance(sub_space, polys, rews, dist, constraints)
         try:
-            sol = solve_occupancy(sub)
+            sol = solve_occupancy(sub, time_limit=time_left(deadline))
         except QualityInfeasibleError as exc:
             raise QualityInfeasibleError(
                 f"greedy period {t + 1}: {exc}",
@@ -230,6 +238,67 @@ def greedy_baseline(instance: CmdpInstance) -> tuple[float, DeterministicPolicy]
 
 
 # ---------------------------------------------------------------------------
+# one entry point for every method
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """What :func:`solve` returns. ``visit_mass`` comes from the occupancy
+    LP for "convex" and from :func:`evaluate_exact` of ``policy`` for the
+    other methods; ``bound`` is the LP's upper bound, set only under
+    tangent cuts; ``vertices`` is the number of enumerated vertices over
+    all states, 0 for the routes that enumerate none."""
+
+    objective: float
+    policy: Policy
+    visit_mass: dict[str, float]
+    bound: Optional[float] = None
+    vertices: int = 0
+
+
+def solve(
+    instance: CmdpInstance,
+    method: str,
+    time_limit: Optional[float] = None,
+    tangent_cuts: Optional[int] = None,
+) -> SolveResult:
+    """Solve ``instance`` by one of :data:`METHODS`. "extreme" adds the
+    L1 reward kink planes to the vertex pool and is exact there;
+    "extreme-restricted" takes the vertices alone, a lower bound.
+
+    ``time_limit`` (seconds) is one budget for every stage: each stage
+    gets the time left, and TimeoutError is raised once it has run out.
+    ``tangent_cuts`` applies to "convex" only.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if tangent_cuts and method != "convex":
+        raise ValueError("tangent cuts apply to the convex method only")
+    deadline = deadline_after(time_limit)
+    if method == "convex":
+        sol = solve_occupancy(instance, tangent_cuts, time_left(deadline))
+        policy = extract_policy(sol, instance)
+        return SolveResult(sol.objective, policy, sol.visit_mass, sol.bound)
+    vertices = 0
+    if method == "greedy":
+        objective, policy = greedy_baseline(instance, time_left(deadline))
+    elif method == "naive-linear":
+        objective, policy = naive_linear_baseline(instance, time_left(deadline))
+    else:
+        if method == "envelope":
+            fc = envelope_cmdp(instance, deadline=deadline)
+        else:
+            vs = enumerate_for_instance(
+                instance, kink_planes=method == "extreme", deadline=deadline
+            )
+            fc = build_finite_cmdp(instance, vs)
+        objective, policy = solve_finite(fc, time_limit=time_left(deadline))
+        vertices = sum(a.shape[0] for a in fc.actions.values())
+    visit = evaluate_exact(instance, policy).visit_mass
+    return SolveResult(objective, policy, visit, vertices=vertices)
+
+
+# ---------------------------------------------------------------------------
 # benchmark harness
 
 
@@ -244,46 +313,7 @@ class BenchmarkRecord:
     wall_ms: float
     status: str
     vertices_total: int
-
-
-def _reward_ok(method: str, kind: str) -> bool:
-    if method in ("convex", "greedy"):
-        return kind in ("l1", "affine") if method == "convex" else kind == "l1"
-    if method in ("extreme", "extreme-restricted"):
-        return kind in ("l1", "affine")
-    if method in ("envelope", "naive-linear"):
-        return kind in ("quad_convex", "affine")
-    return False
-
-
-def _run_method(method, instance, kind, timeout):
-    """Returns (objective, vertices_total)."""
-    deadline = None if timeout is None else time.monotonic() + timeout
-    if method == "convex":
-        sol = solve_occupancy(instance, time_limit=timeout)
-        return sol.objective, 0
-    if method in ("extreme", "extreme-restricted"):
-        kinks = kind == "l1" and method == "extreme"
-        vs = enumerate_for_instance(
-            instance, method="exhaustive", kink_planes=kinks, deadline=deadline
-        )
-        fc = build_finite_cmdp(instance, vs)
-        left = None if timeout is None else max(deadline - time.monotonic(), 1.0)
-        obj, _ = solve_finite(fc, time_limit=left)
-        return obj, vs.total()
-    if method == "envelope":
-        vs = enumerate_for_instance(instance, method="auto", deadline=deadline)
-        fc = build_finite_cmdp(instance, vs)
-        left = None if timeout is None else max(deadline - time.monotonic(), 1.0)
-        obj, _ = solve_finite(fc, time_limit=left)
-        return obj, vs.total()
-    if method == "greedy":
-        obj, _ = greedy_baseline(instance)
-        return obj, 0
-    if method == "naive-linear":
-        obj, _ = naive_linear_baseline(instance)
-        return obj, 0
-    raise ValueError(f"unknown method {method!r}")
+    error: str = ""
 
 
 def run_benchmark(
@@ -296,11 +326,11 @@ def run_benchmark(
     """Time each method over the state counts (or, when ``q_values`` is
     given, over cap values at the config's state count). Failures are
     recorded per cell — "timeout", "infeasible", "unsupported" or
-    "error" — never raised.
+    "error", with the exception's type and message — never raised.
     """
     for m in methods:
-        if m not in BENCH_METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {BENCH_METHODS}")
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
     cells: list[tuple[int, float]] = (
         [(cfg.n_states, q) for q in q_values]
         if q_values is not None
@@ -311,32 +341,25 @@ def run_benchmark(
         cell_cfg = replace(cfg, n_states=n, q_default=q)
         instance = generate_loan_instance(cell_cfg)
         for method in methods:
-            if not _reward_ok(method, cfg.reward_kind):
-                records.append(
-                    BenchmarkRecord(
-                        method, n, cfg.horizon, cfg.epsilon, q,
-                        None, 0.0, "unsupported", 0,
-                    )
-                )
-                continue
-            t0 = time.perf_counter()
-            vertices_total = 0
-            try:
-                objective, vertices_total = _run_method(
-                    method, instance, cfg.reward_kind, timeout
-                )
-                status = "optimal"
-            except QualityInfeasibleError:
-                objective, status = None, "infeasible"
-            except TimeoutError:
-                objective, status = None, "timeout"
-            except Exception:
-                objective, status = None, "error"
-            wall_ms = (time.perf_counter() - t0) * 1000.0
+            objective, wall_ms, vertices_total, error = None, 0.0, 0, ""
+            if cfg.reward_kind not in _LOAN_REWARDS[method]:
+                status = "unsupported"
+            else:
+                t0 = time.perf_counter()
+                try:
+                    res = solve(instance, method, time_limit=timeout)
+                    objective, vertices_total = res.objective, res.vertices
+                    status = "optimal"
+                except Exception as exc:
+                    status = ("infeasible" if isinstance(exc, QualityInfeasibleError)
+                              else "timeout" if isinstance(exc, TimeoutError)
+                              else "error")
+                    error = f"{type(exc).__name__}: {exc}"
+                wall_ms = (time.perf_counter() - t0) * 1000.0
             records.append(
                 BenchmarkRecord(
                     method, n, cfg.horizon, cfg.epsilon, q,
-                    objective, wall_ms, status, vertices_total,
+                    objective, wall_ms, status, vertices_total, error,
                 )
             )
     return records
@@ -358,5 +381,6 @@ def write_benchmark_csv(records: Iterable[BenchmarkRecord], path) -> None:
                     f"{r.wall_ms:.3f}",
                     r.status,
                     r.vertices_total,
+                    r.error,
                 ]
             )

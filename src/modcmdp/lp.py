@@ -328,6 +328,23 @@ def _elastic(p: LpProblem) -> LpProblem:
     )
 
 
+def deadline_after(time_limit: Optional[float]) -> Optional[float]:
+    """The ``time.monotonic()`` reading ``time_limit`` seconds on, or None."""
+    return None if time_limit is None else time.monotonic() + time_limit
+
+
+def time_left(deadline: Optional[float]) -> Optional[float]:
+    """Seconds until ``deadline`` (None for none); raises TimeoutError
+    once it has passed, so a spent budget fails the same way whatever
+    the next stage would do with a zero limit."""
+    if deadline is None:
+        return None
+    left = deadline - time.monotonic()
+    if left <= 0.0:
+        raise TimeoutError("time budget exhausted")
+    return left
+
+
 def solve_lp(
     problem: LpProblem,
     backend: str = "auto",
@@ -362,7 +379,7 @@ def solve_lp(
             certificate=cert,
             message=f"variable {j} has lower > upper",
         )
-    deadline = None if time_limit is None else time.monotonic() + time_limit
+    deadline = deadline_after(time_limit)
     sol = _solve_highs(p, maxiter, time_limit)
     if sol.status not in ("infeasible", "infeasible_or_unbounded"):
         return sol

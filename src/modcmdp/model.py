@@ -272,6 +272,13 @@ class CmdpInstance:
         return len(self.states.layers[t + 1])
 
 
+def require_valid(instance: CmdpInstance) -> None:
+    """Raise ValueError naming every violation :func:`validate` finds."""
+    bad = validate(instance)
+    if bad:
+        raise ValueError("invalid instance: " + "; ".join(bad))
+
+
 def validate(instance: CmdpInstance) -> list[str]:
     """Check every model invariant and return one message per violation.
 

@@ -39,7 +39,7 @@ from .model import (
     DeterministicPolicy,
     QuadraticDeviationReward,
     WeightedL1Reward,
-    validate,
+    require_valid,
 )
 
 # Visit mass below which a state counts as unreachable and the policy
@@ -302,9 +302,7 @@ def build_occupancy_lp(
 
     Raises ValueError on invalid instances or unsupported reward kinds.
     """
-    report = validate(instance)
-    if report:
-        raise ValueError("invalid instance: " + "; ".join(report))
+    require_valid(instance)
     _check_rewards(instance, tangent_cuts)
 
     from .extend import extend_reward

@@ -31,7 +31,7 @@ from .model import (
     CmdpInstance,
     DeterministicPolicy,
     RandomizedPolicy,
-    validate,
+    require_valid,
 )
 from .occupancy import UNREACHABLE_TOL, raise_for_status
 
@@ -312,9 +312,7 @@ class FiniteCmdp:
 
 
 def build_finite_cmdp(instance: CmdpInstance, vertex_set: VertexSet) -> FiniteCmdp:
-    bad = validate(instance)
-    if bad:
-        raise ValueError("invalid instance: " + "; ".join(bad))
+    require_valid(instance)
     from .model import reward_values
 
     rewards = {
@@ -459,7 +457,7 @@ def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPoli
     n_u = int(counts.sum())
     state_of = np.repeat(np.arange(len(states)), counts)
     price_tol = lpmod.DUAL_TOL * max(1.0, float(np.abs(problem.c).max()))
-    deadline = None if time_limit is None else time.monotonic() + time_limit
+    deadline = lpmod.deadline_after(time_limit)
 
     in_master = np.zeros(n, dtype=bool)
     in_master[n_u:] = True
@@ -550,7 +548,9 @@ def hull_envelope(points, values, query) -> tuple[float, np.ndarray]:
     a_eq = np.vstack([pts.T, np.ones((1, nv))])
     b_eq = np.concatenate([q, [1.0]])
     problem = lpmod.LpProblem(c=values, a_eq=a_eq, b_eq=b_eq)
-    sol = lpmod.solve_lp(problem)
+    # one checked HiGHS call and no phase-1 certificate: the hull LP is
+    # bounded, so a non-optimal status means the query is outside the hull
+    sol = lpmod._solve_highs(problem, lpmod.DEFAULT_MAXITER, None)
     if sol.status != "optimal":
         raise DecompositionError("query point is outside the generator hull")
     return float(sol.objective), np.clip(sol.x, 0.0, None)

@@ -6,8 +6,8 @@ budgets are generous because absolute speed is hardware-dependent — the
 shape claims (monotone growth, crossover) are the real content.
 """
 
-import itertools
 import json
+import math
 import time
 
 import numpy as np
@@ -118,7 +118,7 @@ def _bounded_instance(rng):
             continue
         # keep exhaustive enumeration and policy enumeration affordable
         cost = sum(
-            len(list(itertools.combinations(range(3 * d), d - 1))) if d > 1 else 1
+            math.comb(3 * d, d - 1) if d > 1 else 1
             for d in dims
         )
         if cost > 120_000:

@@ -176,6 +176,10 @@ class TestNaiveLinearBaseline:
             obj, _ = naive_linear_baseline(inst)
             assert obj == pytest.approx(exact, abs=1e-8)
 
+    def test_zero_time_limit_times_out(self):
+        with pytest.raises(TimeoutError):
+            naive_linear_baseline(square_reward_instance(bound=0.4), time_limit=0)
+
     def test_envelope_dominates_baseline(self):
         inst = square_reward_instance(bound=0.4)
         env_obj, _ = solve_with_envelope(inst)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from modcmdp import (
+    METHODS,
     DeterministicPolicy,
     RandomizedPolicy,
     evaluate_exact,
     generate_loan_instance,
+    run_benchmark,
+    solve,
     validate,
 )
 from modcmdp.cli import main
@@ -193,6 +196,12 @@ class TestCli:
             "solve", prob, "--method", "convex", "--out", tmp_path / "s.json"
         )
         assert code == 1
+        # tangent cuts belong to the occupancy LP alone
+        code = self.run_cli(
+            "solve", prob, "--method", "envelope", "--tangent-cuts", 4,
+            "--out", tmp_path / "s.json",
+        )
+        assert code == 1
 
     def test_envelope_method_on_quadratic(self, tmp_path):
         d = small_problem_dict()
@@ -204,6 +213,10 @@ class TestCli:
         assert self.run_cli("solve", prob, "--method", "envelope", "--out", out) == 0
         sol = load_json(out)
         assert sol["policy"]["type"] == "randomized"
+        for method in ("envelope", "naive-linear"):
+            assert self.run_cli("solve", prob, "--method", method, "--out", out) == 0
+            objective = solve(problem_from_json(d), method).objective
+            assert load_json(out)["objective"] == objective
 
     def test_extreme_and_greedy_methods(self, tmp_path):
         prob = tmp_path / "p.json"
@@ -213,6 +226,26 @@ class TestCli:
         assert load_json(out1)["objective"] == pytest.approx(-0.6, abs=1e-8)
         out2 = tmp_path / "g.json"
         assert self.run_cli("solve", prob, "--method", "greedy", "--out", out2) == 0
+        inst = problem_from_json(small_problem_dict())
+        for method in ("convex", "extreme", "extreme-restricted", "greedy"):
+            assert self.run_cli("solve", prob, "--method", method, "--out", out2) == 0
+            assert load_json(out2)["objective"] == solve(inst, method).objective
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_zero_budget_times_out(self, tmp_path, method):
+        quad = method in ("envelope", "naive-linear")
+        prob = tmp_path / "loan.json"
+        assert self.run_cli(
+            "generate", "loan", "--states", 4, "--reward", "quad" if quad else "l1",
+            "--out", prob,
+        ) == 0
+        assert self.run_cli(
+            "solve", prob, "--method", method, "--timeout", 0,
+            "--out", tmp_path / "s.json",
+        ) == 3
+        cfg = LoanConfig(reward_kind="quad_convex" if quad else "l1")
+        records = run_benchmark([4], [method], cfg=cfg, timeout=0)
+        assert records[0].status == "timeout"
 
     def test_schema_error_exit_code(self, tmp_path):
         prob = tmp_path / "p.json"

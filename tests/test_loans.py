@@ -162,6 +162,11 @@ class TestGreedy:
             assert g <= o + 1e-7
             done += 1
 
+    def test_zero_time_limit_times_out(self):
+        inst = generate_loan_instance(LoanConfig(n_states=5))
+        with pytest.raises(TimeoutError):
+            greedy_baseline(inst, time_limit=0)
+
     def test_requires_l1_rewards(self):
         inst = generate_loan_instance(LoanConfig(n_states=4, reward_kind="affine"))
         with pytest.raises(ValueError, match="L1"):
@@ -204,9 +209,20 @@ class TestBenchmark:
         with pytest.raises(ValueError, match="unknown method"):
             run_benchmark([3], ["simplex-magic"])
 
+    def test_error_cell_keeps_its_reason(self, tmp_path):
+        records = run_benchmark([26], ["extreme"], cfg=LoanConfig(reward_kind="affine"))
+        assert records[0].status == "error"
+        assert records[0].error.startswith("ValueError: dimension 26 exceeds")
+        out = tmp_path / "bench.csv"
+        write_benchmark_csv(records, out)
+        with open(out) as f:
+            rows = list(csv.DictReader(f))
+        assert rows[0]["error"] == records[0].error
+
     def test_greedy_cell(self):
         cfg = LoanConfig(n_states=4, q_default=0.7, reward_kind="l1")
         records = run_benchmark([4], ["greedy", "convex"], cfg=cfg)
         by = {r.method: r for r in records}
         assert by["greedy"].status == "optimal"
+        assert by["greedy"].error == ""
         assert by["greedy"].objective <= by["convex"].objective + 1e-7

@@ -10,6 +10,7 @@ from helpers import (
     single_lp_finite,
 )
 
+import modcmdp.lp as lpmod
 from modcmdp import (
     ActionPolytope,
     AffineReward,
@@ -381,9 +382,19 @@ class TestConversions:
         pairs = point_to_mix([0.5, 0.5], [[0.9, 0.1], [0.1, 0.9]])
         assert sorted(w for w, _ in pairs) == pytest.approx([0.5, 0.5])
 
-    def test_point_outside_hull_raises(self):
+    def test_point_outside_hull_raises(self, monkeypatch):
+        calls = []
+        solve_highs = lpmod._solve_highs
+
+        def counted(*args):
+            calls.append(args)
+            return solve_highs(*args)
+
+        monkeypatch.setattr(lpmod, "_solve_highs", counted)
         with pytest.raises(DecompositionError):
             point_to_mix([0.0, 1.0], [[0.9, 0.1], [0.5, 0.5]])
+        # the rejection needs no phase-1 certificate solve
+        assert len(calls) == 1
 
     def test_roundtrip_identity(self, rng):
         for _ in range(20):
