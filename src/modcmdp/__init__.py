@@ -20,13 +20,7 @@ from .model import (
     validate,
 )
 from .lp import LpProblem, LpSolution, export_lp, farkas_gap, solve_lp
-from .extend import (
-    ConcavityCheck,
-    ExtendedReward,
-    check_concavity,
-    extend_polytope,
-    extend_reward,
-)
+from .extend import ExtendedReward, extend_reward
 from .occupancy import (
     OccupancySolution,
     QualityInfeasibleError,
@@ -47,7 +41,6 @@ from .vertices import (
     solve_finite,
 )
 from .envelope import (
-    EnvelopeModel,
     build_envelope,
     envelope_value,
     hull_envelope,
@@ -75,10 +68,8 @@ __all__ = [
     "AffineReward",
     "BenchmarkRecord",
     "CmdpInstance",
-    "ConcavityCheck",
     "DecompositionError",
     "DeterministicPolicy",
-    "EnvelopeModel",
     "EvaluationReport",
     "ExtendedReward",
     "FiniteCmdp",
@@ -101,13 +92,11 @@ __all__ = [
     "build_envelope",
     "build_finite_cmdp",
     "build_occupancy_lp",
-    "check_concavity",
     "enumerate_for_instance",
     "enumerate_vertices",
     "envelope_value",
     "evaluate_exact",
     "export_lp",
-    "extend_polytope",
     "extend_reward",
     "extract_policy",
     "farkas_gap",

@@ -3,15 +3,16 @@
 Over a polytope, the tightest concave function dominating a convex reward
 is piecewise linear and generated by the reward's values at the polytope
 vertices; its value at any point is the best convex combination of vertex
-values reproducing that point. Solving the lifted occupancy program with
-the envelope reward is an LP over per-vertex masses, and the optimal
-envelope value is actually achieved in the original problem by
-randomizing among the vertices with the combination weights.
+values reproducing that point. So the envelope model is the
+finite-action reduction (:class:`modcmdp.vertices.FiniteCmdp`) whose
+actions are the polytope vertices, each scored by the convex reward.
+Solving the lifted occupancy program with the envelope reward is its LP
+over per-vertex masses, and the optimal envelope value is actually
+achieved in the original problem by randomizing among the vertices with
+the combination weights.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .model import (
     DeterministicPolicy,
     QuadraticDeviationReward,
     RandomizedPolicy,
-    RewardSpec,
     require_valid,
 )
 from .occupancy import extract_policy, solve_occupancy
@@ -38,18 +38,16 @@ from .vertices import (
 )
 
 
-@dataclass(frozen=True)
-class EnvelopeModel:
-    """Envelope generators per state: the polytope vertices and the source
-    reward's value at each (the extreme points of the reward's hypograph
-    restricted to vertex abscissae — exact for convex rewards)."""
-
-    vertices: dict[str, np.ndarray]
-    vertex_rewards: dict[str, np.ndarray]
-    source: dict[str, RewardSpec]
-
-
-def _check_envelope_instance(instance: CmdpInstance) -> None:
+def build_envelope(
+    instance: CmdpInstance,
+    vertex_set: VertexSet | None = None,
+    deadline: float | None = None,
+) -> FiniteCmdp:
+    """The envelope model of an instance with convex (quadratic or affine)
+    rewards: the finite-action reduction whose actions are the polytope
+    vertices, each scored by the convex reward there. Vertices are
+    enumerated unless ``vertex_set`` is given; enumeration stops at
+    ``deadline`` (a ``time.monotonic()`` reading)."""
     require_valid(instance)
     for s in instance.states.nonterminal():
         rew = instance.rewards[s]
@@ -62,34 +60,16 @@ def _check_envelope_instance(instance: CmdpInstance) -> None:
             "convex quadratic (or affine) rewards — use the occupancy "
             "solver for concave rewards"
         )
-
-
-def build_envelope(
-    instance: CmdpInstance,
-    vertex_set: VertexSet | None = None,
-    method: str = "auto",
-) -> EnvelopeModel:
-    """Enumerate generators and tabulate vertex rewards for an instance
-    with convex (quadratic or affine) rewards."""
-    _check_envelope_instance(instance)
     if vertex_set is None:
-        vertex_set = enumerate_for_instance(instance, method=method)
-    rewards = {
-        s: np.array([instance.rewards[s].value(v) for v in vertex_set.vertices[s]])
-        for s in instance.states.nonterminal()
-    }
-    return EnvelopeModel(
-        dict(vertex_set.vertices), rewards, dict(instance.rewards)
-    )
+        vertex_set = enumerate_for_instance(instance, method="auto", deadline=deadline)
+    return build_finite_cmdp(instance, vertex_set)
 
 
-def envelope_value(
-    model: EnvelopeModel, state: str, a
-) -> tuple[float, np.ndarray]:
+def envelope_value(fc: FiniteCmdp, state: str, a) -> tuple[float, np.ndarray]:
     """Envelope value and maximizing weights at one action. The value is
     never below the source reward; equality holds at the vertices."""
     try:
-        return hull_envelope(model.vertices[state], model.vertex_rewards[state], a)
+        return hull_envelope(fc.vertices[state], fc.rewards[state], a)
     except DecompositionError:
         raise DecompositionError(
             f"action at {state!r} is outside the vertex hull — "
@@ -97,35 +77,20 @@ def envelope_value(
         )
 
 
-def envelope_cmdp(
-    instance: CmdpInstance,
-    method: str = "auto",
-    deadline: float | None = None,
-) -> FiniteCmdp:
-    """The finite-action reduction the envelope LP solves: each polytope
-    vertex is an action, scored by the convex reward there. Enumeration
-    stops at ``deadline`` (a ``time.monotonic()`` reading)."""
-    _check_envelope_instance(instance)
-    vertex_set = enumerate_for_instance(instance, method=method, deadline=deadline)
-    return build_finite_cmdp(instance, vertex_set)
-
-
 def solve_with_envelope(
-    instance: CmdpInstance,
-    method: str = "auto",
-    time_limit=None,
+    instance: CmdpInstance, time_limit=None
 ) -> tuple[float, RandomizedPolicy]:
     """Solve a convex-reward instance to optimality.
 
-    Builds the per-vertex occupancy LP (mass w(s, i) on each generator
-    with the vertex reward as its objective coefficient — the finite
-    embedding of the piecewise-linear envelope) and returns the optimal
-    value together with the randomized vertex policy w(s, i) / d(s),
-    which achieves that value in the original problem. ``time_limit``
-    covers enumeration and the LP.
+    Solves the occupancy LP of the envelope model (mass w(s, i) on each
+    vertex with the vertex reward as its objective coefficient — the
+    finite embedding of the piecewise-linear envelope) and returns the
+    optimal value together with the randomized vertex policy
+    w(s, i) / d(s), which achieves that value in the original problem.
+    ``time_limit`` covers enumeration and the LP.
     """
     deadline = lpmod.deadline_after(time_limit)
-    fc = envelope_cmdp(instance, method, deadline)
+    fc = build_envelope(instance, deadline=deadline)
     return solve_finite(fc, time_limit=lpmod.time_left(deadline))
 
 

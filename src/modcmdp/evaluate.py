@@ -49,10 +49,15 @@ def _require_valid(instance: CmdpInstance, policy: Policy) -> None:
         raise ValueError("infeasible policy: " + "; ".join(bad))
 
 
-def _constraint_summary(instance, visit):
-    masses = np.array(
+def cap_masses(instance: CmdpInstance, visit: dict[str, float]) -> np.ndarray:
+    """Total visit mass over each cap's states, in constraint order."""
+    return np.array(
         [sum(visit.get(s, 0.0) for s in qc.states) for qc in instance.constraints]
     )
+
+
+def _constraint_summary(instance, visit):
+    masses = cap_masses(instance, visit)
     bounds = np.array([qc.bound for qc in instance.constraints])
     slacks = bounds - masses
     feasible = bool(np.all(masses <= bounds + 1e-8)) if masses.size else True

@@ -1,22 +1,21 @@
-"""Positively homogeneous lifts of rewards and action-set constraints.
+"""Positively homogeneous lifts of rewards.
 
 A reward r defined on the simplex is lifted to all nonnegative vectors by
 ``lift(u) = sum(u) * r(u / sum(u))`` with ``lift(0) = 0``; the lift agrees
 with r on the simplex, scales linearly along rays and preserves concavity
-or convexity. Polytope rows ``H a <= h`` lift to ``H u <= sum(u) * h``.
+or convexity. Polytope rows ``H a <= h`` lift the same way, to
+``H u <= sum(u) * h``, which the occupancy LP writes as ``H u - h d <= 0``.
 These lifts are what make the occupancy-measure program convex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .model import (
     AffineReward,
-    ActionPolytope,
     QuadraticDeviationReward,
     RewardSpec,
     WeightedL1Reward,
@@ -80,57 +79,3 @@ def extend_reward(spec: RewardSpec) -> ExtendedReward:
     if isinstance(spec, QuadraticDeviationReward):
         return ExtendedReward(spec, concave=not spec.convex, convex=spec.convex)
     raise TypeError(f"unknown reward spec {type(spec).__name__}")
-
-
-def extend_polytope(poly: ActionPolytope) -> np.ndarray:
-    """Homogenized membership rows: a matrix G with one row per original
-    polytope row such that, for sum(a) > 0, ``G @ a <= 0`` iff
-    ``a / sum(a)`` satisfies the polytope's H-rows. At a = 0 every row is 0.
-    """
-    if poly.H.shape[0] == 0:
-        return np.zeros((0, poly.dim))
-    return poly.H - np.outer(poly.h, np.ones(poly.dim))
-
-
-@dataclass(frozen=True)
-class ConcavityCheck:
-    ok: bool
-    witness: Optional[tuple[np.ndarray, np.ndarray]] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_concavity(
-    ext: ExtendedReward,
-    dim: int,
-    samples: int = 200,
-    seed: int = 0,
-    direction: str = "auto",
-) -> ConcavityCheck:
-    """Randomized midpoint test on pairs drawn from [0, 1]^dim minus the
-    origin. ``direction`` picks the inequality: "concave", "convex", or
-    "auto" to follow the lift's own variant. Returns a failing pair as
-    witness when the test refutes the property.
-    """
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    if samples < 100:
-        raise ValueError("samples must be >= 100")
-    if direction == "auto":
-        direction = "concave" if ext.concave else "convex"
-    if direction not in ("concave", "convex"):
-        raise ValueError(f"unknown direction {direction!r}")
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        x = rng.uniform(0.0, 1.0, size=dim)
-        y = rng.uniform(0.0, 1.0, size=dim)
-        if x.sum() < 1e-12 or y.sum() < 1e-12:
-            continue
-        mid = ext.value((x + y) / 2.0)
-        avg = (ext.value(x) + ext.value(y)) / 2.0
-        if direction == "concave" and mid < avg - 1e-9:
-            return ConcavityCheck(False, (x, y))
-        if direction == "convex" and mid > avg + 1e-9:
-            return ConcavityCheck(False, (x, y))
-    return ConcavityCheck(True)

@@ -1,4 +1,4 @@
-"""JSON/CSV file formats: problem files, policies, solutions and
+"""JSON file formats: problem files, policies, solutions and
 evaluation reports.
 
 The problem schema (all fields required unless noted):
@@ -33,7 +33,7 @@ import json
 
 import numpy as np
 
-from .evaluate import EvaluationReport
+from .evaluate import EvaluationReport, cap_masses
 from .model import (
     ActionPolytope,
     AffineReward,
@@ -207,10 +207,12 @@ def solution_to_json(instance: CmdpInstance, result) -> dict:
             {
                 "states": sorted(qc.states),
                 "bound": qc.bound,
-                "mass": (m := sum(visit_mass.get(s, 0.0) for s in qc.states)),
+                "mass": m,
                 "slack": qc.bound - m,
             }
-            for qc in instance.constraints
+            for qc, m in zip(
+                instance.constraints, cap_masses(instance, visit_mass).tolist()
+            )
         ],
     }
     if result.bound is not None:
@@ -230,15 +232,6 @@ def report_to_json(report: EvaluationReport) -> dict:
         out["trajectories"] = report.trajectories
         out["std_error"] = report.std_error
     return out
-
-
-def visit_mass_csv(instance: CmdpInstance, visit_mass: dict[str, float]) -> str:
-    """Per-state visit masses as CSV text (layer-major order)."""
-    lines = ["state,layer,mass"]
-    for t, layer in enumerate(instance.states.layers):
-        for s in layer:
-            lines.append(f"{s},{t + 1},{visit_mass.get(s, 0.0)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def dump_json(obj: dict, path) -> None:

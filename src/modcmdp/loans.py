@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .envelope import envelope_cmdp, naive_linear_baseline
+from .envelope import build_envelope, naive_linear_baseline
 from .evaluate import evaluate_exact
 from .lp import deadline_after, time_left
 from .model import (
@@ -286,14 +286,14 @@ def solve(
         objective, policy = naive_linear_baseline(instance, time_left(deadline))
     else:
         if method == "envelope":
-            fc = envelope_cmdp(instance, deadline=deadline)
+            fc = build_envelope(instance, deadline=deadline)
         else:
             vs = enumerate_for_instance(
                 instance, kink_planes=method == "extreme", deadline=deadline
             )
             fc = build_finite_cmdp(instance, vs)
         objective, policy = solve_finite(fc, time_limit=time_left(deadline))
-        vertices = sum(a.shape[0] for a in fc.actions.values())
+        vertices = sum(v.shape[0] for v in fc.vertices.values())
     visit = evaluate_exact(instance, policy).visit_mass
     return SolveResult(objective, policy, visit, vertices=vertices)
 

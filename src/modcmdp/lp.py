@@ -70,7 +70,6 @@ class LpProblem:
     b_in: np.ndarray = None
     lower: np.ndarray = None
     upper: np.ndarray = None
-    names: tuple[str, ...] = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).ravel()
@@ -119,10 +118,6 @@ class LpProblem:
             raise LpError("rhs has non-finite entries")
         if np.any(self.lower == np.inf) or np.any(self.upper == -np.inf):
             raise LpError("bounds wrong-signed infinity")
-        if self.names is not None:
-            self.names = tuple(self.names)
-            if len(self.names) != n:
-                raise LpError("name table must match the variable count")
 
     @property
     def nvars(self) -> int:

@@ -1,5 +1,7 @@
 """Occupancy-measure convex program over edge masses u(s, s') and visit
-masses d(s), and extraction of the deterministic optimal policy.
+masses d(s), and extraction of the deterministic optimal policy. Its one
+assembler also builds the finite-action LP of the extreme-point and
+envelope routes.
 
 The program maximizes the homogeneously lifted reward of each state's
 outgoing edge-mass vector subject to flow conservation, the initial
@@ -19,20 +21,28 @@ which is added only for coordinates that no polytope row -e_k . u <= h d
 with h <= 0 already bounds below. The solver rebuilds u from p, m and d.
 
 The constraint matrices are assembled from index arrays: edges are
-numbered layer-major, the flow, polytope, sign and cut rows are written
-as (row, edge, value) triplets over edge masses, and one vectorised
-expansion rewrites them over the LP's columns.
+numbered layer-major, the rows are written as (row, index, value)
+triplets over the LP's columns and the edge masses, and one sparse
+product with the layout's lift, which writes each edge mass over the
+columns (u = M x), rewrites them over the columns alone; the same map
+recovers u from a solution. In the finite-action LP
+(``assemble_lp(instance, finite=fc)``) a state's columns are one mass w_j
+per vertex of its polytope, u = V^T w and the objective is the vertex
+rewards. It needs no polytope rows, since every mixture of vertices lies
+in the polytope, and its outgoing rows sum the weights w, since each
+vertex sums to one; rows and column order are otherwise the same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import lp as lpmod
+from .evaluate import cap_masses, evaluate_exact
 from .model import (
     AffineReward,
     CmdpInstance,
@@ -96,12 +106,7 @@ class OccupancySolution:
     bound: Optional[float] = None
 
     def constraint_masses(self, instance: CmdpInstance) -> np.ndarray:
-        return np.array(
-            [
-                sum(self.visit_mass.get(s, 0.0) for s in qc.states)
-                for qc in instance.constraints
-            ]
-        )
+        return cap_masses(instance, self.visit_mass)
 
     def check(self, instance: CmdpInstance, tol: float = 1e-7) -> list[str]:
         """Verify the occupancy invariants; empty list when consistent."""
@@ -150,11 +155,9 @@ class _Coo:
             for i, dtype in enumerate((int, int, float))
         ]
 
-    def csr(self, n_rows: int, n_cols: int) -> sp.csr_matrix:
+    def matrix(self, n_rows: int, n_cols: int) -> sp.csc_matrix:
         rows, cols, vals = self.triplets()
-        out = sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
-        out.eliminate_zeros()
-        return out
+        return sp.csc_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
 
 
 @dataclass(frozen=True)
@@ -163,87 +166,107 @@ class _Layout:
 
     Edges are numbered layer-major: nonterminal state ``g`` (in
     ``space.nonterminal()`` order) owns edges ``edge_start[g]`` to
-    ``edge_start[g + 1] - 1``, one per next-layer state. An edge mass is
-    its own ``u`` column, or ``p - m + center * d`` for an edge of a
-    weighted-L1 state.
+    ``edge_start[g + 1] - 1``, one per next-layer state, and the column
+    block ``col_start[g]`` to ``col_start[g + 1] - 1``; every d column
+    follows, then the tangent-cut epigraph columns.
+
+    Rows are written over the LP's columns and the edge masses, edge ``e``
+    taking index ``n_cols + e``. ``lift`` maps that space onto the
+    columns: it is the identity on the columns and u = M x on the edges,
+    where a block of M is the state's own u columns, the split
+    p - m + center * d of a weighted-L1 state, or vertex masses w with
+    u = V^T w. So rewriting rows over the columns is one product with
+    ``lift``, and so is recovering u from a solution. The finite-action
+    LP's layout drops it once the rows are written: that route reads its
+    solution per vertex column and never needs u.
     """
 
     states: tuple[str, ...]  # nonterminal states
     edge_start: np.ndarray  # (G + 1,)
     edge_src: np.ndarray  # (E,) nonterminal index of each edge's source
     edge_dst: np.ndarray  # (E,) all_states() index of each edge's target
-    pos_col: np.ndarray  # (E,) column of u, or of p for an L1 state
-    neg_col: np.ndarray  # (E,) column of m for an L1 state, else -1
-    center: np.ndarray  # (E,) the L1 center coordinate, else 0
+    col_start: np.ndarray  # (G + 1,)
     d_col: np.ndarray  # (S,) column of d, in all_states() order
     aux_col: dict[str, int]  # tangent-cut epigraph column per state
-    n_cols: int
-    names: list[str]
+    lift: Optional[sp.csc_matrix]  # (n_cols + E, n_cols)
 
-    def edge_terms(self, rows, edges, vals):
-        """Triplets over the LP's columns of the triplets (rows, edges,
-        vals) over edge masses."""
-        l1 = self.neg_col[edges] >= 0
-        r1, e1, v1 = rows[l1], edges[l1], vals[l1]
-        return (
-            np.concatenate([rows, r1, r1]),
-            np.concatenate(
-                [self.pos_col[edges], self.neg_col[e1], self.d_col[self.edge_src[e1]]]
-            ),
-            np.concatenate([vals, -v1, v1 * self.center[e1]]),
-        )
-
-    def edge_masses(self, x: np.ndarray) -> np.ndarray:
-        u = x[self.pos_col]
-        l1 = self.neg_col >= 0
-        d = x[self.d_col[self.edge_src[l1]]]
-        u[l1] += self.center[l1] * d - x[self.neg_col[l1]]
-        return u
+    @property
+    def n_cols(self) -> int:
+        return int(self.d_col[-1]) + 1 + len(self.aux_col)
 
 
-def _make_layout(instance: CmdpInstance, cuts: Optional[int]) -> _Layout:
+def _make_layout(instance: CmdpInstance, cuts: Optional[int], finite=None) -> _Layout:
     space = instance.states
     sizes = np.array([len(layer) for layer in space.layers])
     layer_start = np.concatenate([[0], np.cumsum(sizes)])
     states = tuple(space.nonterminal())
     rewards = [instance.rewards[s] for s in states]
-    l1 = np.array([isinstance(r, WeightedL1Reward) for r in rewards])
     layer_of = np.repeat(np.arange(space.horizon - 1), sizes[:-1])
     width = sizes[layer_of + 1]
 
     edge_start = np.concatenate([[0], np.cumsum(width)])
     n_edges = int(edge_start[-1])
+    edges = np.arange(n_edges)
     src = np.repeat(np.arange(len(states)), width)
-    local = np.arange(n_edges) - edge_start[src]
+    local = edges - edge_start[src]
     dst = layer_start[layer_of[src] + 1] + local
 
-    # each state's edge block (u, or p then m), then every d, then the
-    # tangent-cut epigraph columns
-    col_start = np.concatenate([[0], np.cumsum(width * np.where(l1, 2, 1))])
-    pos = col_start[src] + local
-    neg = np.where(l1[src], pos + width[src], -1)
+    # each state's block (u, p then m, or its vertex masses), then every
+    # d, then the tangent-cut epigraph columns
+    if finite is None:
+        l1 = np.array([isinstance(r, WeightedL1Reward) for r in rewards])
+        block = width * np.where(l1, 2, 1)
+    else:
+        block = np.array([finite.vertices[s].shape[0] for s in states])
+    col_start = np.concatenate([[0], np.cumsum(block)])
     d_col = col_start[-1] + np.arange(layer_start[-1])
     cut_states = [
         s for s, r in zip(states, rewards)
         if cuts and isinstance(r, QuadraticDeviationReward)
     ]
     aux_col = {s: int(d_col[-1]) + 1 + k for k, s in enumerate(cut_states)}
+    n_cols = int(d_col[-1]) + 1 + len(cut_states)
 
-    names: list[str] = []
-    for g, s in enumerate(states):
-        nxt = space.layers[layer_of[g] + 1]
-        for kind in ("p", "m") if l1[g] else ("u",):
-            names.extend(f"{kind}:{s}:{s2}" for s2 in nxt)
-    names.extend(f"d:{s}" for s in space.all_states())
-    names.extend(f"t:{s}" for s in cut_states)
-
-    center = np.zeros(n_edges)
-    for g in np.flatnonzero(l1):
-        center[edge_start[g] : edge_start[g + 1]] = rewards[g].center
-    return _Layout(
-        states, edge_start, src, dst, pos, neg, center, d_col, aux_col,
-        len(names), names,
-    )
+    ident = np.arange(n_cols)
+    if finite is None:
+        lift = _Coo()
+        lift.add(ident, ident, 1.0)
+        pos = col_start[src] + local
+        u = n_cols + edges
+        lift.add(u, pos, 1.0)
+        e1 = np.flatnonzero(l1[src])
+        center = np.concatenate(
+            [np.zeros(0)] + [rewards[g].center for g in np.flatnonzero(l1)]
+        )
+        lift.add(u[e1], pos[e1] + width[src[e1]], -1.0)
+        lift.add(u[e1], d_col[src[e1]], center)
+        lift = lift.matrix(n_cols + n_edges, n_cols)
+    else:
+        # Entry (j, k) of a state's vertex array is what vertex j sends
+        # along the state's edge k. Read row by row, the arrays list the
+        # vertex columns' entries in column order, so the lift is written
+        # column-compressed directly: each column's identity entry, then
+        # those. The dense copy of the arrays is the largest array here
+        # and goes as soon as its nonzeros are read.
+        flat = np.concatenate([finite.vertices[s].ravel() for s in states])
+        nz = np.flatnonzero(flat != 0)
+        vals = flat[nz]
+        del flat
+        entry_start = np.concatenate([[0], np.cumsum(block * width)])
+        g = np.searchsorted(entry_start, nz, side="right") - 1
+        j, k = np.divmod(nz - entry_start[g], width[g])
+        col = col_start[g] + j
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n_cols) + 1)])
+        index = np.empty(indptr[-1], dtype=np.int32)
+        value = np.ones(indptr[-1])
+        index[indptr[:-1]] = ident
+        at = np.arange(nz.size) + col + 1  # after the identity entries so far
+        index[at] = n_cols + edge_start[g] + k
+        value[at] = vals
+        lift = sp.csc_matrix(
+            (value, index, indptr.astype(np.int32)), shape=(n_cols + n_edges, n_cols)
+        )
+    return _Layout(states, edge_start, src, dst, col_start, d_col, aux_col, lift)
 
 
 @dataclass
@@ -304,11 +327,22 @@ def build_occupancy_lp(
     """
     require_valid(instance)
     _check_rewards(instance, tangent_cuts)
+    return assemble_lp(instance, tangent_cuts)
 
+
+def assemble_lp(
+    instance: CmdpInstance, tangent_cuts: Optional[int] = None, finite=None
+) -> OccupancyLp:
+    """The occupancy LP of an instance already validated. With ``finite``
+    (a :class:`modcmdp.vertices.FiniteCmdp` of the instance), each state's
+    block is its vertex masses w: the edge masses are V^T w, the objective
+    is the vertex rewards, and there are no polytope rows, since every
+    mixture of vertices lies in the polytope.
+    """
     from .extend import extend_reward
 
     space = instance.states
-    lay = _make_layout(instance, tangent_cuts)
+    lay = _make_layout(instance, tangent_cuts, finite)
     n = lay.n_cols
     n_first = len(space.layers[0])
     n_states = lay.d_col.size
@@ -316,9 +350,9 @@ def build_occupancy_lp(
     c = np.zeros(n)
     lower = np.zeros(n)
 
-    # each matrix gathers triplets over columns and, apart, over edge
-    # masses, which edge_terms rewrites over columns at the end
-    eq, eq_edges, ineq, ineq_edges = _Coo(), _Coo(), _Coo(), _Coo()
+    # triplets over the columns and the edge masses (edge e at n + e),
+    # which the layout's lift rewrites over the columns at the end
+    eq, ineq = _Coo(), _Coo()
 
     # rows: initial distribution, then outgoing mass = d(s) for each
     # nonterminal state, then incoming mass = d(s2) for each later state
@@ -326,37 +360,48 @@ def build_occupancy_lp(
     eq.add(n_first + np.arange(n_nonterminal), lay.d_col[:n_nonterminal], -1.0)
     later = np.arange(n_first, n_states)
     eq.add(n_nonterminal + later, lay.d_col[later], -1.0)
-    edges = np.arange(lay.edge_src.size)
-    eq_edges.add(n_first + lay.edge_src, edges, 1.0)
-    eq_edges.add(n_nonterminal + lay.edge_dst, edges, 1.0)
+    edges = n + np.arange(lay.edge_src.size)
+    if finite is None:
+        eq.add(n_first + lay.edge_src, edges, 1.0)
+    else:
+        # each vertex sums to one, so a block's outgoing mass is the sum of
+        # its weights, with coefficients of exactly 1 (the sums of V^T w
+        # would carry rounding error, and column generation follows it)
+        owner = np.repeat(np.arange(n_nonterminal), np.diff(lay.col_start))
+        eq.add(n_first + owner, np.arange(owner.size), 1.0)
+    eq.add(n_nonterminal + lay.edge_dst, edges, 1.0)
     b_eq = np.concatenate([instance.alpha, np.zeros(n_nonterminal + later.size)])
 
     index = {s: i for i, s in enumerate(space.all_states())}
     for i, qc in enumerate(instance.constraints):
         ineq.add(i, lay.d_col[sorted(index[s] for s in qc.states)], 1.0)
+    row = len(instance.constraints)
+    if finite is not None:
+        c[: lay.col_start[-1]] = np.concatenate([finite.rewards[s] for s in lay.states])
     # the lifted polytope rows H u - h d <= 0 of every state come first,
-    # then each state's sign or tangent-cut rows
-    poly_row = len(instance.constraints)
-    row = poly_row + sum(instance.polytopes[s].h.size for s in lay.states)
-    for g, s in enumerate(lay.states):
+    # then each state's sign or tangent-cut rows; vertex blocks have none
+    poly_states = lay.states if finite is None else ()
+    poly_row = row
+    row += sum(instance.polytopes[s].h.size for s in poly_states)
+    for g, s in enumerate(poly_states):
         poly = instance.polytopes[s]
-        e0 = lay.edge_start[g]
+        e0, c0 = n + lay.edge_start[g], lay.col_start[g]
         r, j = np.nonzero(poly.H)
-        ineq_edges.add(poly_row + r, e0 + j, poly.H[r, j])
+        ineq.add(poly_row + r, e0 + j, poly.H[r, j])
         ineq.add(poly_row + np.arange(poly.h.size), lay.d_col[g], -poly.h)
         poly_row += poly.h.size
 
         rew = instance.rewards[s]
         if isinstance(rew, AffineReward):
-            c[lay.pos_col[e0 : e0 + rew.dim]] += rew.e
+            c[c0 : c0 + rew.dim] += rew.e
             c[lay.d_col[g]] += rew.f
         elif isinstance(rew, WeightedL1Reward):
             # u = center * d + p - m: the objective charges p + m, and
             # u >= 0 needs its own row where the polytope does not imply it
-            c[lay.pos_col[e0 : e0 + rew.dim]] = -rew.weights
-            c[lay.neg_col[e0 : e0 + rew.dim]] = -rew.weights
+            c[c0 : c0 + rew.dim] = -rew.weights
+            c[c0 + rew.dim : c0 + 2 * rew.dim] = -rew.weights
             free = np.flatnonzero(~_implied_nonnegative(poly))
-            ineq_edges.add(row + np.arange(free.size), e0 + free, -1.0)
+            ineq.add(row + np.arange(free.size), e0 + free, -1.0)
             row += free.size
         else:  # concave quadratic under tangent cuts: t - g_k . u <= 0
             tcol = lay.aux_col[s]
@@ -366,17 +411,23 @@ def build_occupancy_lp(
             anchors = _cut_points(poly, tangent_cuts, g)
             grads = np.array([ext.gradient(p) for p in anchors])
             k, j = np.indices(grads.shape)
-            ineq_edges.add(row + k, e0 + j, -grads)
+            ineq.add(row + k, e0 + j, -grads)
             ineq.add(row + np.arange(len(grads)), tcol, 1.0)
             row += len(grads)
-    eq.add(*lay.edge_terms(*eq_edges.triplets()))
-    ineq.add(*lay.edge_terms(*ineq_edges.triplets()))
+
+    def over_columns(rows: _Coo, n_rows: int) -> sp.csc_matrix:
+        out = rows.matrix(n_rows, lay.lift.shape[0]) @ lay.lift
+        out.eliminate_zeros()
+        out.sort_indices()
+        return out
 
     b_in = np.zeros(row)
     b_in[: len(instance.constraints)] = [qc.bound for qc in instance.constraints]
+    a_eq, a_in = over_columns(eq, b_eq.size), over_columns(ineq, row)
+    if finite is not None:
+        lay = replace(lay, lift=None)
     return OccupancyLp(
-        c=c, a_eq=eq.csr(b_eq.size, n), b_eq=b_eq, a_in=ineq.csr(row, n), b_in=b_in,
-        lower=lower, names=tuple(lay.names), layout=lay,
+        c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in, lower=lower, layout=lay
     )
 
 
@@ -397,7 +448,7 @@ def solve_occupancy(
 
     lay = problem.layout
     space = instance.states
-    u = np.maximum(lay.edge_masses(sol.x), 0.0)
+    u = np.maximum((lay.lift @ sol.x)[lay.n_cols :], 0.0)
     keys = [
         (s, s2)
         for t in range(space.horizon - 1)
@@ -410,8 +461,6 @@ def solve_occupancy(
     if tangent_cuts:
         # the LP objective only bounds the true (quadratic) return; report
         # the extracted policy's achieved return as the objective
-        from .evaluate import evaluate_exact
-
         tmp = OccupancySolution(edge, visit, objective=float(sol.objective))
         policy = extract_policy(tmp, instance)
         report = evaluate_exact(instance, policy)

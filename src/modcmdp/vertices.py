@@ -1,9 +1,11 @@
 """Extreme-point machinery: vertex enumeration for the per-state action
-polytopes, the finite-action reduction built on those vertices, its
-occupancy LP, and conversions between randomized vertex policies and
+polytopes, the finite-action reduction built on those vertices, the
+solver of its LP, and conversions between randomized vertex policies and
 deterministic interior ones.
 
-The finite-action LP has one column per (state, vertex), hundreds of
+The finite-action LP is the occupancy LP with each state's edge masses
+written as u = V^T w over its vertex masses w; the occupancy module's
+assembler builds it. It has one column per (state, vertex), hundreds of
 thousands once box polytopes reach ten or more dimensions, of which a few
 thousand carry mass. ``solve_finite`` therefore solves it by delayed
 column generation over a restricted master, and proves the master's
@@ -33,7 +35,7 @@ from .model import (
     RandomizedPolicy,
     require_valid,
 )
-from .occupancy import UNREACHABLE_TOL, raise_for_status
+from .occupancy import UNREACHABLE_TOL, assemble_lp, raise_for_status
 
 # Two vertices closer than this in L-infinity are considered equal.
 DEDUP_TOL = 1e-7
@@ -54,11 +56,9 @@ class DecompositionError(RuntimeError):
 
 @dataclass(frozen=True)
 class VertexSet:
-    """Per-state vertex arrays (each row one vertex) and the dedup
-    tolerance used to produce them."""
+    """Per-state vertex arrays, each row one vertex."""
 
     vertices: dict[str, np.ndarray]
-    dedup_tol: float = DEDUP_TOL
 
     def counts(self) -> dict[str, int]:
         return {s: v.shape[0] for s, v in self.vertices.items()}
@@ -232,17 +232,16 @@ def box_simplex_vertices(lower, upper) -> np.ndarray:
 def enumerate_vertices(
     poly: ActionPolytope,
     method: str = "exhaustive",
-    max_dim: int = MAX_EXHAUSTIVE_DIM,
     extra_planes: list[tuple[int, float]] | None = None,
     deadline: float | None = None,
 ) -> np.ndarray:
     """Vertices of one action polytope, one per row.
 
     method "exhaustive" is the basis enumeration described above and
-    refuses dimensions past ``max_dim`` (use the occupancy solver there);
-    "box" requires the [I; -I] row pattern; "auto" picks "box" when the
-    pattern matches (and no kink planes are requested), falling back to
-    "exhaustive".
+    refuses dimensions past ``MAX_EXHAUSTIVE_DIM`` (use the occupancy
+    solver there); "box" requires the [I; -I] row pattern; "auto" picks
+    "box" when the pattern matches (and no kink planes are requested),
+    falling back to "exhaustive".
     """
     if method not in ("exhaustive", "box", "auto"):
         raise ValueError(f"unknown enumeration method {method!r}")
@@ -256,10 +255,10 @@ def enumerate_vertices(
             raise ValueError("kink planes need method='exhaustive'")
         verts = box_simplex_vertices(*bounds)
     else:
-        if poly.dim > max_dim:
+        if poly.dim > MAX_EXHAUSTIVE_DIM:
             raise ValueError(
                 f"dimension {poly.dim} exceeds the exhaustive enumeration "
-                f"limit {max_dim}; use the occupancy solver instead"
+                f"limit {MAX_EXHAUSTIVE_DIM}; use the occupancy solver instead"
             )
         verts = _exhaustive(poly, extra_planes, deadline)
     if verts.shape[0] == 0:
@@ -270,7 +269,6 @@ def enumerate_vertices(
 def enumerate_for_instance(
     instance: CmdpInstance,
     method: str = "exhaustive",
-    max_dim: int = MAX_EXHAUSTIVE_DIM,
     kink_planes: bool = False,
     deadline: float | None = None,
 ) -> VertexSet:
@@ -293,8 +291,7 @@ def enumerate_for_instance(
         key = poly.base.tobytes() + poly.H.tobytes() + poly.h.tobytes() + repr(planes).encode()
         if key not in cache:
             cache[key] = enumerate_vertices(
-                poly, method=method, max_dim=max_dim,
-                extra_planes=planes, deadline=deadline,
+                poly, method=method, extra_planes=planes, deadline=deadline,
             )
         out[s] = cache[key]
     return VertexSet(out)
@@ -302,12 +299,14 @@ def enumerate_for_instance(
 
 @dataclass(frozen=True)
 class FiniteCmdp:
-    """Finite-action reduction: per state, the action list is a vertex
-    array whose rows double as the transition vectors, with the original
-    reward evaluated at each vertex."""
+    """Finite-action reduction: per state, the actions are the rows of its
+    vertex array, which double as transition vectors, and ``rewards``
+    holds the source reward at each vertex. For a convex reward these
+    vertex rewards generate its concave envelope, so this is also the
+    envelope model (:func:`modcmdp.envelope.build_envelope`)."""
 
     instance: CmdpInstance
-    actions: dict[str, np.ndarray]
+    vertices: dict[str, np.ndarray]
     rewards: dict[str, np.ndarray]
 
 
@@ -322,103 +321,6 @@ def build_finite_cmdp(instance: CmdpInstance, vertex_set: VertexSet) -> FiniteCm
     return FiniteCmdp(instance, dict(vertex_set.vertices), rewards)
 
 
-def _finite_lp(fc: FiniteCmdp):
-    """Occupancy LP of the finite-action reduction: one mass variable per
-    (state, vertex), then one visit mass d(s) per state; rows are the
-    initial distribution, the outgoing flow per state, the incoming flow
-    per state, then the visitation caps. Returns the problem (its
-    matrices column-compressed), the first vertex column of each
-    nonterminal state and the d column of each state."""
-    import scipy.sparse as sp
-
-    instance = fc.instance
-    space = instance.states
-    col = 0
-    u_start = {}
-    for t in range(space.horizon - 1):
-        for s in space.layers[t]:
-            u_start[s] = col
-            col += fc.actions[s].shape[0]
-    d_index = {}
-    for layer in space.layers:
-        for s in layer:
-            d_index[s] = col
-            col += 1
-    n = col
-
-    # row order: initial | outgoing per state | incoming per state
-    row = 0
-    init_row = {s: (row := row + 1) - 1 for s in space.layers[0]}
-    out_row = {}
-    for t in range(space.horizon - 1):
-        for s in space.layers[t]:
-            out_row[s] = row
-            row += 1
-    in_row = {}
-    for t in range(1, space.horizon):
-        for s in space.layers[t]:
-            in_row[s] = row
-            row += 1
-    m_eq = row
-
-    c = np.zeros(n)
-    b_eq = np.zeros(m_eq)
-    blocks_r, blocks_c, blocks_v = [], [], []
-
-    for i, s in enumerate(space.layers[0]):
-        blocks_r.append([init_row[s]])
-        blocks_c.append([d_index[s]])
-        blocks_v.append([1.0])
-        b_eq[init_row[s]] = float(instance.alpha[i])
-    for t in range(space.horizon - 1):
-        nxt = space.layers[t + 1]
-        nxt_rows = np.array([in_row[s2] for s2 in nxt])
-        for s in space.layers[t]:
-            verts = fc.actions[s]
-            nv = verts.shape[0]
-            u0 = u_start[s]
-            c[u0 : u0 + nv] = fc.rewards[s]
-            cols = np.arange(u0, u0 + nv)
-            # outgoing: sum_i u(s,i) - d(s) = 0
-            blocks_r.append(np.full(nv + 1, out_row[s]))
-            blocks_c.append(np.append(cols, d_index[s]))
-            blocks_v.append(np.append(np.ones(nv), -1.0))
-            # incoming: each vertex row contributes its coordinates
-            vi, vj = np.nonzero(verts)
-            blocks_r.append(nxt_rows[vj])
-            blocks_c.append(cols[vi])
-            blocks_v.append(verts[vi, vj])
-        for s2 in nxt:
-            blocks_r.append([in_row[s2]])
-            blocks_c.append([d_index[s2]])
-            blocks_v.append([-1.0])
-
-    a_eq = sp.csc_matrix(
-        (
-            np.concatenate([np.asarray(b, dtype=float) for b in blocks_v]),
-            (
-                np.concatenate([np.asarray(b, dtype=np.int64) for b in blocks_r]),
-                np.concatenate([np.asarray(b, dtype=np.int64) for b in blocks_c]),
-            ),
-        ),
-        shape=(m_eq, n),
-    )
-    if instance.constraints:
-        ri, ci, vv = [], [], []
-        b_in = np.zeros(len(instance.constraints))
-        for k, qc in enumerate(instance.constraints):
-            for s in sorted(qc.states):
-                ri.append(k)
-                ci.append(d_index[s])
-                vv.append(1.0)
-            b_in[k] = qc.bound
-        a_in = sp.csc_matrix((vv, (ri, ci)), shape=(len(b_in), n))
-    else:
-        a_in, b_in = None, None
-    problem = lpmod.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in)
-    return problem, u_start, d_index
-
-
 def _top_per_state(score, mask, state_of, k: int) -> np.ndarray:
     """Indices of the (at most) ``k`` highest scores per state among the
     vertex columns where ``mask`` holds; ties keep column order."""
@@ -431,10 +333,11 @@ def _top_per_state(score, mask, state_of, k: int) -> np.ndarray:
 
 
 def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPolicy]:
-    """Occupancy LP of the finite-action reduction: one mass variable per
+    """Occupancy LP of the finite-action reduction, assembled by
+    :func:`occupancy.assemble_lp` with vertex blocks: one mass w(s, i) per
     (state, vertex), flow conservation, initial distribution and the
     visitation caps. Returns the optimal value and the randomized vertex
-    policy u(s, i) / d(s).
+    policy w(s, i) / d(s).
 
     The LP is solved by delayed column generation (Dantzig & Wolfe 1960).
     The restricted master holds every d column and, per state, the
@@ -450,12 +353,11 @@ def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPoli
     breaks is a certificate for the whole LP. ``time_limit`` covers all
     rounds.
     """
-    problem, u_start, d_index = _finite_lp(fc)
+    problem = assemble_lp(fc.instance, finite=fc)
+    lay = problem.layout
     n = problem.nvars
-    states = list(u_start)
-    counts = np.array([fc.actions[s].shape[0] for s in states])
-    n_u = int(counts.sum())
-    state_of = np.repeat(np.arange(len(states)), counts)
+    n_u = int(lay.col_start[-1])
+    state_of = np.repeat(np.arange(len(lay.states)), np.diff(lay.col_start))
     price_tol = lpmod.DUAL_TOL * max(1.0, float(np.abs(problem.c).max()))
     deadline = lpmod.deadline_after(time_limit)
 
@@ -514,14 +416,13 @@ def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPoli
     raise_for_status(problem, sol, "finite-action LP")
 
     mixtures = {}
-    for s in states:
-        verts = fc.actions[s]
-        nv = verts.shape[0]
-        d = float(sol.x[d_index[s]])
+    for g, s in enumerate(lay.states):
+        verts = fc.vertices[s]
+        d = float(sol.x[lay.d_col[g]])
         if d <= UNREACHABLE_TOL:
             mixtures[s] = [(1.0, verts[0])]
             continue
-        lam = np.clip(sol.x[u_start[s] : u_start[s] + nv], 0.0, None) / d
+        lam = np.clip(sol.x[lay.col_start[g] : lay.col_start[g + 1]], 0.0, None) / d
         keep = np.flatnonzero(lam > 1e-12)
         lam = lam[keep] / lam[keep].sum()
         mixtures[s] = [(float(w), verts[i]) for w, i in zip(lam, keep)]

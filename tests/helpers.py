@@ -7,9 +7,14 @@ backward induction, the textbook L1 epigraph), solved through scipy's
 ``linprog`` rather than the package's LP layer. The exception is
 ``single_lp_finite``, the whole finite-action LP in one checked solve,
 which column generation in ``solve_finite`` must reproduce.
+
+It also holds the helpers that only tests use: the homogenized polytope
+rows, a randomized concavity check and a visit-mass CSV writer.
 """
 
 import itertools
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +31,64 @@ from modcmdp import (
     point_to_mix,
 )
 from modcmdp.lp import LpProblem, solve_lp
+
+
+def extend_polytope(poly):
+    """Homogenized membership rows: a matrix G with one row per original
+    polytope row such that, for sum(a) > 0, ``G @ a <= 0`` iff
+    ``a / sum(a)`` satisfies the polytope's H-rows. At a = 0 every row is 0.
+    """
+    if poly.H.shape[0] == 0:
+        return np.zeros((0, poly.dim))
+    return poly.H - np.outer(poly.h, np.ones(poly.dim))
+
+
+@dataclass(frozen=True)
+class ConcavityCheck:
+    ok: bool
+    witness: Optional[tuple[np.ndarray, np.ndarray]] = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def check_concavity(ext, dim, samples=200, seed=0, direction="auto"):
+    """Randomized midpoint test of a lifted reward (``extend_reward``) on
+    pairs drawn from [0, 1]^dim minus the origin. ``direction`` picks the
+    inequality: "concave", "convex", or "auto" to follow the lift's own
+    variant. Returns a failing pair as witness when the test refutes the
+    property.
+    """
+    if dim < 2:
+        raise ValueError("dim must be >= 2")
+    if samples < 100:
+        raise ValueError("samples must be >= 100")
+    if direction == "auto":
+        direction = "concave" if ext.concave else "convex"
+    if direction not in ("concave", "convex"):
+        raise ValueError(f"unknown direction {direction!r}")
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        x = rng.uniform(0.0, 1.0, size=dim)
+        y = rng.uniform(0.0, 1.0, size=dim)
+        if x.sum() < 1e-12 or y.sum() < 1e-12:
+            continue
+        mid = ext.value((x + y) / 2.0)
+        avg = (ext.value(x) + ext.value(y)) / 2.0
+        if direction == "concave" and mid < avg - 1e-9:
+            return ConcavityCheck(False, (x, y))
+        if direction == "convex" and mid > avg + 1e-9:
+            return ConcavityCheck(False, (x, y))
+    return ConcavityCheck(True)
+
+
+def visit_mass_csv(instance, visit_mass):
+    """Per-state visit masses as CSV text (layer-major order)."""
+    lines = ["state,layer,mass"]
+    for t, layer in enumerate(instance.states.layers):
+        for s in layer:
+            lines.append(f"{s},{t + 1},{visit_mass.get(s, 0.0)!r}")
+    return "\n".join(lines) + "\n"
 
 
 def forward_masses(instance, actions):
@@ -260,12 +323,11 @@ def certify_extreme(verts, tol=1e-7):
     return True
 
 
-def single_lp_finite(fc):
-    """The finite-action occupancy LP as one problem, solved in one call:
-    the assembly ``vertices.solve_finite`` used before it generated
-    columns (same columns, same row order). Returns (problem, solution)
-    for the package's checked LP layer, so a test can compare objectives
-    or evaluate a certificate against the whole LP."""
+def loop_finite_lp(fc):
+    """The finite-action occupancy LP assembled state by state from the
+    vertex arrays, the way the package built it before the occupancy
+    assembler took vertex blocks: one column per (state, vertex), then
+    every d; rows initial | outgoing | incoming | caps."""
     instance = fc.instance
     space = instance.states
     col = 0
@@ -273,7 +335,7 @@ def single_lp_finite(fc):
     for t in range(space.horizon - 1):
         for s in space.layers[t]:
             u_start[s] = col
-            col += fc.actions[s].shape[0]
+            col += fc.vertices[s].shape[0]
     d_index = {}
     for layer in space.layers:
         for s in layer:
@@ -307,7 +369,7 @@ def single_lp_finite(fc):
         nxt = space.layers[t + 1]
         nxt_rows = np.array([in_row[s2] for s2 in nxt])
         for s in space.layers[t]:
-            verts = fc.actions[s]
+            verts = fc.vertices[s]
             nv = verts.shape[0]
             u0 = u_start[s]
             c[u0 : u0 + nv] = fc.rewards[s]
@@ -335,5 +397,13 @@ def single_lp_finite(fc):
         for k, qc in enumerate(instance.constraints):
             a_in[k, [d_index[s] for s in qc.states]] = 1.0
         b_in = [qc.bound for qc in instance.constraints]
-    problem = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in)
+    return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in)
+
+
+def single_lp_finite(fc):
+    """The whole finite-action LP of :func:`loop_finite_lp`, solved in one
+    call. Returns (problem, solution) for the package's checked LP layer,
+    so a test can compare objectives or evaluate a certificate against
+    the whole LP."""
+    problem = loop_finite_lp(fc)
     return problem, solve_lp(problem)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from helpers import check_concavity, extend_polytope
+
 from modcmdp import (
     AffineReward,
     QuadraticDeviationReward,
     WeightedL1Reward,
     box_polytope,
-    check_concavity,
-    extend_polytope,
     extend_reward,
 )
 

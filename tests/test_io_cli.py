@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from helpers import visit_mass_csv
+
 from modcmdp import (
     METHODS,
     DeterministicPolicy,
@@ -23,7 +25,6 @@ from modcmdp.fileio import (
     problem_from_json,
     problem_to_json,
     report_to_json,
-    visit_mass_csv,
 )
 from modcmdp.loans import LoanConfig
 

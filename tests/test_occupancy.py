@@ -57,12 +57,18 @@ class TestBuild:
         # the L1 state's 2 edge masses are u = center * d + p - m: 2 upward
         # and 2 downward deviations, plus 3 visit masses
         assert prob.nvars == 7
-        kinds = [n.split(":")[0] for n in prob.names]
-        assert kinds.count("p") == 2
-        assert kinds.count("m") == 2
-        assert kinds.count("d") == 3
-        assert kinds.count("u") == 0
-        assert kinds.count("z") == 0
+        lay = prob.layout
+        assert lay.col_start.tolist() == [0, 4]
+        assert lay.d_col.tolist() == [4, 5, 6]
+        assert lay.aux_col == {}
+        # columns p(ok), p(bad), m(ok), m(bad), d(s), d(ok), d(bad); the
+        # lift keeps them and maps them to the edge masses u(s, ok) and
+        # u(s, bad)
+        lift = lay.lift.toarray()
+        np.testing.assert_array_equal(lift[:7], np.eye(7))
+        np.testing.assert_array_equal(
+            lift[7:], [[1, 0, -1, 0, 0.5, 0, 0], [0, 1, 0, -1, 0.5, 0, 0]]
+        )
         # rows: 1 initial + 1 outgoing + 2 incoming flow rows, 1 cap and
         # the 4 box rows; the box's lower rows already imply u >= 0
         assert prob.b_eq.size == 4

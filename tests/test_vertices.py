@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     brute_force_mixture_value,
     certify_extreme,
+    loop_finite_lp,
     random_instance,
     single_lp_finite,
 )
@@ -35,6 +36,7 @@ from modcmdp import (
     solve_occupancy,
     solve_with_envelope,
 )
+from modcmdp.occupancy import assemble_lp
 from modcmdp.vertices import COLUMNS_PER_STATE, box_simplex_vertices, box_bounds
 
 
@@ -125,7 +127,7 @@ class TestEnumerate:
     def test_dimension_limit(self):
         poly = ActionPolytope(np.ones(30) / 30)
         with pytest.raises(ValueError, match="occupancy"):
-            enumerate_vertices(poly, max_dim=25)
+            enumerate_vertices(poly)
 
     def test_empty_polytope_errors(self):
         poly = ActionPolytope([0.5, 0.5], H=[[1.0, 1.0]], h=[0.5])
@@ -186,7 +188,7 @@ class TestFiniteCmdp:
         )
         vs = enumerate_for_instance(inst)
         fc = build_finite_cmdp(inst, vs)
-        assert fc.actions["s"].shape == (1, 2)
+        assert fc.vertices["s"].shape == (1, 2)
         assert fc.rewards["s"][0] == pytest.approx(0.0)
 
 
@@ -350,6 +352,43 @@ class TestColumnGeneration:
         fc = build_finite_cmdp(inst, enumerate_for_instance(inst, method="auto"))
         with pytest.raises(TimeoutError):
             solve_finite(fc, time_limit=0)
+
+
+class TestAgainstLoopAssembly:
+    """The occupancy assembler, given vertex blocks, builds the same
+    finite-action LP as the state-by-state assembly of the vertex arrays."""
+
+    @staticmethod
+    def assert_same_lp(inst, vs):
+        fc = build_finite_cmdp(inst, vs)
+        got, want = assemble_lp(inst, finite=fc), loop_finite_lp(fc)
+        for name in ("a_eq", "a_in"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a.toarray(), np.asarray(
+                b.toarray() if hasattr(b, "toarray") else b), rtol=0, atol=1e-12)
+        for name in ("c", "b_eq", "b_in"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_quadratic_loan(self):
+        inst = generate_loan_instance(LoanConfig(n_states=10, reward_kind="quad_convex"))
+        self.assert_same_lp(inst, enumerate_for_instance(inst, method="auto"))
+
+    def test_l1_loan_with_kink_planes(self):
+        inst = generate_loan_instance(LoanConfig(n_states=5, reward_kind="l1"))
+        self.assert_same_lp(inst, enumerate_for_instance(inst, kink_planes=True))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_affine_loans(self, n):
+        inst = generate_loan_instance(LoanConfig(n_states=n, reward_kind="affine"))
+        self.assert_same_lp(inst, enumerate_for_instance(inst))
+
+    def test_random_instances(self, rng):
+        for _ in range(24):
+            inst = random_instance(rng, max_states=6, reward="affine")
+            self.assert_same_lp(inst, enumerate_for_instance(inst))
 
 
 class TestConversions:
