@@ -3,10 +3,13 @@ benchmark sweep: exact occupancy solves across state counts, the
 extreme-point route for comparison, a greedy month-by-month baseline,
 and a sweep over the default-probability cap.
 
-Writes loan_bench.csv next to this script. Larger sweeps are one command
-away: ``modcmdp benchmark --states 4..8 --methods convex,extreme --out f.csv``.
+Writes loan_bench.csv next to this script, or to the path given as the
+first argument (``python demos/04_loan_benchmark.py out.csv``). Larger
+sweeps are one command away:
+``modcmdp benchmark --states 4..8 --methods convex,extreme --out f.csv``.
 """
 
+import sys
 from pathlib import Path
 
 from modcmdp import (
@@ -50,6 +53,7 @@ for r in sweep:
     obj = "infeasible" if r.objective is None else f"{r.objective:.4f}"
     print(f"  cap={r.q:<5g} objective={obj}")
 
-out = Path(__file__).with_name("loan_bench.csv")
+default = Path(__file__).with_name("loan_bench.csv")
+out = Path(sys.argv[1]) if len(sys.argv) > 1 else default
 write_benchmark_csv(records + sweep, out)
 print(f"\nwrote {out}")

@@ -31,7 +31,7 @@ from .vertices import (
     DecompositionError,
     FiniteCmdp,
     VertexSet,
-    build_finite_cmdp,
+    _finite_cmdp,
     enumerate_for_instance,
     hull_envelope,
     solve_finite,
@@ -62,7 +62,7 @@ def build_envelope(
         )
     if vertex_set is None:
         vertex_set = enumerate_for_instance(instance, method="auto", deadline=deadline)
-    return build_finite_cmdp(instance, vertex_set)
+    return _finite_cmdp(instance, vertex_set)
 
 
 def envelope_value(fc: FiniteCmdp, state: str, a) -> tuple[float, np.ndarray]:

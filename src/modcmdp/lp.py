@@ -1,8 +1,11 @@
-"""Linear programs: one checked HiGHS solve per problem, and an MPS exporter.
+"""Linear programs: one checked HiGHS solve per problem, a restricted
+master that column generation grows and re-solves warm, and an MPS
+exporter.
 
 Every LP goes to HiGHS (Huangfu & Hall 2018, "Parallelizing the dual
 revised simplex method") through scipy's vendored bindings, solved by the
-dual simplex method. Each optimal solve is then checked for primal
+dual simplex method; a :class:`Master` re-solves by the primal simplex
+from its last basis. Each optimal solve is then checked for primal
 feasibility, dual sign and stationarity, duality gap and complementary
 slackness; a failed check raises :class:`LpError`. An infeasible problem
 gets a Farkas certificate from the duals of an elastic phase-1 LP that
@@ -241,34 +244,57 @@ def _columns(p: LpProblem):
     return np.searchsorted(col, np.arange(p.nvars + 1)), row, at[col, row]
 
 
-def _solve_highs(problem: LpProblem, maxiter: int, time_limit) -> LpSolution:
-    """One HiGHS dual-simplex solve of ``problem``, posed as the
-    minimization of ``-c``; an optimal result passes :func:`check_optimal`.
-    HiGHS's presolve may find a problem infeasible or unbounded without
-    telling which; :func:`solve_lp` settles that status."""
+def _check_highs(status, what: str) -> None:
     from scipy.optimize._highspy import _core as hs
 
-    p = problem
-    m_eq = p.b_eq.size
+    # a warning (HiGHS drops matrix entries below 1e-9, say) still loads
+    if status == hs.HighsStatus.kError:
+        raise LpError(f"HiGHS could not {what}")
+
+
+def _load_highs(p: LpProblem, maxiter: int):
+    """A HiGHS model holding ``p`` as the minimization of ``-c``."""
+    from scipy.optimize._highspy import _core as hs
+
     start, index, value = _columns(p)
     h = hs._Highs()
     options = {"output_flag": False, "simplex_strategy": 1,
                "simplex_iteration_limit": int(maxiter)}
-    if time_limit is not None:
-        options["time_limit"] = max(float(time_limit), 0.0)
     for key, setting in options.items():
         if h.setOptionValue(key, setting) != hs.HighsStatus.kOk:
             raise LpError(f"HiGHS rejected option {key}={setting!r}")
-    loaded = h.passModel(
+    _check_highs(h.passModel(
         p.nvars, p.nrows, value.size, int(hs.MatrixFormat.kColwise),
         int(hs.ObjSense.kMinimize), 0.0, -p.c, p.lower, p.upper,
         np.concatenate([p.b_eq, np.full(p.b_in.size, -np.inf)]),
         np.concatenate([p.b_eq, p.b_in]),
         start.astype(np.int32), index.astype(np.int32), value,
         np.zeros(p.nvars, dtype=np.int32),  # every column continuous
-    )
-    if loaded == hs.HighsStatus.kError:
-        raise LpError("HiGHS could not load the problem")
+    ), "load the problem")
+    return h
+
+
+def _solve_highs(problem: LpProblem, maxiter: int, time_limit,
+                 highs=None) -> LpSolution:
+    """One HiGHS solve of ``problem``, posed as the minimization of
+    ``-c``; an optimal result passes :func:`check_optimal`. HiGHS's
+    presolve may find a problem infeasible or unbounded without telling
+    which; :func:`solve_lp` settles that status.
+
+    Without ``highs``, ``problem`` is loaded into a new model, limited
+    to ``maxiter`` iterations per run, and solved by the dual simplex.
+    ``highs`` is a model that already holds ``problem`` (a
+    :class:`Master`'s), re-run from the basis its last run left with the
+    simplex variant and iteration limit it was given."""
+    from scipy.optimize._highspy import _core as hs
+
+    p = problem
+    m_eq = p.b_eq.size
+    h = _load_highs(p, maxiter) if highs is None else highs
+    # HiGHS holds a model's time limit against the total time of its runs
+    limit = np.inf if time_limit is None else h.getRunTime() + max(float(time_limit), 0.0)
+    if h.setOptionValue("time_limit", limit) != hs.HighsStatus.kOk:
+        raise LpError(f"HiGHS rejected option time_limit={limit!r}")
     h.run()
     status = h.getModelStatus()
     iterations = int(h.getInfo().simplex_iteration_count)
@@ -391,20 +417,159 @@ def solve_lp(
             raise LpError(f"HiGHS reported infeasible, yet phase 1 meets "
                           f"every row to {violation:.3e}")
         return LpSolution("unbounded", iterations=iterations, message=sol.message)
-    rc = ph.reduced_costs[: p.nvars]
+    sol = _infeasible(ph, ph.reduced_costs[: p.nvars], p.upper, iterations)
+    if not farkas_gap(p, sol.certificate) > 0.0:
+        raise LpError("phase-1 duals do not certify infeasibility")
+    return sol
+
+
+def _infeasible(ph: LpSolution, rc, upper, iterations: int) -> LpSolution:
+    """The infeasible outcome whose Farkas certificate is the duals of the
+    optimal phase-1 solution ``ph``; ``rc`` and ``upper`` are the reduced
+    costs and upper bounds of the original columns."""
     cert = {
         "eq": ph.dual_eq,
         "in": np.maximum(ph.dual_in, 0.0),
-        "up": np.where(np.isfinite(p.upper), np.maximum(rc, 0.0), 0.0),
+        "up": np.where(np.isfinite(upper), np.maximum(rc, 0.0), 0.0),
     }
-    if not farkas_gap(p, cert) > 0.0:
-        raise LpError("phase-1 duals do not certify infeasibility")
     return LpSolution(
         status="infeasible",
         iterations=iterations,
         certificate=cert,
-        message=f"smallest total row violation {violation:.6g}",
+        message=f"smallest total row violation {-ph.objective:.6g}",
     )
+
+
+class Master:
+    """The restricted master of delayed column generation: one LP held in
+    one HiGHS model while columns are added to it, each solve starting
+    from the basis the previous one left (the revised simplex's basis
+    reuse, Dantzig & Wolfe 1960).
+
+    :meth:`solve` returns the optimum of the columns so far, checked by
+    :func:`check_optimal`, or, when they cannot meet the rows, an
+    infeasible outcome whose certificate comes from an exact phase 1 in
+    the same model. Phase 1 gives every row the elastic columns of
+    :func:`_elastic` and costs them alone, so its value is the smallest
+    total row violation of the columns so far and its duals price new
+    columns against that violation (Farkas pricing). Columns added during
+    phase 1 enter at cost 0. Once phase 1 meets every row, the elastic
+    columns are fixed at 0, the costs restored, and the model re-solved.
+
+    Solutions and certificates cover the caller's columns only, in the
+    order they were loaded and added.
+    """
+
+    def __init__(self, problem: LpProblem):
+        self.cost = problem.c  # the caller's costs, restored by phase 2
+        # the LP the model holds, elastic columns and phase costs included;
+        # every change builds a new one, so ``problem`` stays as it is
+        self.lp = problem
+        self.elastic = np.zeros(0, dtype=np.int32)  # their model columns
+        self.phase1 = False
+        self.highs = _load_highs(problem, DEFAULT_MAXITER)
+
+    def add_columns(self, c, a_eq, a_in) -> None:
+        """Append columns with costs ``c`` and rows ``a_eq``, ``a_in`` (one
+        matrix column per entry of ``c``), bounded below by 0."""
+        new = LpProblem(c=c, a_eq=sp.csc_matrix(a_eq), b_eq=self.lp.b_eq,
+                        a_in=sp.csc_matrix(a_in), b_in=self.lp.b_in)
+        self.cost = np.concatenate([self.cost, new.c])
+        cost = np.zeros(new.nvars) if self.phase1 else new.c
+        self._append(cost, new.a_eq, new.a_in, new.upper)
+
+    def _append(self, c, a_eq, a_in, upper) -> None:
+        a = sp.vstack([a_eq, a_in], format="csc")
+        lower = np.zeros(c.size)
+        _check_highs(self.highs.addCols(
+            c.size, -c, lower, upper, a.nnz, a.indptr[:-1].astype(np.int32),
+            a.indices.astype(np.int32), a.data,
+        ), "add the columns")
+        p = self.lp
+        self.lp = LpProblem(
+            c=np.concatenate([p.c, c]),
+            a_eq=sp.hstack([p.a_eq, a_eq], format="csc"), b_eq=p.b_eq,
+            a_in=sp.hstack([p.a_in, a_in], format="csc"), b_in=p.b_in,
+            lower=np.concatenate([p.lower, lower]),
+            upper=np.concatenate([p.upper, upper]),
+        )
+
+    def _set_costs(self, c) -> None:
+        n = c.size
+        _check_highs(self.highs.changeColsCost(n, np.arange(n, dtype=np.int32), -c),
+                     "change the costs")
+        self.lp.c = c
+
+    def _own(self) -> np.ndarray:
+        own = np.ones(self.lp.nvars, dtype=bool)
+        own[self.elastic] = False
+        return own
+
+    def _begin_phase1(self) -> None:
+        m_eq, m_in = self.lp.b_eq.size, self.lp.b_in.size
+        i_eq, i_in = sp.identity(m_eq, format="csc"), sp.identity(m_in, format="csc")
+        k = 2 * m_eq + m_in
+        n = self.lp.nvars
+        self._append(
+            -np.ones(k),
+            sp.hstack([i_eq, -i_eq, sp.csc_matrix((m_eq, m_in))], format="csc"),
+            sp.hstack([sp.csc_matrix((m_in, 2 * m_eq)), -i_in], format="csc"),
+            np.full(k, np.inf),
+        )
+        self._set_costs(np.concatenate([np.zeros(n), -np.ones(k)]))
+        self.elastic = np.arange(n, n + k, dtype=np.int32)
+        self.phase1 = True
+
+    def _end_phase1(self) -> None:
+        k = self.elastic.size
+        _check_highs(self.highs.changeColsBounds(k, self.elastic, np.zeros(k),
+                                                 np.zeros(k)), "fix the elastic columns")
+        self.lp.upper[self.elastic] = 0.0
+        c = np.zeros(self.lp.nvars)
+        c[self._own()] = self.cost
+        self._set_costs(c)
+        self.phase1 = False
+
+    def solve(self, time_limit: Optional[float] = None) -> LpSolution:
+        """Re-solve the model as it stands; ``time_limit`` covers every
+        HiGHS run this takes."""
+        deadline = deadline_after(time_limit)
+        iterations = 0
+        while True:
+            left = None if deadline is None else deadline - time.monotonic()
+            sol = _solve_highs(self.lp, DEFAULT_MAXITER, left, self.highs)
+            iterations += sol.iterations
+            # Later runs start from the basis this one left. Columns enter
+            # at 0 and new costs move no point, so that basis stays primal
+            # feasible (unless this run found the rows infeasible), and
+            # the primal simplex (strategy 4) keeps it.
+            _check_highs(self.highs.setOptionValue("simplex_strategy", 4),
+                         "switch to the primal simplex")
+            if self.phase1:
+                if sol.status == "limit_exceeded":
+                    return LpSolution("limit_exceeded", iterations=iterations,
+                                      message=f"phase-1 LP: {sol.message}")
+                if sol.status != "optimal":
+                    raise LpError(f"phase-1 LP {sol.status}: {sol.message}")
+                own = self._own()
+                if -sol.objective > FEAS_TOL * _rhs_scale(self.lp):
+                    return _infeasible(sol, sol.reduced_costs[own],
+                                       self.lp.upper[own], iterations)
+                self._end_phase1()
+            elif (sol.status in ("infeasible", "infeasible_or_unbounded")
+                  and not self.elastic.size):
+                self._begin_phase1()
+            else:
+                break
+        if sol.status == "infeasible":
+            raise LpError("HiGHS reported infeasible, yet phase 1 met every row")
+        if sol.status == "infeasible_or_unbounded":
+            sol.status = "unbounded"  # phase 1 met every row
+        sol.iterations = iterations
+        if sol.status == "optimal" and self.elastic.size:
+            own = self._own()
+            sol.x, sol.reduced_costs = sol.x[own], sol.reduced_costs[own]
+        return sol
 
 
 # ---------------------------------------------------------------------------

@@ -227,45 +227,50 @@ def _make_layout(instance: CmdpInstance, cuts: Optional[int], finite=None) -> _L
     aux_col = {s: int(d_col[-1]) + 1 + k for k, s in enumerate(cut_states)}
     n_cols = int(d_col[-1]) + 1 + len(cut_states)
 
-    ident = np.arange(n_cols)
     if finite is None:
-        lift = _Coo()
-        lift.add(ident, ident, 1.0)
+        # Every block column carries one edge: edge e writes over its own
+        # u (or p) column, and a weighted-L1 edge also over its m column
+        # (-1) and its state's d column (the center), which come after.
         pos = col_start[src] + local
-        u = n_cols + edges
-        lift.add(u, pos, 1.0)
         e1 = np.flatnonzero(l1[src])
         center = np.concatenate(
             [np.zeros(0)] + [rewards[g].center for g in np.flatnonzero(l1)]
         )
-        lift.add(u[e1], pos[e1] + width[src[e1]], -1.0)
-        lift.add(u[e1], d_col[src[e1]], center)
-        lift = lift.matrix(n_cols + n_edges, n_cols)
+        edge = np.empty(col_start[-1], dtype=int)
+        val = np.ones(col_start[-1])
+        edge[pos] = edges
+        edge[pos[e1] + width[src[e1]]] = e1
+        val[pos[e1] + width[src[e1]]] = -1.0
+        col = np.concatenate([np.arange(col_start[-1]), d_col[src[e1]]])
+        edge = np.concatenate([edge, e1])
+        val = np.concatenate([val, center])
     else:
         # Entry (j, k) of a state's vertex array is what vertex j sends
         # along the state's edge k. Read row by row, the arrays list the
-        # vertex columns' entries in column order, so the lift is written
-        # column-compressed directly: each column's identity entry, then
-        # those. The dense copy of the arrays is the largest array here
-        # and goes as soon as its nonzeros are read.
+        # vertex columns' entries in column order. The dense copy of the
+        # arrays is the largest array here and goes as soon as its
+        # nonzeros are read.
         flat = np.concatenate([finite.vertices[s].ravel() for s in states])
         nz = np.flatnonzero(flat != 0)
-        vals = flat[nz]
+        val = flat[nz]
         del flat
         entry_start = np.concatenate([[0], np.cumsum(block * width)])
         g = np.searchsorted(entry_start, nz, side="right") - 1
         j, k = np.divmod(nz - entry_start[g], width[g])
         col = col_start[g] + j
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n_cols) + 1)])
-        index = np.empty(indptr[-1], dtype=np.int32)
-        value = np.ones(indptr[-1])
-        index[indptr[:-1]] = ident
-        at = np.arange(nz.size) + col + 1  # after the identity entries so far
-        index[at] = n_cols + edge_start[g] + k
-        value[at] = vals
-        lift = sp.csc_matrix(
-            (value, index, indptr.astype(np.int32)), shape=(n_cols + n_edges, n_cols)
-        )
+        edge = edge_start[g] + k
+    # column-compressed directly: each column's identity entry, then its
+    # edge entries, which come sorted by column and then edge
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n_cols) + 1)])
+    index = np.empty(indptr[-1], dtype=np.int32)
+    value = np.ones(indptr[-1])
+    index[indptr[:-1]] = np.arange(n_cols)
+    at = np.arange(col.size) + col + 1  # after the identity entries so far
+    index[at] = n_cols + edge
+    value[at] = val
+    lift = sp.csc_matrix(
+        (value, index, indptr.astype(np.int32)), shape=(n_cols + n_edges, n_cols)
+    )
     return _Layout(states, edge_start, src, dst, col_start, d_col, aux_col, lift)
 
 

@@ -8,8 +8,10 @@ written as u = V^T w over its vertex masses w; the occupancy module's
 assembler builds it. It has one column per (state, vertex), hundreds of
 thousands once box polytopes reach ten or more dimensions, of which a few
 thousand carry mass. ``solve_finite`` therefore solves it by delayed
-column generation over a restricted master, and proves the master's
-answer optimal (or infeasible) for the whole LP by pricing every column.
+column generation over a restricted master held in one HiGHS model
+(:class:`modcmdp.lp.Master`), which re-solves warm as columns arrive,
+and proves the master's answer optimal (or infeasible) for the whole LP
+by pricing every column.
 
 Vertex enumeration is exhaustive basis enumeration by default: pick n-1
 active rows among the polytope rows and the nonnegativity bounds, solve
@@ -311,7 +313,14 @@ class FiniteCmdp:
 
 
 def build_finite_cmdp(instance: CmdpInstance, vertex_set: VertexSet) -> FiniteCmdp:
+    """The finite-action reduction of a valid instance over ``vertex_set``;
+    raises ValueError naming every violation of an invalid one."""
     require_valid(instance)
+    return _finite_cmdp(instance, vertex_set)
+
+
+def _finite_cmdp(instance: CmdpInstance, vertex_set: VertexSet) -> FiniteCmdp:
+    """:func:`build_finite_cmdp` of an instance already validated."""
     from .model import reward_values
 
     rewards = {
@@ -321,15 +330,18 @@ def build_finite_cmdp(instance: CmdpInstance, vertex_set: VertexSet) -> FiniteCm
     return FiniteCmdp(instance, dict(vertex_set.vertices), rewards)
 
 
-def _top_per_state(score, mask, state_of, k: int) -> np.ndarray:
+def _top_per_state(score, mask, col_start, k: int) -> np.ndarray:
     """Indices of the (at most) ``k`` highest scores per state among the
-    vertex columns where ``mask`` holds; ties keep column order."""
-    idx = np.flatnonzero(mask)
-    order = np.lexsort((-score[idx], state_of[idx]))
-    idx = idx[order]
-    group = state_of[idx]
-    rank = np.arange(idx.size) - np.searchsorted(group, group)
-    return idx[rank < k]
+    vertex columns where ``mask`` holds, state by state, best first; ties
+    keep column order. State ``g`` owns columns ``col_start[g]`` to
+    ``col_start[g + 1] - 1``."""
+    # one short sort per state: a single sort of every column by (state,
+    # score) took three times as long on the 1.24M columns of quad n=30
+    out = []
+    for lo, hi in zip(col_start[:-1], col_start[1:]):
+        idx = lo + np.flatnonzero(mask[lo:hi])
+        out.append(idx[np.argsort(-score[idx], kind="stable")[:k]])
+    return np.concatenate(out)
 
 
 def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPolicy]:
@@ -343,43 +355,47 @@ def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPoli
     The restricted master holds every d column and, per state, the
     ``COLUMNS_PER_STATE`` vertices of highest reward; when no state has
     more vertices than that, the master is the whole LP and one solve
-    settles it. Each round prices every vertex column against the
-    master's duals and adds, per state, up to ``COLUMNS_PER_STATE``
-    columns of largest positive reduced cost. An infeasible master is
-    priced against its Farkas certificate instead, adding per state up to
-    as many of the columns that break it most. The loop stops when nothing
-    is added; the master's solution, zero-padded, then passes
-    :func:`lp.check_optimal` on the whole LP, and a certificate no column
-    breaks is a certificate for the whole LP. ``time_limit`` covers all
-    rounds.
+    settles it. The master lives in one HiGHS model (:class:`lp.Master`):
+    each round adds columns to it and re-solves from the last basis, and
+    every master optimum passes :func:`lp.check_optimal`. Each round
+    prices every vertex column against the master's duals and adds, per
+    state, up to ``COLUMNS_PER_STATE`` columns of largest positive reduced
+    cost. A master that cannot meet the caps runs phase 1 in the same
+    model; its duals form a Farkas certificate, and each round adds per
+    state up to as many of the columns that break it most (Farkas
+    pricing) until phase 1 meets every row and the costs return. The loop
+    stops when nothing is added; the master's solution, zero-padded, then
+    passes :func:`lp.check_optimal` on the whole LP, and a certificate no
+    column breaks is a certificate for the whole LP, its margin the whole
+    LP's smallest total row violation. ``time_limit`` covers all rounds.
     """
     problem = assemble_lp(fc.instance, finite=fc)
     lay = problem.layout
     n = problem.nvars
     n_u = int(lay.col_start[-1])
-    state_of = np.repeat(np.arange(len(lay.states)), np.diff(lay.col_start))
     price_tol = lpmod.DUAL_TOL * max(1.0, float(np.abs(problem.c).max()))
     deadline = lpmod.deadline_after(time_limit)
 
     in_master = np.zeros(n, dtype=bool)
     in_master[n_u:] = True
-    in_master[_top_per_state(problem.c, np.ones(n_u, dtype=bool), state_of,
+    in_master[_top_per_state(problem.c, np.ones(n_u, dtype=bool), lay.col_start,
                              COLUMNS_PER_STATE)] = True
+    cols = np.flatnonzero(in_master)
+    whole = cols.size == n  # else the master's columns come in their own order
+    master = lpmod.Master(problem if whole else lpmod.LpProblem(
+        c=problem.c[cols], a_eq=problem.a_eq[:, cols], b_eq=problem.b_eq,
+        a_in=problem.a_in[:, cols], b_in=problem.b_in,
+    ))
     while True:
-        cols = np.flatnonzero(in_master)
-        master = problem if cols.size == n else lpmod.LpProblem(
-            c=problem.c[cols], a_eq=problem.a_eq[:, cols], b_eq=problem.b_eq,
-            a_in=problem.a_in[:, cols], b_in=problem.b_in,
-        )
         left = None if deadline is None else deadline - time.monotonic()
-        sol = lpmod.solve_lp(master, time_limit=left)
+        sol = master.solve(time_limit=left)
         if sol.status == "optimal":
             y_eq, y_in = sol.dual_eq, sol.dual_in
         elif sol.status == "infeasible":
             y_eq, y_in = sol.certificate["eq"], sol.certificate["in"]
         else:
-            raise_for_status(master, sol, "finite-action LP")
-        if master is problem:
+            raise_for_status(master.lp, sol, "finite-action LP")
+        if whole:
             break
         priced = problem.a_eq.T @ y_eq + problem.a_in.T @ y_in
         if sol.status == "optimal":
@@ -388,31 +404,32 @@ def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPoli
         else:
             # a column j breaks the certificate when a_j @ y < 0
             score, add = -priced[:n_u], priced[:n_u] < -lpmod.DUAL_TOL
-        new = _top_per_state(score, add & ~in_master[:n_u], state_of,
+        new = _top_per_state(score, add & ~in_master[:n_u], lay.col_start,
                              COLUMNS_PER_STATE)
         if new.size == 0:
             break
         in_master[new] = True
+        cols = np.concatenate([cols, new])
+        master.add_columns(problem.c[new], problem.a_eq[:, new], problem.a_in[:, new])
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("finite-action LP exceeded its time budget")
 
-    if master is not problem:
-        if sol.status == "optimal":
-            x = np.zeros(n)
-            x[cols] = sol.x
-            sol = lpmod.LpSolution(
-                "optimal", x=x, objective=float(problem.c @ x),
-                dual_eq=y_eq, dual_in=y_in, reduced_costs=rc,
-            )
-            lpmod.check_optimal(problem, sol)
-        else:
-            up = np.zeros(n)
-            up[cols] = sol.certificate["up"]
-            cert = {"eq": y_eq, "in": y_in, "up": up}
-            if not lpmod.farkas_gap(problem, cert) > 0.0:
-                raise lpmod.LpError("master certificate does not carry over")
-            sol = lpmod.LpSolution("infeasible", certificate=cert,
-                                   message=sol.message)
+    if sol.status == "optimal" and not whole:
+        x = np.zeros(n)
+        x[cols] = sol.x
+        sol = lpmod.LpSolution(
+            "optimal", x=x, objective=float(problem.c @ x),
+            dual_eq=y_eq, dual_in=y_in, reduced_costs=rc,
+        )
+        lpmod.check_optimal(problem, sol)
+    elif sol.status == "infeasible":
+        up = np.zeros(n)
+        up[cols] = sol.certificate["up"]
+        cert = {"eq": y_eq, "in": y_in, "up": up}
+        if not lpmod.farkas_gap(problem, cert) > 0.0:
+            raise lpmod.LpError("master certificate does not carry over")
+        sol = lpmod.LpSolution("infeasible", certificate=cert,
+                               message=sol.message)
     raise_for_status(problem, sol, "finite-action LP")
 
     mixtures = {}

@@ -178,6 +178,94 @@ class TestAgainstScipy:
             assert dual_obj == pytest.approx(s.objective, abs=1e-6, rel=1e-6)
 
 
+def random_column_lp(rng, n=24, support=1.0):
+    """A bounded LP over ``n`` nonnegative columns, its first inequality
+    row capping their sum. A point whose support is a random ``support``
+    share of the columns meets every row."""
+    m_eq, m_in = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    a_eq = rng.uniform(0, 1, size=(m_eq, n))
+    a_in = np.vstack([np.ones(n), rng.normal(size=(m_in, n))])
+    x0 = rng.uniform(0, 1, size=n) * (rng.random(n) < support)
+    return LpProblem(c=rng.normal(size=n), a_eq=a_eq, b_eq=a_eq @ x0, a_in=a_in,
+                     b_in=a_in @ x0 + rng.uniform(0, 1, size=m_in + 1))
+
+
+def column_subset(p, cols):
+    return LpProblem(c=p.c[cols], a_eq=p.a_eq[:, cols], b_eq=p.b_eq,
+                     a_in=p.a_in[:, cols], b_in=p.b_in)
+
+
+def grow_master(rng, p, batches=3):
+    """Load a random part of ``p``'s columns into a Master, add the rest
+    in ``batches`` batches, and yield (columns so far, solution) after
+    each solve."""
+    order = rng.permutation(p.nvars)
+    parts = np.array_split(order, batches + 1)
+    master = lpmod.Master(column_subset(p, parts[0]))
+    cols = parts[0]
+    yield cols, master.solve()
+    for part in parts[1:]:
+        master.add_columns(p.c[part], p.a_eq[:, part], p.a_in[:, part])
+        cols = np.concatenate([cols, part])
+        yield cols, master.solve()
+
+
+def elastic_value(p):
+    """Smallest total row violation: the phase-1 LP solved cold."""
+    ph = solve_lp(lpmod._elastic(p))
+    assert ph.status == "optimal"
+    return -ph.objective
+
+
+class TestMaster:
+    """The incremental master re-solves warm in one model; every solve
+    must agree with a cold solve of the same columns."""
+
+    def test_each_resolve_matches_a_cold_solve(self, rng):
+        seen = {"optimal": 0, "infeasible": 0}
+        for _ in range(30):
+            p = random_column_lp(rng, support=float(rng.uniform(0.3, 1.0)))
+            for cols, sol in grow_master(rng, p, int(rng.integers(3, 5))):
+                sub = column_subset(p, cols)
+                cold = solve_lp(sub)
+                assert sol.status == cold.status
+                seen[sol.status] += 1
+                if sol.status == "optimal":
+                    assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+                    lpmod.check_optimal(sub, sol)
+                else:
+                    assert farkas_gap(sub, sol.certificate) == pytest.approx(
+                        farkas_gap(sub, cold.certificate), abs=1e-9)
+        assert seen["optimal"] > 50 and seen["infeasible"] > 10
+
+    def test_infeasible_start_reaches_feasibility(self):
+        # max x0 + 2 x1  s.t.  x0 + x1 = 1,  x0 <= 0.5: x0 alone misses by 0.5
+        p = LpProblem(c=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0],
+                      a_in=[[1.0, 0.0]], b_in=[0.5])
+        master = lpmod.Master(column_subset(p, [0]))
+        first = master.solve()
+        assert first.status == "infeasible"
+        assert farkas_gap(column_subset(p, [0]), first.certificate) == pytest.approx(
+            0.5, abs=1e-12)
+        master.add_columns([2.0], [[1.0]], [[0.0]])
+        sol = master.solve()
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(2.0, abs=1e-12)
+        np.testing.assert_allclose(sol.x, [0.0, 1.0], atol=1e-12)
+        lpmod.check_optimal(p, sol)
+
+    def test_infeasible_lp_certificate_is_the_phase1_value(self, rng):
+        for _ in range(20):
+            p = random_column_lp(rng)
+            # no equality coefficient exceeds 1, so sum(x) >= max(b_eq)
+            p.b_in[0] = p.b_eq.max() - rng.uniform(0.1, 1.0)
+            for cols, sol in grow_master(rng, p):
+                assert sol.status == "infeasible"
+            gap = farkas_gap(p, sol.certificate)
+            assert gap > 0.0
+            assert gap == pytest.approx(elastic_value(p), abs=1e-9)
+
+
 # --------------------------------------------------------------------------
 # independent MPS reader used to cross-check the exporter
 

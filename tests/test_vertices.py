@@ -37,7 +37,12 @@ from modcmdp import (
     solve_with_envelope,
 )
 from modcmdp.occupancy import assemble_lp
-from modcmdp.vertices import COLUMNS_PER_STATE, box_simplex_vertices, box_bounds
+from modcmdp.vertices import (
+    COLUMNS_PER_STATE,
+    VertexSet,
+    box_bounds,
+    box_simplex_vertices,
+)
 
 
 def brute_vertices(poly):
@@ -310,12 +315,26 @@ class TestColumnGeneration:
         assert obj == pytest.approx(oracle.objective, abs=1e-9)
         assert evaluate_exact(inst, pol).value == pytest.approx(obj, abs=1e-9)
 
-    @pytest.mark.parametrize("n", [10, 14])
+    @pytest.mark.parametrize("n", [10, 14, 20])
     def test_quadratic_loans_match_single_lp(self, n):
         inst = generate_loan_instance(LoanConfig(n_states=n, reward_kind="quad_convex"))
         vs = enumerate_for_instance(inst, method="auto")
         assert max(vs.counts().values()) > COLUMNS_PER_STATE
         self.assert_matches_single_lp(inst, vs)
+
+    def test_master_grown_to_every_column(self):
+        # 11 actions, the one that avoids the capped state paying least:
+        # the seeded top 10 miss the cap, pricing adds the last one, and
+        # the master ends up holding every column, in its own order
+        inst = CmdpInstance(
+            LayeredStateSpace([["s0"], ["t0", "t1"]]),
+            {"s0": box_polytope([0.5, 0.5], 0.5)},
+            {"s0": AffineReward([10.0, 0.0], 1.0)},
+            np.array([1.0]),
+            [QualityConstraint({"t0"}, 0.05)],
+        )
+        j = np.arange(COLUMNS_PER_STATE + 1) / COLUMNS_PER_STATE
+        self.assert_matches_single_lp(inst, VertexSet({"s0": np.column_stack([j, 1 - j])}))
 
     def test_l1_loan_with_kink_planes_matches_single_lp(self):
         inst = generate_loan_instance(LoanConfig(n_states=5, reward_kind="l1"))
