@@ -139,8 +139,12 @@ def cmd_evaluate(args) -> int:
 def _parse_states(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",") if x]
+        out = list(range(int(lo), int(hi) + 1))
+    else:
+        out = [int(x) for x in text.split(",") if x]
+    if not out:
+        raise ValueError(f"--states {text!r} names no state count")
+    return out
 
 
 def _parse_sweep(text: str) -> list[float]:
@@ -152,12 +156,16 @@ def _parse_sweep(text: str) -> list[float]:
     while v <= hi + 1e-12:
         out.append(round(v, 12))
         v += step
+    if not out:
+        raise ValueError(f"--q-sweep {text!r} names no cap")
     return out
 
 
 def cmd_benchmark(args) -> int:
     t0 = time.perf_counter()
     methods = [m for m in args.methods.split(",") if m]
+    if not methods:
+        raise ValueError(f"--methods {args.methods!r} names no method")
     cfg = _loan_config(args, args.states_list[0])
     q_values = _parse_sweep(args.q_sweep) if args.q_sweep else None
     records = run_benchmark(

@@ -1,15 +1,17 @@
-"""Linear programs: one checked HiGHS solve per problem, a restricted
-master that column generation grows and re-solves warm, and an MPS
-exporter.
+"""Linear programs: one HiGHS model per problem (:class:`Master`), which
+column generation grows and re-solves warm and :func:`solve_lp` solves
+once, and an MPS exporter.
 
 Every LP goes to HiGHS (Huangfu & Hall 2018, "Parallelizing the dual
 revised simplex method") through scipy's vendored bindings, solved by the
 dual simplex method; a :class:`Master` re-solves by the primal simplex
 from its last basis. Each optimal solve is then checked for primal
 feasibility, dual sign and stationarity, duality gap and complementary
-slackness; a failed check raises :class:`LpError`. An infeasible problem
-gets a Farkas certificate from the duals of an elastic phase-1 LP that
-minimises the total row violation; :func:`farkas_gap` validates it.
+slackness; a failed check raises :class:`LpError`. There is one phase 1,
+the master's: when the rows cannot be met, the same model gains elastic
+columns on every row and minimises the total row violation, and the
+duals of that optimum are a Farkas certificate, which
+:func:`farkas_gap` validates.
 
 Conventions: maximize ``c @ x`` subject to ``a_eq @ x == b_eq``,
 ``a_in @ x <= b_in`` and ``lower <= x <= upper`` (lower defaults to 0,
@@ -252,14 +254,15 @@ def _check_highs(status, what: str) -> None:
         raise LpError(f"HiGHS could not {what}")
 
 
-def _load_highs(p: LpProblem, maxiter: int):
-    """A HiGHS model holding ``p`` as the minimization of ``-c``."""
+def _load_highs(p: LpProblem):
+    """A HiGHS model holding ``p`` as the minimization of ``-c``, set to
+    the dual simplex and ``DEFAULT_MAXITER`` iterations per run."""
     from scipy.optimize._highspy import _core as hs
 
     start, index, value = _columns(p)
     h = hs._Highs()
     options = {"output_flag": False, "simplex_strategy": 1,
-               "simplex_iteration_limit": int(maxiter)}
+               "simplex_iteration_limit": DEFAULT_MAXITER}
     for key, setting in options.items():
         if h.setOptionValue(key, setting) != hs.HighsStatus.kOk:
             raise LpError(f"HiGHS rejected option {key}={setting!r}")
@@ -274,23 +277,21 @@ def _load_highs(p: LpProblem, maxiter: int):
     return h
 
 
-def _solve_highs(problem: LpProblem, maxiter: int, time_limit,
-                 highs=None) -> LpSolution:
+def _solve_highs(problem: LpProblem, time_limit, highs=None) -> LpSolution:
     """One HiGHS solve of ``problem``, posed as the minimization of
     ``-c``; an optimal result passes :func:`check_optimal`. HiGHS's
     presolve may find a problem infeasible or unbounded without telling
-    which; :func:`solve_lp` settles that status.
+    which; :meth:`Master.solve` settles that status.
 
-    Without ``highs``, ``problem`` is loaded into a new model, limited
-    to ``maxiter`` iterations per run, and solved by the dual simplex.
-    ``highs`` is a model that already holds ``problem`` (a
-    :class:`Master`'s), re-run from the basis its last run left with the
-    simplex variant and iteration limit it was given."""
+    Without ``highs``, ``problem`` is loaded into a new model by
+    :func:`_load_highs`. ``highs`` is a model that already holds
+    ``problem`` (a :class:`Master`'s), re-run from the basis its last run
+    left with the simplex variant and iteration limit it was given."""
     from scipy.optimize._highspy import _core as hs
 
     p = problem
     m_eq = p.b_eq.size
-    h = _load_highs(p, maxiter) if highs is None else highs
+    h = _load_highs(p) if highs is None else highs
     # HiGHS holds a model's time limit against the total time of its runs
     limit = np.inf if time_limit is None else h.getRunTime() + max(float(time_limit), 0.0)
     if h.setOptionValue("time_limit", limit) != hs.HighsStatus.kOk:
@@ -328,27 +329,6 @@ def _solve_highs(problem: LpProblem, maxiter: int, time_limit,
     return sol
 
 
-def _elastic(p: LpProblem) -> LpProblem:
-    """Phase-1 LP: maximize -(sum(s_plus + s_minus) + sum(t)) subject to
-    a_eq x + s_plus - s_minus = b_eq and a_in x - t <= b_in, with the
-    original bounds on x. It is feasible whenever the bounds are."""
-    m_eq, m_in = p.b_eq.size, p.b_in.size
-    i_eq, i_in = sp.identity(m_eq), sp.identity(m_in)
-    a_eq = sp.hstack(
-        [sp.csr_matrix(p.a_eq), i_eq, -i_eq, sp.csr_matrix((m_eq, m_in))]
-    )
-    a_in = sp.hstack(
-        [sp.csr_matrix(p.a_in), sp.csr_matrix((m_in, 2 * m_eq)), -i_in]
-    )
-    k = 2 * m_eq + m_in
-    return LpProblem(
-        c=np.concatenate([np.zeros(p.nvars), -np.ones(k)]),
-        a_eq=a_eq, b_eq=p.b_eq, a_in=a_in, b_in=p.b_in,
-        lower=np.concatenate([p.lower, np.zeros(k)]),
-        upper=np.concatenate([p.upper, np.full(k, np.inf)]),
-    )
-
-
 def deadline_after(time_limit: Optional[float]) -> Optional[float]:
     """The ``time.monotonic()`` reading ``time_limit`` seconds on, or None."""
     return None if time_limit is None else time.monotonic() + time_limit
@@ -369,16 +349,17 @@ def time_left(deadline: Optional[float]) -> Optional[float]:
 def solve_lp(
     problem: LpProblem,
     backend: str = "auto",
-    maxiter: int = DEFAULT_MAXITER,
     time_limit: Optional[float] = None,
 ) -> LpSolution:
-    """Solve a linear program with HiGHS and check the result.
+    """Solve a linear program with HiGHS and check the result: a
+    :class:`Master` holding the whole problem, solved once.
 
-    An optimal solution passes :func:`check_optimal`. An infeasible one
-    carries a Farkas certificate taken from the duals of the elastic
-    phase-1 LP, whose optimal value (the smallest attainable total row
-    violation) is stated in ``message`` and equals the certificate's
-    :func:`farkas_gap`.
+    The model is loaded once and run by the dual simplex. An optimal
+    solution passes :func:`check_optimal`. When HiGHS finds the rows
+    infeasible, the same model runs the master's phase 1: the outcome
+    carries a Farkas certificate taken from the phase-1 duals, whose
+    optimal value (the smallest attainable total row violation) is stated
+    in ``message`` and equals the certificate's :func:`farkas_gap`.
 
     HiGHS is the only engine. ``backend`` stays only because the
     benchmark's warm-up (``perfbench/run.py``) still passes
@@ -400,44 +381,10 @@ def solve_lp(
             certificate=cert,
             message=f"variable {j} has lower > upper",
         )
-    deadline = deadline_after(time_limit)
-    sol = _solve_highs(p, maxiter, time_limit)
-    if sol.status not in ("infeasible", "infeasible_or_unbounded"):
-        return sol
-
-    left = None if deadline is None else deadline - time.monotonic()
-    ph = _solve_highs(_elastic(p), maxiter, left)
-    iterations = sol.iterations + ph.iterations
-    if ph.status != "optimal":
-        return LpSolution("limit_exceeded", iterations=iterations,
-                          message=f"phase-1 LP: {ph.message}")
-    violation = -ph.objective
-    if violation <= FEAS_TOL * _rhs_scale(p):
-        if sol.status == "infeasible":
-            raise LpError(f"HiGHS reported infeasible, yet phase 1 meets "
-                          f"every row to {violation:.3e}")
-        return LpSolution("unbounded", iterations=iterations, message=sol.message)
-    sol = _infeasible(ph, ph.reduced_costs[: p.nvars], p.upper, iterations)
-    if not farkas_gap(p, sol.certificate) > 0.0:
+    sol = Master(p).solve(time_limit)
+    if sol.status == "infeasible" and not farkas_gap(p, sol.certificate) > 0.0:
         raise LpError("phase-1 duals do not certify infeasibility")
     return sol
-
-
-def _infeasible(ph: LpSolution, rc, upper, iterations: int) -> LpSolution:
-    """The infeasible outcome whose Farkas certificate is the duals of the
-    optimal phase-1 solution ``ph``; ``rc`` and ``upper`` are the reduced
-    costs and upper bounds of the original columns."""
-    cert = {
-        "eq": ph.dual_eq,
-        "in": np.maximum(ph.dual_in, 0.0),
-        "up": np.where(np.isfinite(upper), np.maximum(rc, 0.0), 0.0),
-    }
-    return LpSolution(
-        status="infeasible",
-        iterations=iterations,
-        certificate=cert,
-        message=f"smallest total row violation {-ph.objective:.6g}",
-    )
 
 
 class Master:
@@ -449,12 +396,15 @@ class Master:
     :meth:`solve` returns the optimum of the columns so far, checked by
     :func:`check_optimal`, or, when they cannot meet the rows, an
     infeasible outcome whose certificate comes from an exact phase 1 in
-    the same model. Phase 1 gives every row the elastic columns of
-    :func:`_elastic` and costs them alone, so its value is the smallest
-    total row violation of the columns so far and its duals price new
-    columns against that violation (Farkas pricing). Columns added during
-    phase 1 enter at cost 0. Once phase 1 meets every row, the elastic
-    columns are fixed at 0, the costs restored, and the model re-solved.
+    the same model, the package's only one. Phase 1 gives every equality
+    row a surplus and a slack column and every inequality row a slack
+    column (the elastic columns), and costs them alone, so its value is
+    the smallest total row violation of the columns so far and its duals
+    price new columns against that violation (Farkas pricing). Columns
+    added during phase 1 enter at cost 0. Once phase 1 meets every row,
+    the elastic columns are fixed at 0, the costs restored, and the model
+    re-solved; a problem HiGHS found infeasible or unbounded is then
+    reported unbounded.
 
     Solutions and certificates cover the caller's columns only, in the
     order they were loaded and added.
@@ -467,7 +417,7 @@ class Master:
         self.lp = problem
         self.elastic = np.zeros(0, dtype=np.int32)  # their model columns
         self.phase1 = False
-        self.highs = _load_highs(problem, DEFAULT_MAXITER)
+        self.highs = _load_highs(problem)
 
     def add_columns(self, c, a_eq, a_in) -> None:
         """Append columns with costs ``c`` and rows ``a_eq``, ``a_in`` (one
@@ -537,7 +487,7 @@ class Master:
         iterations = 0
         while True:
             left = None if deadline is None else deadline - time.monotonic()
-            sol = _solve_highs(self.lp, DEFAULT_MAXITER, left, self.highs)
+            sol = _solve_highs(self.lp, left, self.highs)
             iterations += sol.iterations
             # Later runs start from the basis this one left. Columns enter
             # at 0 and new costs move no point, so that basis stays primal
@@ -551,10 +501,20 @@ class Master:
                                       message=f"phase-1 LP: {sol.message}")
                 if sol.status != "optimal":
                     raise LpError(f"phase-1 LP {sol.status}: {sol.message}")
-                own = self._own()
-                if -sol.objective > FEAS_TOL * _rhs_scale(self.lp):
-                    return _infeasible(sol, sol.reduced_costs[own],
-                                       self.lp.upper[own], iterations)
+                violation = -sol.objective
+                if violation > FEAS_TOL * _rhs_scale(self.lp):
+                    # the phase-1 duals, on the caller's columns, certify
+                    own = self._own()
+                    rc, upper = sol.reduced_costs[own], self.lp.upper[own]
+                    cert = {
+                        "eq": sol.dual_eq,
+                        "in": np.maximum(sol.dual_in, 0.0),
+                        "up": np.where(np.isfinite(upper), np.maximum(rc, 0.0), 0.0),
+                    }
+                    return LpSolution(
+                        "infeasible", iterations=iterations, certificate=cert,
+                        message=f"smallest total row violation {violation:.6g}",
+                    )
                 self._end_phase1()
             elif (sol.status in ("infeasible", "infeasible_or_unbounded")
                   and not self.elastic.size):

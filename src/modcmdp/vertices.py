@@ -281,7 +281,7 @@ def enumerate_for_instance(
     """
     from .model import WeightedL1Reward
 
-    cache: dict[bytes, np.ndarray] = {}
+    cache: dict[tuple, np.ndarray] = {}
     out = {}
     for s in instance.states.nonterminal():
         poly = instance.polytopes[s]
@@ -290,7 +290,10 @@ def enumerate_for_instance(
             rew = instance.rewards[s]
             if isinstance(rew, WeightedL1Reward):
                 planes = [(k, float(c)) for k, c in enumerate(rew.center)]
-        key = poly.base.tobytes() + poly.H.tobytes() + poly.h.tobytes() + repr(planes).encode()
+        # the parts stay apart and carry their shapes: concatenated bytes
+        # of polytopes of different dimensions can coincide
+        key = (poly.H.shape, poly.base.tobytes(), poly.H.tobytes(),
+               poly.h.tobytes(), repr(planes))
         if key not in cache:
             cache[key] = enumerate_vertices(
                 poly, method=method, extra_planes=planes, deadline=deadline,
@@ -314,8 +317,15 @@ class FiniteCmdp:
 
 def build_finite_cmdp(instance: CmdpInstance, vertex_set: VertexSet) -> FiniteCmdp:
     """The finite-action reduction of a valid instance over ``vertex_set``;
-    raises ValueError naming every violation of an invalid one."""
+    raises ValueError naming every violation of an invalid one, or the
+    first state whose vertices are not vectors over its next layer."""
     require_valid(instance)
+    for s in instance.states.nonterminal():
+        shape = np.shape(vertex_set.vertices[s])
+        n = instance.next_layer_size(s)
+        if len(shape) != 2 or shape[1] != n:
+            raise ValueError(f"vertices of state {s!r} have shape {shape}, "
+                             f"expected rows of width {n}")
     return _finite_cmdp(instance, vertex_set)
 
 
@@ -468,7 +478,7 @@ def hull_envelope(points, values, query) -> tuple[float, np.ndarray]:
     problem = lpmod.LpProblem(c=values, a_eq=a_eq, b_eq=b_eq)
     # one checked HiGHS call and no phase-1 certificate: the hull LP is
     # bounded, so a non-optimal status means the query is outside the hull
-    sol = lpmod._solve_highs(problem, lpmod.DEFAULT_MAXITER, None)
+    sol = lpmod._solve_highs(problem, None)
     if sol.status != "optimal":
         raise DecompositionError("query point is outside the generator hull")
     return float(sol.objective), np.clip(sol.x, 0.0, None)

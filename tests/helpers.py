@@ -6,7 +6,11 @@ formulation (mixtures of whole deterministic policies, per-state
 backward induction, the textbook L1 epigraph), solved through scipy's
 ``linprog`` rather than the package's LP layer. The exception is
 ``single_lp_finite``, the whole finite-action LP in one checked solve,
-which column generation in ``solve_finite`` must reproduce.
+which column generation in ``solve_finite`` must reproduce. Both go
+through ``modcmdp.lp.Master`` and its phase 1, the package's only one:
+the helper's master holds every column from the start, so it checks the
+pricing, not the phase 1. That phase 1 is checked against an elastic LP
+solved by ``linprog`` in ``test_lp_engine.py``.
 
 It also holds the helpers that only tests use: the homogenized polytope
 rows, a randomized concavity check and a visit-mass CSV writer.
@@ -402,8 +406,9 @@ def loop_finite_lp(fc):
 
 def single_lp_finite(fc):
     """The whole finite-action LP of :func:`loop_finite_lp`, solved in one
-    call. Returns (problem, solution) for the package's checked LP layer,
-    so a test can compare objectives or evaluate a certificate against
-    the whole LP."""
+    ``solve_lp`` call (a master holding every column, solved once).
+    Returns (problem, solution) for the package's checked LP layer, so a
+    test can compare objectives or evaluate a certificate against the
+    whole LP."""
     problem = loop_finite_lp(fc)
     return problem, solve_lp(problem)

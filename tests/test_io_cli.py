@@ -283,3 +283,16 @@ class TestCli:
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 4  # header + 3 cells
+
+    @pytest.mark.parametrize("extra, what", [
+        (("--states", "5..3", "--methods", "convex"), "--states '5..3'"),
+        (("--states", "4", "--methods", "convex", "--q-sweep", "0.1:0.05:0.01"),
+         "--q-sweep '0.1:0.05:0.01'"),
+        (("--states", "4", "--methods", ","), "--methods ','"),
+    ])
+    def test_benchmark_empty_range_is_an_error(self, tmp_path, capsys, extra, what):
+        out = tmp_path / "empty.csv"
+        code = self.run_cli("benchmark", "--out", out, *extra)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {what}")
+        assert not out.exists()

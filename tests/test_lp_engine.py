@@ -63,7 +63,9 @@ class TestSolveBasics:
 
     def test_iteration_limit_status(self, rng):
         p = random_feasible_problem(rng)
-        sol = solve_lp(p, maxiter=1)
+        highs = lpmod._load_highs(p)
+        highs.setOptionValue("simplex_iteration_limit", 1)
+        sol = lpmod._solve_highs(p, None, highs)
         assert sol.status == "limit_exceeded"
 
     def test_bound_inversion_is_infeasible(self):
@@ -141,24 +143,52 @@ class TestBland:
         np.testing.assert_array_equal(a.x, b.x)
 
 
+def scipy_linprog(c, a_eq, b_eq, a_in, b_in, lower, upper):
+    """``linprog`` minimising ``c @ x`` over the given rows and bounds,
+    dense or sparse, with empty row blocks left out."""
+    return linprog(
+        c,
+        A_ub=a_in if b_in.size else None,
+        b_ub=b_in if b_in.size else None,
+        A_eq=a_eq if b_eq.size else None,
+        b_eq=b_eq if b_eq.size else None,
+        bounds=[(lo, up if np.isfinite(up) else None)
+                for lo, up in zip(lower, upper)],
+        method="highs",
+    )
+
+
+def reference(p):
+    """``p`` (a maximisation) solved by ``linprog``."""
+    return scipy_linprog(-p.c, p.a_eq, p.b_eq, p.a_in, p.b_in, p.lower, p.upper)
+
+
+def elastic_value(p):
+    """Smallest total row violation of ``p`` by ``linprog``: the elastic
+    LP  min 1 @ (s_plus + s_minus + t)  s.t.  a_eq x + s_plus - s_minus =
+    b_eq,  a_in x - t <= b_in, with ``p``'s bounds on x and the elastic
+    columns nonnegative."""
+    m_eq, m_in, n = p.b_eq.size, p.b_in.size, p.nvars
+    k = 2 * m_eq + m_in
+    i_eq, i_in = np.eye(m_eq), np.eye(m_in)
+    a_eq = np.hstack([np.asarray(p.a_eq), i_eq, -i_eq, np.zeros((m_eq, m_in))])
+    a_in = np.hstack([np.asarray(p.a_in), np.zeros((m_in, 2 * m_eq)), -i_in])
+    res = scipy_linprog(
+        np.concatenate([np.zeros(n), np.ones(k)]), a_eq, p.b_eq, a_in, p.b_in,
+        np.concatenate([p.lower, np.zeros(k)]),
+        np.concatenate([p.upper, np.full(k, np.inf)]),
+    )
+    assert res.status == 0, res.message
+    return res.fun
+
+
 class TestAgainstScipy:
     def test_objectives_match(self, rng):
         hits = 0
         for _ in range(80):
             p = random_feasible_problem(rng, with_upper=bool(rng.integers(2)))
             mine = solve_lp(p)
-            ref = linprog(
-                -p.c,
-                A_ub=np.asarray(p.a_in) if p.b_in.size else None,
-                b_ub=p.b_in if p.b_in.size else None,
-                A_eq=np.asarray(p.a_eq) if p.b_eq.size else None,
-                b_eq=p.b_eq if p.b_eq.size else None,
-                bounds=[
-                    (lo, None if not np.isfinite(up) else up)
-                    for lo, up in zip(p.lower, p.upper)
-                ],
-                method="highs",
-            )
+            ref = reference(p)
             if ref.status == 0:
                 hits += 1
                 assert mine.status == "optimal"
@@ -210,16 +240,9 @@ def grow_master(rng, p, batches=3):
         yield cols, master.solve()
 
 
-def elastic_value(p):
-    """Smallest total row violation: the phase-1 LP solved cold."""
-    ph = solve_lp(lpmod._elastic(p))
-    assert ph.status == "optimal"
-    return -ph.objective
-
-
 class TestMaster:
     """The incremental master re-solves warm in one model; every solve
-    must agree with a cold solve of the same columns."""
+    must agree with ``linprog`` on the same columns."""
 
     def test_each_resolve_matches_a_cold_solve(self, rng):
         seen = {"optimal": 0, "infeasible": 0}
@@ -227,15 +250,15 @@ class TestMaster:
             p = random_column_lp(rng, support=float(rng.uniform(0.3, 1.0)))
             for cols, sol in grow_master(rng, p, int(rng.integers(3, 5))):
                 sub = column_subset(p, cols)
-                cold = solve_lp(sub)
-                assert sol.status == cold.status
+                cold = reference(sub)
+                assert sol.status == {0: "optimal", 2: "infeasible"}[cold.status]
                 seen[sol.status] += 1
                 if sol.status == "optimal":
-                    assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+                    assert sol.objective == pytest.approx(-cold.fun, abs=1e-9)
                     lpmod.check_optimal(sub, sol)
                 else:
                     assert farkas_gap(sub, sol.certificate) == pytest.approx(
-                        farkas_gap(sub, cold.certificate), abs=1e-9)
+                        elastic_value(sub), abs=1e-9)
         assert seen["optimal"] > 50 and seen["infeasible"] > 10
 
     def test_infeasible_start_reaches_feasibility(self):
@@ -261,6 +284,28 @@ class TestMaster:
             p.b_in[0] = p.b_eq.max() - rng.uniform(0.1, 1.0)
             for cols, sol in grow_master(rng, p):
                 assert sol.status == "infeasible"
+            gap = farkas_gap(p, sol.certificate)
+            assert gap > 0.0
+            assert gap == pytest.approx(elastic_value(p), abs=1e-9)
+
+    def test_infeasible_solve_lp_loads_one_model(self, rng, monkeypatch):
+        # solve_lp is a Master solved once: phase 1 runs in the model the
+        # first run used, not in a second, elastic one
+        loads = []
+        load = lpmod._load_highs
+
+        def counted(*args):
+            loads.append(args)
+            return load(*args)
+
+        monkeypatch.setattr(lpmod, "_load_highs", counted)
+        for _ in range(20):
+            p = random_column_lp(rng)
+            p.b_in[0] = p.b_eq.max() - rng.uniform(0.1, 1.0)
+            loads.clear()
+            sol = solve_lp(p)
+            assert sol.status == "infeasible"
+            assert len(loads) == 1
             gap = farkas_gap(p, sol.certificate)
             assert gap > 0.0
             assert gap == pytest.approx(elastic_value(p), abs=1e-9)

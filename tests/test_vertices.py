@@ -32,6 +32,7 @@ from modcmdp import (
     generate_loan_instance,
     mix_to_point,
     point_to_mix,
+    solve,
     solve_finite,
     solve_occupancy,
     solve_with_envelope,
@@ -181,6 +182,33 @@ class TestFiniteCmdp:
         fc = build_finite_cmdp(affine, vs)
         expected = sorted(2 * v[0] - v[1] + 0.5 for v in vs.vertices["s"])
         assert sorted(fc.rewards["s"]) == pytest.approx(expected)
+
+    def test_vertex_width_must_match_the_next_layer(self):
+        inst = l1_instance()
+        # one-wide rows would broadcast through the L1 reward unnoticed
+        narrow = VertexSet({"s": np.array([[0.1], [0.9]])})
+        with pytest.raises(ValueError, match="state 's'"):
+            build_finite_cmdp(inst, narrow)
+
+    def test_shared_vertex_cache_tells_shapes_apart(self):
+        # s0's polytope (2-D) and s1's (1-D) hold the same numbers in a
+        # row: base, H and h flattened read 1, 0, 0.5, 0.2, 0.7 for both
+        space = LayeredStateSpace([["s0"], ["s1", "s2"], ["s3"]])
+        inst = CmdpInstance(
+            space,
+            {"s0": ActionPolytope([1, 0], [[0.5, 0.2]], [0.7]),
+             "s1": ActionPolytope([1], [[0], [0.5]], [0.2, 0.7]),
+             "s2": ActionPolytope([1])},
+            {"s0": AffineReward([1.0, 0.0]), "s1": AffineReward([1.0]),
+             "s2": AffineReward([1.0])},
+            [1.0],
+        )
+        vs = enumerate_for_instance(inst)
+        assert vs.vertices["s0"].shape[1] == 2
+        assert vs.vertices["s1"].shape == (1, 1)
+        convex = solve(inst, "convex").objective
+        assert convex == pytest.approx(2.0, abs=1e-9)
+        assert solve(inst, "extreme").objective == pytest.approx(convex, abs=1e-9)
 
     def test_degenerate_box_single_action(self):
         space = LayeredStateSpace([["s"], ["ok", "bad"]])
