@@ -2,9 +2,10 @@
 instances, evaluate policies, and run the benchmark harness.
 
 Every command writes a ``<out>.manifest.json`` next to its output with
-the argv, input hashes, seed, package version and wall time, so any
-published number can be regenerated from one command line. Exit codes:
-0 optimal/success, 2 infeasible, 3 timeout, 1 any other error. The
+the argv, input hashes, seed (``evaluate``'s; null for the others),
+package version and wall time, so any published number can be
+regenerated from one command line. Exit codes: 0 optimal/success, 2
+infeasible, 3 timeout, 1 any other error, usage errors included. The
 environment variable MODCMDP_TIMEOUT sets the default time budget in
 seconds, which bounds every method.
 """
@@ -101,7 +102,7 @@ def _loan_config(args, n_states: int) -> LoanConfig:
     kind = {"l1": "l1", "quad": "quad_convex", "affine": "affine"}[args.reward]
     return LoanConfig(n_states=n_states, horizon=args.horizon,
                       epsilon=args.epsilon, q_default=args.qbound,
-                      reward_kind=kind, seed=args.seed)
+                      reward_kind=kind)
 
 
 def cmd_generate(args) -> int:
@@ -111,7 +112,7 @@ def cmd_generate(args) -> int:
     wall = time.perf_counter() - t0
     _write_with_manifest(
         payload, args.out,
-        _manifest("generate", vars(args), [], [args.out], args.seed, wall),
+        _manifest("generate", vars(args), [], [args.out], None, wall),
     )
     print(f"{args.states}-level loan problem written to {args.out}")
     return EXIT_OK
@@ -174,7 +175,7 @@ def cmd_benchmark(args) -> int:
     write_benchmark_csv(records, args.out)
     wall = time.perf_counter() - t0
     fileio.dump_json(
-        _manifest("benchmark", vars(args), [], [args.out], args.seed, wall),
+        _manifest("benchmark", vars(args), [], [args.out], None, wall),
         str(args.out) + ".manifest.json",
     )
     worst = {r.status for r in records}
@@ -211,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     loan.add_argument("--epsilon", type=float, default=0.4)
     loan.add_argument("--qbound", type=float, default=0.04)
     loan.add_argument("--reward", default="l1", choices=["l1", "quad"])
-    loan.add_argument("--seed", type=int, default=0)
     loan.add_argument("--out", required=True)
     loan.set_defaults(func=cmd_generate)
 
@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     bm.add_argument("--horizon", type=int, default=6)
     bm.add_argument("--epsilon", type=float, default=0.4)
     bm.add_argument("--qbound", type=float, default=0.04)
-    bm.add_argument("--seed", type=int, default=0)
     bm.add_argument("--timeout", type=float,
                     default=_default_timeout() or 300.0)
     bm.add_argument("--out", required=True)
@@ -246,7 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of "infeasible" here;
+        # --help and --version exit 0
+        return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         if args.cmd == "benchmark":
             args.states_list = _parse_states(args.states)

@@ -31,6 +31,7 @@ from .vertices import (
     DecompositionError,
     FiniteCmdp,
     VertexSet,
+    _check_vertex_set,
     _finite_cmdp,
     enumerate_for_instance,
     hull_envelope,
@@ -46,7 +47,8 @@ def build_envelope(
     """The envelope model of an instance with convex (quadratic or affine)
     rewards: the finite-action reduction whose actions are the polytope
     vertices, each scored by the convex reward there. Vertices are
-    enumerated unless ``vertex_set`` is given; enumeration stops at
+    enumerated unless ``vertex_set`` is given, which must pass
+    :func:`modcmdp.vertices._check_vertex_set`; enumeration stops at
     ``deadline`` (a ``time.monotonic()`` reading)."""
     require_valid(instance)
     for s in instance.states.nonterminal():
@@ -62,6 +64,8 @@ def build_envelope(
         )
     if vertex_set is None:
         vertex_set = enumerate_for_instance(instance, method="auto", deadline=deadline)
+    else:
+        _check_vertex_set(instance, vertex_set)
     return _finite_cmdp(instance, vertex_set)
 
 

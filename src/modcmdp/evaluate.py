@@ -20,7 +20,6 @@ import numpy as np
 
 from .model import (
     CmdpInstance,
-    DeterministicPolicy,
     Policy,
     RandomizedPolicy,
     require_valid,
@@ -121,37 +120,29 @@ def simulate(
         nxt_count = len(space.layers[t + 1])
         nxt = np.zeros(n, dtype=np.int64)
         for i, s in enumerate(layer):
-            mask = cur == i
-            k = int(mask.sum())
-            if k == 0:
+            idx = np.flatnonzero(cur == i)
+            if idx.size == 0:
                 continue
+            # a deterministic action is a one-atom mixture whose atom
+            # takes no random draw
+            if isinstance(policy, RandomizedPolicy):
+                pairs = policy.mixtures[s]
+                cum = np.cumsum([w for w, _ in pairs])
+                atom = np.minimum(np.searchsorted(cum, rng.random(idx.size), side="right"),
+                                  len(pairs) - 1)
+            else:
+                pairs = ((1.0, policy.actions[s]),)
+                atom = np.zeros(idx.size, dtype=np.int64)
             rew = instance.rewards[s]
-            if isinstance(policy, DeterministicPolicy):
-                a = policy.actions[s]
-                rewards[mask] += rew.value(a)
-                draws = rng.random(k)
-                nxt[mask] = np.minimum(
-                    np.searchsorted(np.cumsum(a), draws, side="right"),
+            for ai, (_, a) in enumerate(pairs):
+                sub = idx[atom == ai]
+                if sub.size == 0:
+                    continue
+                rewards[sub] += rew.value(a)
+                nxt[sub] = np.minimum(
+                    np.searchsorted(np.cumsum(a), rng.random(sub.size), side="right"),
                     nxt_count - 1,
                 )
-            else:
-                pairs = policy.mixtures[s]
-                lam = np.array([w for w, _ in pairs])
-                atom = np.searchsorted(np.cumsum(lam), rng.random(k), side="right")
-                atom = np.minimum(atom, len(pairs) - 1)
-                idx = np.flatnonzero(mask)
-                dest = np.empty(k, dtype=np.int64)
-                for ai, (_, a) in enumerate(pairs):
-                    sub = atom == ai
-                    m = int(sub.sum())
-                    if m == 0:
-                        continue
-                    rewards[idx[sub]] += rew.value(a)
-                    dest[sub] = np.minimum(
-                        np.searchsorted(np.cumsum(a), rng.random(m), side="right"),
-                        nxt_count - 1,
-                    )
-                nxt[mask] = dest
         cur = nxt
 
     value = float(rewards.mean())

@@ -3,9 +3,12 @@
 A reward r defined on the simplex is lifted to all nonnegative vectors by
 ``lift(u) = sum(u) * r(u / sum(u))`` with ``lift(0) = 0``; the lift agrees
 with r on the simplex, scales linearly along rays and preserves concavity
-or convexity. Polytope rows ``H a <= h`` lift the same way, to
-``H u <= sum(u) * h``, which the occupancy LP writes as ``H u - h d <= 0``.
-These lifts are what make the occupancy-measure program convex.
+or convexity. :meth:`ExtendedReward.value` evaluates that definition with
+the reward's own ``value``; the closed-form gradient of smooth lifts
+serves the occupancy LP's tangent cuts. Polytope rows ``H a <= h`` lift
+the same way, to ``H u <= sum(u) * h``, which the occupancy LP writes as
+``H u - h d <= 0``. These lifts are what make the occupancy-measure
+program convex.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .model import (
 
 @dataclass(frozen=True)
 class ExtendedReward:
-    """Closed-form homogeneous lift of one reward spec.
+    """Homogeneous lift of one reward spec.
 
     ``concave``/``convex`` describe the lift (equivalently the original
     reward); affine rewards are both.
@@ -35,19 +38,10 @@ class ExtendedReward:
     convex: bool
 
     def value(self, u) -> float:
+        """``sum(u) * r(u / sum(u))``, and 0 where ``sum(u) <= 0``."""
         u = np.asarray(u, dtype=float)
         q = float(u.sum())
-        spec = self.spec
-        if isinstance(spec, AffineReward):
-            return float(spec.e @ u + q * spec.f)
-        if isinstance(spec, WeightedL1Reward):
-            dev = u - q * spec.center
-            return float(-(spec.weights @ np.abs(dev)))
-        if abs(q) < 1e-300:
-            return 0.0  # removable singularity of the quadratic lift
-        dev = u - q * spec.center
-        val = float(spec.weights @ (dev * dev)) / q
-        return val if spec.convex else -val
+        return 0.0 if q <= 0.0 else q * self.spec.value(u / q)
 
     def gradient(self, u) -> np.ndarray:
         """Gradient of the lift (quadratic variant; defined for sum(u) > 0).

@@ -79,7 +79,6 @@ class LoanConfig:
     epsilon: float = 0.4
     q_default: float = 0.04
     reward_kind: str = "l1"
-    seed: int = 0
 
 
 def state_name(t: int, level: int) -> str:

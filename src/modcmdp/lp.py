@@ -1,6 +1,6 @@
 """Linear programs: one HiGHS model per problem (:class:`Master`), which
 column generation grows and re-solves warm and :func:`solve_lp` solves
-once, and an MPS exporter.
+once; :func:`export_lp` writes the same model as MPS with HiGHS's writer.
 
 Every LP goes to HiGHS (Huangfu & Hall 2018, "Parallelizing the dual
 revised simplex method") through scipy's vendored bindings, solved by the
@@ -532,90 +532,25 @@ class Master:
         return sol
 
 
-# ---------------------------------------------------------------------------
-# MPS fixed-format export
-
-
-def _mps_num(v: float) -> str:
-    for fmt in (".10G", ".8G", ".6G"):
-        s = format(v, fmt)
-        if len(s) <= 12:
-            return s
-    return format(v, ".4G")
-
-
 def export_lp(problem: LpProblem, path) -> None:
-    """Write the problem in MPS fixed format (maximization declared via an
-    OBJSENSE section). Output is deterministic byte-for-byte for a given
-    problem; rows and columns keep their construction order under
-    generated 8-character names.
-    """
+    """Write the problem as MPS through HiGHS's own writer, the model
+    :func:`solve_lp` would solve, declared as a maximization (``OBJSENSE``
+    ``MAX`` with costs ``c``). Rows and columns keep their construction
+    order under HiGHS's names ``r0, r1, ...`` and ``c0, c1, ...``; values
+    carry 15 significant digits, and matrix entries below 1e-9 are dropped
+    as in every solve. Output is deterministic byte for byte.
+
+    HiGHS picks the format from the file name, so ``path`` must end in
+    ``.mps`` (a ValueError otherwise); a file that cannot be written
+    raises OSError."""
+    from scipy.optimize._highspy import _core as hs
+
+    if not str(path).lower().endswith(".mps"):
+        raise ValueError(f"MPS file name {str(path)!r} does not end in .mps")
     p = problem
-    n = p.nvars
-    m_eq, m_in = p.b_eq.size, p.b_in.size
-
-    a_eq = sp.csc_matrix(p.a_eq) if not sp.issparse(p.a_eq) else p.a_eq.tocsc()
-    a_in = sp.csc_matrix(p.a_in) if not sp.issparse(p.a_in) else p.a_in.tocsc()
-
-    def rname(i: int) -> str:
-        return f"R{i + 1:07d}"
-
-    def cname(j: int) -> str:
-        return f"C{j + 1:07d}"
-
-    lines = []
-    lines.append(f"NAME          {'MODCMDP':<8s}")
-    lines.append("OBJSENSE")
-    lines.append("    MAX")
-    lines.append("ROWS")
-    lines.append(" N  OBJ")
-    for i in range(m_eq):
-        lines.append(f" E  {rname(i)}")
-    for i in range(m_in):
-        lines.append(f" L  {rname(m_eq + i)}")
-    lines.append("COLUMNS")
-    for j in range(n):
-        col = cname(j)
-        if p.c[j] != 0.0:
-            lines.append(f"    {col:<8s}  {'OBJ':<8s}  {_mps_num(p.c[j]):>12s}")
-        for mat, off in ((a_eq, 0), (a_in, m_eq)):
-            if mat.shape[0] == 0:
-                continue
-            start, end = mat.indptr[j], mat.indptr[j + 1]
-            order = np.argsort(mat.indices[start:end], kind="stable")
-            for k in order:
-                i = mat.indices[start + k]
-                v = mat.data[start + k]
-                if v != 0.0:
-                    lines.append(
-                        f"    {col:<8s}  {rname(off + i):<8s}  {_mps_num(v):>12s}"
-                    )
-    lines.append("RHS")
-    for i in range(m_eq):
-        if p.b_eq[i] != 0.0:
-            lines.append(
-                f"    {'RHS':<8s}  {rname(i):<8s}  {_mps_num(p.b_eq[i]):>12s}"
-            )
-    for i in range(m_in):
-        if p.b_in[i] != 0.0:
-            lines.append(
-                f"    {'RHS':<8s}  {rname(m_eq + i):<8s}  "
-                f"{_mps_num(p.b_in[i]):>12s}"
-            )
-    lines.append("BOUNDS")
-    for j in range(n):
-        lo, up = p.lower[j], p.upper[j]
-        col = cname(j)
-        if not np.isfinite(lo):
-            lines.append(f" MI {'BND':<8s}  {col:<8s}")
-        elif lo != 0.0:
-            lines.append(f" LO {'BND':<8s}  {col:<8s}  {_mps_num(lo):>12s}")
-        if np.isfinite(up):
-            lines.append(f" UP {'BND':<8s}  {col:<8s}  {_mps_num(up):>12s}")
-    lines.append("ENDATA")
-    text = "\n".join(lines) + "\n"
-    try:
-        with open(path, "w") as f:
-            f.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write MPS file {path}: {exc}") from exc
+    h = _load_highs(p)
+    _check_highs(h.changeObjectiveSense(hs.ObjSense.kMaximize), "set the sense")
+    _check_highs(h.changeColsCost(p.nvars, np.arange(p.nvars, dtype=np.int32), p.c),
+                 "set the costs")
+    if h.writeModel(str(path)) == hs.HighsStatus.kError:
+        raise OSError(f"cannot write MPS file {path}")

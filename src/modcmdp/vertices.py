@@ -31,6 +31,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .model import (
+    FEAS_TOL,
     ActionPolytope,
     CmdpInstance,
     DeterministicPolicy,
@@ -317,27 +318,48 @@ class FiniteCmdp:
 
 def build_finite_cmdp(instance: CmdpInstance, vertex_set: VertexSet) -> FiniteCmdp:
     """The finite-action reduction of a valid instance over ``vertex_set``;
-    raises ValueError naming every violation of an invalid one, or the
-    first state whose vertices are not vectors over its next layer."""
+    raises ValueError naming every violation of an invalid instance, or
+    the first state whose vertices :func:`_check_vertex_set` rejects."""
     require_valid(instance)
-    for s in instance.states.nonterminal():
-        shape = np.shape(vertex_set.vertices[s])
-        n = instance.next_layer_size(s)
-        if len(shape) != 2 or shape[1] != n:
-            raise ValueError(f"vertices of state {s!r} have shape {shape}, "
-                             f"expected rows of width {n}")
+    _check_vertex_set(instance, vertex_set)
     return _finite_cmdp(instance, vertex_set)
 
 
+def _check_vertex_set(instance: CmdpInstance, vertex_set: VertexSet) -> None:
+    """Raise ValueError naming the first nonterminal state whose vertex
+    array is missing, empty, not finite, not of rows over its next layer,
+    or has a row that is not a distribution in the state's polytope
+    within ``FEAS_TOL``."""
+    for s in instance.states.nonterminal():
+        if s not in vertex_set.vertices:
+            raise ValueError(f"vertex set has no vertices for state {s!r}")
+        v = np.asarray(vertex_set.vertices[s], dtype=float)
+        n = instance.next_layer_size(s)
+        if v.ndim != 2 or v.shape[1] != n or v.shape[0] == 0:
+            raise ValueError(f"vertices of state {s!r} have shape {v.shape}, "
+                             f"expected one or more rows of width {n}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"vertices of state {s!r} are not all finite")
+        poly = instance.polytopes[s]
+        bad = (v.min(axis=1) < -FEAS_TOL) | (np.abs(v.sum(axis=1) - 1.0) > FEAS_TOL)
+        if poly.H.shape[0]:
+            bad |= (poly.H @ v.T - poly.h[:, None]).max(axis=0) > FEAS_TOL
+        if bad.any():
+            raise ValueError(f"vertex {int(np.argmax(bad))} of state {s!r} is not "
+                             "a distribution in its polytope")
+
+
 def _finite_cmdp(instance: CmdpInstance, vertex_set: VertexSet) -> FiniteCmdp:
-    """:func:`build_finite_cmdp` of an instance already validated."""
+    """:func:`build_finite_cmdp` of an instance already validated, with
+    vertex sets already checked."""
     from .model import reward_values
 
+    vertices = {s: np.asarray(v, dtype=float) for s, v in vertex_set.vertices.items()}
     rewards = {
-        s: reward_values(instance.rewards[s], vertex_set.vertices[s])
+        s: reward_values(instance.rewards[s], vertices[s])
         for s in instance.states.nonterminal()
     }
-    return FiniteCmdp(instance, dict(vertex_set.vertices), rewards)
+    return FiniteCmdp(instance, vertices, rewards)
 
 
 def _top_per_state(score, mask, col_start, k: int) -> np.ndarray:

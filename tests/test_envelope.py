@@ -25,6 +25,7 @@ from modcmdp import (
     build_finite_cmdp,
     solve_occupancy,
     solve_with_envelope,
+    VertexSet,
 )
 
 
@@ -54,6 +55,13 @@ class TestEnvelopeValue:
         assert weights[(1.0, 0.0)] == pytest.approx(0.6, abs=1e-9)
         # the direct reward is dominated
         assert inst.rewards["s"].value([0.6, 0.4]) == pytest.approx(0.16)
+
+    def test_given_vertex_set_is_checked(self):
+        inst = square_reward_instance()
+        with pytest.raises(ValueError, match="vertex 1 of state 's'"):
+            build_envelope(inst, VertexSet({"s": [[0, 1], [5, -4]]}))
+        with pytest.raises(ValueError, match="no vertices for state 's'"):
+            build_envelope(inst, VertexSet({}))
 
     def test_vertex_gives_source_reward(self):
         inst = square_reward_instance()

@@ -263,6 +263,26 @@ class TestCli:
             "--out", tmp_path / "o.json",
         ) == 1
 
+    def test_usage_error_exits_1(self, tmp_path, capsys):
+        prob = tmp_path / "p.json"
+        dump_json(small_problem_dict(), prob)
+        out = tmp_path / "s.json"
+        # 2 is the code of an infeasible cap
+        assert self.run_cli("solve", prob, "--method", "bogus", "--out", out) == 1
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+        assert self.run_cli("--help") == 0
+        assert self.run_cli("--version") == 0
+        assert self.run_cli("solve", "--help") == 0
+
+    def test_generate_takes_no_seed(self, tmp_path):
+        prob = tmp_path / "loan.json"
+        # the generator draws nothing at random
+        assert self.run_cli("generate", "loan", "--states", 4, "--seed", 3,
+                            "--out", prob) == 1
+        assert self.run_cli("generate", "loan", "--states", 4, "--out", prob) == 0
+        assert load_json(str(prob) + ".manifest.json")["seed"] is None
+
     def test_benchmark_command(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = self.run_cli(
@@ -273,7 +293,7 @@ class TestCli:
         text = out.read_text().splitlines()
         assert text[0].startswith("method,n_states")
         assert len(text) == 5
-        assert (tmp_path / "bench.csv.manifest.json").exists()
+        assert load_json(tmp_path / "bench.csv.manifest.json")["seed"] is None
 
     def test_benchmark_q_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"

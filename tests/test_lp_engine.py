@@ -3,7 +3,18 @@ import pytest
 from scipy.optimize import linprog
 
 import modcmdp.lp as lpmod
-from modcmdp import LpProblem, export_lp, farkas_gap, solve_lp
+from modcmdp import (
+    LoanConfig,
+    LpProblem,
+    build_finite_cmdp,
+    build_occupancy_lp,
+    enumerate_for_instance,
+    export_lp,
+    farkas_gap,
+    generate_loan_instance,
+    solve_lp,
+)
+from modcmdp.occupancy import assemble_lp
 
 
 def random_feasible_problem(rng, with_upper=False):
@@ -399,11 +410,41 @@ class TestMpsExport:
         path = tmp_path / "tiny.mps"
         export_lp(p, path)
         text = path.read_text()
-        assert text.startswith("NAME")
-        assert " N  OBJ" in text
-        assert text.count(" L  R") == 1
-        assert text.count("    C0000001  ") == 2  # objective + one row entry
+        lines = text.splitlines()
+        assert lines[0].startswith("NAME")
+        assert lines[lines.index("OBJSENSE") + 1].split() == ["MAX"]
+        rows = [r.split()[0] for r in lines[lines.index("ROWS") + 1:lines.index("COLUMNS")]]
+        assert sorted(rows) == ["L", "N"]  # the objective and one L row
+        columns = lines[lines.index("COLUMNS") + 1:lines.index("RHS")]
+        assert [c.split()[0] for c in columns] == ["c0", "c0"]  # objective + row
         assert text.endswith("ENDATA\n")
+
+    def test_file_name_must_end_in_mps(self, tmp_path):
+        # HiGHS would write a ".lp" name in LP format
+        p = LpProblem(c=[1.0], a_in=[[1.0]], b_in=[3.0])
+        with pytest.raises(ValueError, match="end in .mps"):
+            export_lp(p, tmp_path / "x.lp")
+        assert not (tmp_path / "x.lp").exists()
+
+    def test_loan_lps_read_back_into_highs(self, tmp_path):
+        from scipy.optimize._highspy import _core as hs
+
+        l1 = generate_loan_instance(LoanConfig(n_states=10))
+        quad = generate_loan_instance(LoanConfig(n_states=6, reward_kind="quad_convex"))
+        fc = build_finite_cmdp(quad, enumerate_for_instance(quad, method="auto"))
+        for name, p in (("l1", build_occupancy_lp(l1)),
+                        ("finite", assemble_lp(quad, finite=fc))):
+            path = tmp_path / f"{name}.mps"
+            export_lp(p, path)
+            h = hs._Highs()
+            h.setOptionValue("output_flag", False)
+            assert h.readModel(str(path)) == hs.HighsStatus.kOk
+            assert (h.getNumCol(), h.getNumRow()) == (p.nvars, p.nrows)
+            h.run()
+            assert h.getModelStatus() == hs.HighsModelStatus.kOptimal
+            want = solve_lp(p).objective
+            assert want != 0.0
+            assert h.getInfo().objective_function_value == pytest.approx(want, abs=1e-9)
 
     def test_deterministic_bytes(self, tmp_path, rng):
         p = random_feasible_problem(rng)

@@ -190,6 +190,27 @@ class TestFiniteCmdp:
         with pytest.raises(ValueError, match="state 's'"):
             build_finite_cmdp(inst, narrow)
 
+    @pytest.mark.parametrize("vertices, message", [
+        # rows summing to 1 that leave the box [0.1, 0.9]^2 (the second
+        # the simplex too); this set used to solve to -2.28
+        ({"s": [[0, 1], [5, -4]]}, "vertex 0 of state 's' is not"),
+        # inside the box, but the masses sum to 0.8
+        ({"s": [[0.1, 0.9], [0.4, 0.4]]}, "vertex 1 of state 's' is not"),
+        ({}, "no vertices for state 's'"),
+        ({"s": np.zeros((0, 2))}, "state 's' have shape"),
+        ({"s": [[0.1, 0.9], [np.nan, 0.5]]}, "state 's' are not all finite"),
+    ])
+    def test_bad_vertex_sets_are_rejected(self, vertices, message):
+        with pytest.raises(ValueError, match=message):
+            build_finite_cmdp(l1_instance(), VertexSet(vertices))
+
+    def test_vertex_lists_are_accepted(self):
+        inst = l1_instance()
+        listed = VertexSet({"s": [[0.1, 0.9], [0.9, 0.1]]})
+        value, _ = solve_finite(build_finite_cmdp(inst, listed))
+        want, _ = solve_finite(build_finite_cmdp(inst, enumerate_for_instance(inst)))
+        assert value == pytest.approx(want, abs=1e-9)
+
     def test_shared_vertex_cache_tells_shapes_apart(self):
         # s0's polytope (2-D) and s1's (1-D) hold the same numbers in a
         # row: base, H and h flattened read 1, 0, 0.5, 0.2, 0.7 for both
