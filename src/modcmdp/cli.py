@@ -200,7 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--out", required=True)
     sv.add_argument("--tangent-cuts", type=int, default=None,
                     help="opt-in K-cut outer approximation for concave "
-                    "quadratic rewards (objective becomes an upper bound)")
+                    "quadratic rewards: reports the extracted policy's true "
+                    "return, which can be far from optimal, and the LP "
+                    "value as an upper bound, which can be trivial")
     sv.add_argument("--timeout", type=float, default=_default_timeout())
     sv.set_defaults(func=cmd_solve)
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .evaluate import evaluate_exact
+from .extend import extend_reward
 from .model import (
     AffineReward,
     CmdpInstance,
@@ -31,8 +32,7 @@ from .vertices import (
     DecompositionError,
     FiniteCmdp,
     VertexSet,
-    _check_vertex_set,
-    _finite_cmdp,
+    check_vertex_set,
     enumerate_for_instance,
     hull_envelope,
     solve_finite,
@@ -48,25 +48,21 @@ def build_envelope(
     rewards: the finite-action reduction whose actions are the polytope
     vertices, each scored by the convex reward there. Vertices are
     enumerated unless ``vertex_set`` is given, which must pass
-    :func:`modcmdp.vertices._check_vertex_set`; enumeration stops at
+    :func:`modcmdp.vertices.check_vertex_set`; enumeration stops at
     ``deadline`` (a ``time.monotonic()`` reading)."""
     require_valid(instance)
     for s in instance.states.nonterminal():
-        rew = instance.rewards[s]
-        if isinstance(rew, AffineReward):
-            continue
-        if isinstance(rew, QuadraticDeviationReward) and rew.convex:
-            continue
-        raise ValueError(
-            f"reward at {s!r} is not convex; the envelope solver handles "
-            "convex quadratic (or affine) rewards — use the occupancy "
-            "solver for concave rewards"
-        )
+        if not extend_reward(instance.rewards[s]).convex:
+            raise ValueError(
+                f"reward at {s!r} is not convex; the envelope solver handles "
+                "convex quadratic (or affine) rewards — use the occupancy "
+                "solver for concave rewards"
+            )
     if vertex_set is None:
         vertex_set = enumerate_for_instance(instance, method="auto", deadline=deadline)
     else:
-        _check_vertex_set(instance, vertex_set)
-    return _finite_cmdp(instance, vertex_set)
+        check_vertex_set(instance, vertex_set)
+    return FiniteCmdp(instance, vertex_set.vertices)
 
 
 def envelope_value(fc: FiniteCmdp, state: str, a) -> tuple[float, np.ndarray]:
@@ -119,8 +115,7 @@ def naive_linear_baseline(
         if isinstance(rew, AffineReward):
             lin_rewards[s] = rew
         elif isinstance(rew, QuadraticDeviationReward):
-            sign = 1.0 if rew.convex else -1.0
-            grad = 2.0 * sign * rew.weights * (b - rew.center)
+            grad = rew.gradient(b)
             offset = rew.value(b) - float(grad @ b)
             lin_rewards[s] = AffineReward(grad, offset)
         else:

@@ -20,8 +20,8 @@ import numpy as np
 
 from .model import (
     CmdpInstance,
+    DeterministicPolicy,
     Policy,
-    RandomizedPolicy,
     require_valid,
 )
 
@@ -123,16 +123,14 @@ def simulate(
             idx = np.flatnonzero(cur == i)
             if idx.size == 0:
                 continue
-            # a deterministic action is a one-atom mixture whose atom
-            # takes no random draw
-            if isinstance(policy, RandomizedPolicy):
-                pairs = policy.mixtures[s]
+            pairs = policy.mixtures[s]
+            # a deterministic policy's one atom takes no random draw
+            if isinstance(policy, DeterministicPolicy):
+                atom = np.zeros(idx.size, dtype=np.int64)
+            else:
                 cum = np.cumsum([w for w, _ in pairs])
                 atom = np.minimum(np.searchsorted(cum, rng.random(idx.size), side="right"),
                                   len(pairs) - 1)
-            else:
-                pairs = ((1.0, policy.actions[s]),)
-                atom = np.zeros(idx.size, dtype=np.int64)
             rew = instance.rewards[s]
             for ai, (_, a) in enumerate(pairs):
                 sub = idx[atom == ai]

@@ -4,11 +4,11 @@ A reward r defined on the simplex is lifted to all nonnegative vectors by
 ``lift(u) = sum(u) * r(u / sum(u))`` with ``lift(0) = 0``; the lift agrees
 with r on the simplex, scales linearly along rays and preserves concavity
 or convexity. :meth:`ExtendedReward.value` evaluates that definition with
-the reward's own ``value``; the closed-form gradient of smooth lifts
-serves the occupancy LP's tangent cuts. Polytope rows ``H a <= h`` lift
-the same way, to ``H u <= sum(u) * h``, which the occupancy LP writes as
-``H u - h d <= 0``. These lifts are what make the occupancy-measure
-program convex.
+the reward's own ``value``, and :meth:`ExtendedReward.gradient` lifts the
+quadratic reward's own derivative for the occupancy LP's tangent cuts.
+Polytope rows ``H a <= h`` lift the same way, to ``H u <= sum(u) * h``,
+which the occupancy LP writes as ``H u - h d <= 0``. These lifts are
+what make the occupancy-measure program convex.
 """
 
 from __future__ import annotations
@@ -44,24 +44,21 @@ class ExtendedReward:
         return 0.0 if q <= 0.0 else q * self.spec.value(u / q)
 
     def gradient(self, u) -> np.ndarray:
-        """Gradient of the lift (quadratic variant; defined for sum(u) > 0).
+        """Gradient of a quadratic reward's lift where ``sum(u) > 0``: by
+        Euler's identity, ``r'(a) + (r(a) - r'(a) . a)`` at ``a = u / sum(u)``.
 
-        Used for tangent cuts; by homogeneity, gradient(a) @ a == value(a).
+        Used for tangent cuts; by homogeneity, gradient(u) @ u == value(u).
         """
         spec = self.spec
-        if isinstance(spec, AffineReward):
-            return spec.e + spec.f * np.ones(spec.dim)
         if not isinstance(spec, QuadraticDeviationReward):
-            raise ValueError("gradient available for smooth lifts only")
+            raise ValueError("gradient available for quadratic rewards only")
         u = np.asarray(u, dtype=float)
         q = float(u.sum())
         if q <= 0:
             raise ValueError("gradient needs sum(u) > 0")
-        dev = u - q * spec.center
-        wv = spec.weights * dev
-        g = float(spec.weights @ (dev * dev))
-        grad = 2.0 * (wv - float(spec.center @ wv)) / q - (g / q**2)
-        return grad if spec.convex else -grad
+        a = u / q
+        slope = spec.gradient(a)
+        return slope + (spec.value(a) - float(slope @ a))
 
 
 def extend_reward(spec: RewardSpec) -> ExtendedReward:

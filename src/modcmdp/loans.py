@@ -38,9 +38,10 @@ from .model import (
     QuadraticDeviationReward,
     WeightedL1Reward,
     box_polytope,
+    require_valid,
 )
 from .occupancy import QualityInfeasibleError, extract_policy, solve_occupancy
-from .vertices import build_finite_cmdp, enumerate_for_instance, solve_finite
+from .vertices import FiniteCmdp, enumerate_for_instance, solve_finite
 
 REWARD_KINDS = ("l1", "quad_convex", "affine")
 
@@ -174,6 +175,7 @@ def greedy_baseline(
     period's LP.
     """
     deadline = deadline_after(time_limit)
+    require_valid(instance)
     for s in instance.states.nonterminal():
         if not isinstance(instance.rewards[s], WeightedL1Reward):
             raise ValueError("greedy baseline is defined for L1 rewards")
@@ -287,10 +289,12 @@ def solve(
         if method == "envelope":
             fc = build_envelope(instance, deadline=deadline)
         else:
+            require_valid(instance)
             vs = enumerate_for_instance(
                 instance, kink_planes=method == "extreme", deadline=deadline
             )
-            fc = build_finite_cmdp(instance, vs)
+            # an enumerated vertex set needs no check of its own
+            fc = FiniteCmdp(instance, vs.vertices)
         objective, policy = solve_finite(fc, time_limit=time_left(deadline))
         vertices = sum(v.shape[0] for v in fc.vertices.values())
     visit = evaluate_exact(instance, policy).visit_mass

@@ -7,6 +7,8 @@ state is a probability vector over the next layer, constrained to a
 polytope ``{a in simplex : H a <= h}`` that must contain the base vector.
 Rewards depend on the chosen distribution only, and solution quality is
 bounded through caps on expected visitation mass of selected state sets.
+Rewards and polytopes evaluate one action or a batch of rows. A policy is
+a mixture of actions per state; a deterministic one has a single atom.
 """
 
 from __future__ import annotations
@@ -111,19 +113,25 @@ class ActionPolytope:
     def dim(self) -> int:
         return self.base.size
 
-    def contains(self, a, tol: float = FEAS_TOL) -> bool:
+    def contains(self, a, tol: float = FEAS_TOL):
+        """Whether ``a`` is a distribution in the polytope within ``tol``:
+        a bool for one action, a bool per row for a batch of rows."""
         a = np.asarray(a, dtype=float)
-        if a.shape != (self.dim,):
+        if a.shape[-1:] != (self.dim,):
             return False
-        if a.min(initial=0.0) < -tol or abs(a.sum() - 1.0) > tol:
-            return False
-        return self.margin(a) <= tol
+        return (
+            (a.min(axis=-1, initial=0.0) >= -tol)
+            & (abs(a.sum(axis=-1) - 1.0) <= tol)
+            & (self.margin(a) <= tol)
+        )
 
-    def margin(self, a) -> float:
-        """Largest violation of the H-rows at ``a`` (<= 0 means inside)."""
+    def margin(self, a):
+        """Largest violation of the H-rows at ``a`` (<= 0 means inside),
+        per row for a batch of rows."""
+        a = np.asarray(a, dtype=float)
         if self.H.shape[0] == 0:
-            return 0.0
-        return float(np.max(self.H @ np.asarray(a, dtype=float) - self.h))
+            return np.zeros(a.shape[:-1])[()]
+        return ((self.H @ a.T).T - self.h).max(axis=-1)
 
 
 def box_polytope(base, epsilon: float) -> ActionPolytope:
@@ -159,8 +167,8 @@ class AffineReward:
     def dim(self) -> int:
         return self.e.size
 
-    def value(self, a) -> float:
-        return float(self.e @ np.asarray(a, dtype=float) + self.f)
+    def value(self, a):
+        return np.asarray(a, dtype=float) @ self.e + self.f
 
 
 @dataclass(frozen=True)
@@ -180,9 +188,9 @@ class WeightedL1Reward:
     def dim(self) -> int:
         return self.center.size
 
-    def value(self, a) -> float:
+    def value(self, a):
         dev = np.asarray(a, dtype=float) - self.center
-        return float(-(self.weights @ np.abs(dev)))
+        return -(np.abs(dev) @ self.weights)
 
 
 @dataclass(frozen=True)
@@ -207,25 +215,19 @@ class QuadraticDeviationReward:
     def dim(self) -> int:
         return self.center.size
 
-    def value(self, a) -> float:
+    def value(self, a):
         dev = np.asarray(a, dtype=float) - self.center
-        q = float(self.weights @ (dev * dev))
+        q = (dev * dev) @ self.weights
         return q if self.convex else -q
+
+    def gradient(self, a) -> np.ndarray:
+        """Derivative of the reward at ``a``: twice the weighted deviation,
+        negated for the concave sign."""
+        scale = 2.0 if self.convex else -2.0
+        return scale * self.weights * (np.asarray(a, dtype=float) - self.center)
 
 
 RewardSpec = Union[AffineReward, WeightedL1Reward, QuadraticDeviationReward]
-
-
-def reward_values(spec: RewardSpec, actions: np.ndarray) -> np.ndarray:
-    """Rewards of a whole batch of actions (one per row) at once."""
-    actions = np.asarray(actions, dtype=float)
-    if isinstance(spec, AffineReward):
-        return actions @ spec.e + spec.f
-    if isinstance(spec, WeightedL1Reward):
-        return -(np.abs(actions - spec.center) @ spec.weights)
-    dev = actions - spec.center
-    q = (dev * dev) @ spec.weights
-    return q if spec.convex else -q
 
 
 @dataclass(frozen=True)
@@ -356,37 +358,6 @@ def validate(instance: CmdpInstance) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class DeterministicPolicy:
-    """One transition vector per nonterminal state."""
-
-    actions: Mapping[str, np.ndarray]
-
-    def __init__(self, actions: Mapping[str, Sequence[float]]):
-        object.__setattr__(
-            self, "actions", {s: _readonly(a) for s, a in actions.items()}
-        )
-
-    def action_marginal(self, state: str) -> np.ndarray:
-        return self.actions[state]
-
-    def expected_reward(self, state: str, reward: RewardSpec) -> float:
-        return reward.value(self.actions[state])
-
-    def check(self, instance: CmdpInstance, tol: float = FEAS_TOL) -> list[str]:
-        out = []
-        for s, a in self.actions.items():
-            poly = instance.polytopes.get(s)
-            if poly is None:
-                out.append(f"policy stores an action for non-decision state {s!r}")
-            elif not poly.contains(a, tol):
-                out.append(f"policy action at {s!r} is infeasible")
-        for s in instance.states.nonterminal():
-            if s not in self.actions:
-                out.append(f"policy missing an action for {s!r}")
-        return out
-
-
 # Mixture weights must sum to 1 within this tolerance.
 MIX_TOL = 1e-10
 
@@ -405,8 +376,7 @@ class RandomizedPolicy:
         object.__setattr__(self, "mixtures", clean)
 
     def action_marginal(self, state: str) -> np.ndarray:
-        pairs = self.mixtures[state]
-        return sum(w * a for w, a in pairs)
+        return sum(w * a for w, a in self.mixtures[state])
 
     def expected_reward(self, state: str, reward: RewardSpec) -> float:
         return sum(w * reward.value(a) for w, a in self.mixtures[state])
@@ -430,6 +400,19 @@ class RandomizedPolicy:
             if s not in self.mixtures:
                 out.append(f"policy missing a mixture for {s!r}")
         return out
+
+
+@dataclass(frozen=True)
+class DeterministicPolicy(RandomizedPolicy):
+    """One transition vector per nonterminal state: the randomized policy
+    whose every mixture is that action with weight 1."""
+
+    actions: Mapping[str, np.ndarray]
+
+    def __init__(self, actions: Mapping[str, Sequence[float]]):
+        super().__init__({s: [(1.0, a)] for s, a in actions.items()})
+        actions = {s: pairs[0][1] for s, pairs in self.mixtures.items()}
+        object.__setattr__(self, "actions", actions)
 
 
 Policy = Union[DeterministicPolicy, RandomizedPolicy]

@@ -108,33 +108,6 @@ class OccupancySolution:
     def constraint_masses(self, instance: CmdpInstance) -> np.ndarray:
         return cap_masses(instance, self.visit_mass)
 
-    def check(self, instance: CmdpInstance, tol: float = 1e-7) -> list[str]:
-        """Verify the occupancy invariants; empty list when consistent."""
-        out = []
-        space = instance.states
-        for i, s in enumerate(space.layers[0]):
-            if abs(self.visit_mass[s] - instance.alpha[i]) > tol:
-                out.append(f"initial mass at {s!r} != alpha")
-        for t, layer in enumerate(space.layers):
-            tot = sum(self.visit_mass[s] for s in layer)
-            if abs(tot - 1.0) > tol:
-                out.append(f"layer {t} mass sums to {tot:.9f}")
-            if t + 1 < len(space.layers):
-                nxt = space.layers[t + 1]
-                for s in layer:
-                    row = sum(self.edge_mass[(s, s2)] for s2 in nxt)
-                    if abs(row - self.visit_mass[s]) > tol:
-                        out.append(f"outgoing mass at {s!r} != visit mass")
-                for s2 in nxt:
-                    col = sum(self.edge_mass[(s, s2)] for s in layer)
-                    if abs(col - self.visit_mass[s2]) > tol:
-                        out.append(f"incoming mass at {s2!r} != visit mass")
-        masses = self.constraint_masses(instance)
-        for i, qc in enumerate(instance.constraints):
-            if masses[i] > qc.bound + 1e-8:
-                out.append(f"constraint {i} violated: {masses[i]:.9f} > {qc.bound}")
-        return out
-
 
 class _Coo:
     """Accumulates (row, column, value) triplets of a sparse matrix; each
@@ -328,6 +301,11 @@ def build_occupancy_lp(
     rewards (or, with ``tangent_cuts=K``, concave quadratic rewards under a
     K-cut outer approximation whose objective is an upper bound only).
 
+    The cuts touch each lifted reward at the base and K - 1 fixed points,
+    so the bound can be trivial and the LP's policy far from optimal (the
+    README's "Tangent cuts": -0.290 and a bound of 0.0 at K = 64 where the
+    optimum is near -2.7e-4). ROADMAP item 3 plans the exact route.
+
     Raises ValueError on invalid instances or unsupported reward kinds.
     """
     require_valid(instance)
@@ -442,6 +420,10 @@ def solve_occupancy(
     time_limit: Optional[float] = None,
 ) -> OccupancySolution:
     """Solve the occupancy program and return the optimal masses.
+
+    With ``tangent_cuts=K``, ``objective`` is the true return of the
+    policy read from :func:`build_occupancy_lp`'s relaxation and ``bound``
+    its LP value; neither need be tight.
 
     Raises QualityInfeasibleError when the visitation caps are jointly
     unsatisfiable, and RuntimeError on an unbounded program (impossible

@@ -36,6 +36,7 @@ from .model import (
     CmdpInstance,
     DeterministicPolicy,
     RandomizedPolicy,
+    WeightedL1Reward,
     require_valid,
 )
 from .occupancy import UNREACHABLE_TOL, assemble_lp, raise_for_status
@@ -62,9 +63,6 @@ class VertexSet:
     """Per-state vertex arrays, each row one vertex."""
 
     vertices: dict[str, np.ndarray]
-
-    def counts(self) -> dict[str, int]:
-        return {s: v.shape[0] for s, v in self.vertices.items()}
 
     def total(self) -> int:
         return sum(v.shape[0] for v in self.vertices.values())
@@ -134,12 +132,7 @@ def _exhaustive(
         sols = np.linalg.solve(m[good], r[good][..., None])[..., 0]
         resid = np.max(np.abs(m[good] @ sols[..., None] - r[good][..., None]), axis=(1, 2))
         cand = sols[resid <= 1e-7]
-        feas = (
-            (cand.min(axis=1) >= -VERTEX_FEAS_TOL)
-            & (np.abs(cand.sum(axis=1) - 1.0) <= VERTEX_FEAS_TOL)
-        )
-        if poly.H.shape[0]:
-            feas &= np.all(cand @ poly.H.T - poly.h <= VERTEX_FEAS_TOL, axis=1)
+        feas = poly.contains(cand, VERTEX_FEAS_TOL)
         if np.any(feas):
             found.append(cand[feas])
     if not found:
@@ -280,8 +273,6 @@ def enumerate_for_instance(
     are added to the active-row pool, so the point set supports an exact
     finite-action reduction for those rewards.
     """
-    from .model import WeightedL1Reward
-
     cache: dict[tuple, np.ndarray] = {}
     out = {}
     for s in instance.states.nonterminal():
@@ -296,6 +287,9 @@ def enumerate_for_instance(
         key = (poly.H.shape, poly.base.tobytes(), poly.H.tobytes(),
                poly.h.tobytes(), repr(planes))
         if key not in cache:
+            # the box enumerator does not watch the deadline itself
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError("vertex enumeration exceeded its time budget")
             cache[key] = enumerate_vertices(
                 poly, method=method, extra_planes=planes, deadline=deadline,
             )
@@ -309,23 +303,33 @@ class FiniteCmdp:
     vertex array, which double as transition vectors, and ``rewards``
     holds the source reward at each vertex. For a convex reward these
     vertex rewards generate its concave envelope, so this is also the
-    envelope model (:func:`modcmdp.envelope.build_envelope`)."""
+    envelope model (:func:`modcmdp.envelope.build_envelope`). The instance
+    must be valid and the vertices checked, as :func:`build_finite_cmdp` does."""
 
     instance: CmdpInstance
     vertices: dict[str, np.ndarray]
     rewards: dict[str, np.ndarray]
 
+    def __init__(self, instance: CmdpInstance, vertices):
+        vertices = {s: np.asarray(v, dtype=float) for s, v in vertices.items()}
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "rewards", {
+            s: instance.rewards[s].value(vertices[s])
+            for s in instance.states.nonterminal()
+        })
+
 
 def build_finite_cmdp(instance: CmdpInstance, vertex_set: VertexSet) -> FiniteCmdp:
     """The finite-action reduction of a valid instance over ``vertex_set``;
     raises ValueError naming every violation of an invalid instance, or
-    the first state whose vertices :func:`_check_vertex_set` rejects."""
+    the first state whose vertices :func:`check_vertex_set` rejects."""
     require_valid(instance)
-    _check_vertex_set(instance, vertex_set)
-    return _finite_cmdp(instance, vertex_set)
+    check_vertex_set(instance, vertex_set)
+    return FiniteCmdp(instance, vertex_set.vertices)
 
 
-def _check_vertex_set(instance: CmdpInstance, vertex_set: VertexSet) -> None:
+def check_vertex_set(instance: CmdpInstance, vertex_set: VertexSet) -> None:
     """Raise ValueError naming the first nonterminal state whose vertex
     array is missing, empty, not finite, not of rows over its next layer,
     or has a row that is not a distribution in the state's polytope
@@ -340,26 +344,17 @@ def _check_vertex_set(instance: CmdpInstance, vertex_set: VertexSet) -> None:
                              f"expected one or more rows of width {n}")
         if not np.all(np.isfinite(v)):
             raise ValueError(f"vertices of state {s!r} are not all finite")
-        poly = instance.polytopes[s]
-        bad = (v.min(axis=1) < -FEAS_TOL) | (np.abs(v.sum(axis=1) - 1.0) > FEAS_TOL)
-        if poly.H.shape[0]:
-            bad |= (poly.H @ v.T - poly.h[:, None]).max(axis=0) > FEAS_TOL
+        bad = ~instance.polytopes[s].contains(v, FEAS_TOL)
         if bad.any():
             raise ValueError(f"vertex {int(np.argmax(bad))} of state {s!r} is not "
                              "a distribution in its polytope")
 
 
-def _finite_cmdp(instance: CmdpInstance, vertex_set: VertexSet) -> FiniteCmdp:
-    """:func:`build_finite_cmdp` of an instance already validated, with
-    vertex sets already checked."""
-    from .model import reward_values
-
-    vertices = {s: np.asarray(v, dtype=float) for s, v in vertex_set.vertices.items()}
-    rewards = {
-        s: reward_values(instance.rewards[s], vertices[s])
-        for s in instance.states.nonterminal()
-    }
-    return FiniteCmdp(instance, vertices, rewards)
+def _atoms(weights, vertices) -> list[tuple[float, np.ndarray]]:
+    """(weight, vertex) pairs of the weights above 1e-12, renormalised."""
+    keep = np.flatnonzero(weights > 1e-12)
+    weights = weights[keep] / weights[keep].sum()
+    return [(float(w), vertices[i]) for w, i in zip(weights, keep)]
 
 
 def _top_per_state(score, mask, col_start, k: int) -> np.ndarray:
@@ -472,9 +467,7 @@ def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPoli
             mixtures[s] = [(1.0, verts[0])]
             continue
         lam = np.clip(sol.x[lay.col_start[g] : lay.col_start[g + 1]], 0.0, None) / d
-        keep = np.flatnonzero(lam > 1e-12)
-        lam = lam[keep] / lam[keep].sum()
-        mixtures[s] = [(float(w), verts[i]) for w, i in zip(lam, keep)]
+        mixtures[s] = _atoms(lam, verts)
     return float(sol.objective), RandomizedPolicy(mixtures)
 
 
@@ -514,6 +507,4 @@ def point_to_mix(a, vertices) -> list[tuple[float, np.ndarray]]:
     """
     verts = np.asarray(vertices, dtype=float)
     _, lam = hull_envelope(verts, np.zeros(verts.shape[0]), a)
-    keep = np.flatnonzero(lam > 1e-12)
-    lam = lam[keep] / lam[keep].sum()
-    return [(float(w), verts[i]) for w, i in zip(lam, keep)]
+    return _atoms(lam, verts)

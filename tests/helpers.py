@@ -13,7 +13,8 @@ pricing, not the phase 1. That phase 1 is checked against an elastic LP
 solved by ``linprog`` in ``test_lp_engine.py``.
 
 It also holds the helpers that only tests use: the homogenized polytope
-rows, a randomized concavity check and a visit-mass CSV writer.
+rows, a randomized concavity check, a visit-mass CSV writer, the
+occupancy-solution invariants and per-state vertex counts.
 """
 
 import itertools
@@ -30,6 +31,7 @@ from modcmdp import (
     DecompositionError,
     LayeredStateSpace,
     QualityConstraint,
+    QuadraticDeviationReward,
     WeightedL1Reward,
     box_polytope,
     point_to_mix,
@@ -93,6 +95,53 @@ def visit_mass_csv(instance, visit_mass):
         for s in layer:
             lines.append(f"{s},{t + 1},{visit_mass.get(s, 0.0)!r}")
     return "\n".join(lines) + "\n"
+
+
+def sample_specs(rng, dim):
+    """One random reward spec of each family and sign over ``dim``
+    coordinates."""
+    center = rng.dirichlet(np.ones(dim))
+    return [
+        AffineReward(rng.normal(size=dim), float(rng.normal())),
+        WeightedL1Reward(center, rng.uniform(0, 2, size=dim)),
+        QuadraticDeviationReward(center, convex=False, weights=rng.uniform(0, 2, dim)),
+        QuadraticDeviationReward(center, convex=True, weights=rng.uniform(0, 2, dim)),
+    ]
+
+
+def occupancy_violations(sol, instance, tol=1e-7):
+    """Occupancy invariants of an ``OccupancySolution``: initial mass,
+    layer sums, edge masses against visit masses, and the caps. One
+    message per violation; empty when consistent."""
+    out = []
+    space = instance.states
+    for i, s in enumerate(space.layers[0]):
+        if abs(sol.visit_mass[s] - instance.alpha[i]) > tol:
+            out.append(f"initial mass at {s!r} != alpha")
+    for t, layer in enumerate(space.layers):
+        tot = sum(sol.visit_mass[s] for s in layer)
+        if abs(tot - 1.0) > tol:
+            out.append(f"layer {t} mass sums to {tot:.9f}")
+        if t + 1 < len(space.layers):
+            nxt = space.layers[t + 1]
+            for s in layer:
+                row = sum(sol.edge_mass[(s, s2)] for s2 in nxt)
+                if abs(row - sol.visit_mass[s]) > tol:
+                    out.append(f"outgoing mass at {s!r} != visit mass")
+            for s2 in nxt:
+                col = sum(sol.edge_mass[(s, s2)] for s in layer)
+                if abs(col - sol.visit_mass[s2]) > tol:
+                    out.append(f"incoming mass at {s2!r} != visit mass")
+    masses = sol.constraint_masses(instance)
+    for i, qc in enumerate(instance.constraints):
+        if masses[i] > qc.bound + 1e-8:
+            out.append(f"constraint {i} violated: {masses[i]:.9f} > {qc.bound}")
+    return out
+
+
+def vertex_counts(vertex_set):
+    """Number of vertices per state of a ``VertexSet``."""
+    return {s: v.shape[0] for s, v in vertex_set.vertices.items()}
 
 
 def forward_masses(instance, actions):

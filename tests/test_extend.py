@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import check_concavity, extend_polytope
+from helpers import check_concavity, extend_polytope, sample_specs
 
 from modcmdp import (
     AffineReward,
@@ -10,16 +10,6 @@ from modcmdp import (
     box_polytope,
     extend_reward,
 )
-
-
-def sample_specs(rng, dim):
-    center = rng.dirichlet(np.ones(dim))
-    return [
-        AffineReward(rng.normal(size=dim), float(rng.normal())),
-        WeightedL1Reward(center, rng.uniform(0, 2, size=dim)),
-        QuadraticDeviationReward(center, convex=False, weights=rng.uniform(0, 2, dim)),
-        QuadraticDeviationReward(center, convex=True, weights=rng.uniform(0, 2, dim)),
-    ]
 
 
 class TestExtendReward:

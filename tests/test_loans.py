@@ -1,9 +1,11 @@
 import csv
+import time
 
 import numpy as np
 import pytest
 
 from modcmdp import (
+    METHODS,
     CmdpInstance,
     LayeredStateSpace,
     QualityConstraint,
@@ -14,6 +16,7 @@ from modcmdp import (
     generate_loan_instance,
     greedy_baseline,
     run_benchmark,
+    solve,
     solve_occupancy,
     validate,
     write_benchmark_csv,
@@ -171,6 +174,24 @@ class TestGreedy:
         inst = generate_loan_instance(LoanConfig(n_states=4, reward_kind="affine"))
         with pytest.raises(ValueError, match="L1"):
             greedy_baseline(inst)
+
+
+class TestSolve:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_invalid_instance_is_reported_as_such(self, method):
+        space = LayeredStateSpace([["s"], ["ok", "bad"]])
+        inst = CmdpInstance(space, {}, {"s": WeightedL1Reward([0.5, 0.5])}, [1.0],
+                            [QualityConstraint({"bad"}, 0.5)])
+        with pytest.raises(ValueError, match="state 's' has no action polytope"):
+            solve(inst, method)
+
+    def test_envelope_keeps_its_time_budget(self):
+        # box enumeration at n=30 alone takes seconds
+        inst = generate_loan_instance(LoanConfig(n_states=30, reward_kind="quad_convex"))
+        t0 = time.monotonic()
+        with pytest.raises(TimeoutError):
+            solve(inst, "envelope", time_limit=0.3)
+        assert time.monotonic() - t0 < 1.5
 
 
 class TestBenchmark:

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import sample_specs
+
 from modcmdp import (
     ActionPolytope,
     AffineReward,
@@ -10,11 +12,15 @@ from modcmdp import (
     DeterministicPolicy,
     LayeredStateSpace,
     QualityConstraint,
+    QuadraticDeviationReward,
     RandomizedPolicy,
     WeightedL1Reward,
     box_polytope,
+    enumerate_vertices,
     validate,
 )
+from modcmdp.model import FEAS_TOL
+from modcmdp.vertices import VERTEX_FEAS_TOL
 
 
 def tiny_instance(bound=0.2, eps=0.4):
@@ -103,6 +109,78 @@ class TestBoxPolytope:
             poly.H[0, 0] = 2.0
 
 
+def probe_rows(rng, poly, k=40):
+    """Rows in, on and around a polytope: its base and vertices, the
+    vertices nudged along the simplex by about the tolerances, simplex
+    points and rows off the simplex."""
+    n = poly.dim
+    verts = enumerate_vertices(poly, method="auto")
+    step = rng.choice([-2e-8, -5e-9, -5e-10, 0.0, 5e-10, 5e-9, 2e-8], size=(k, n))
+    nudged = verts[rng.integers(0, len(verts), k)] + step - step.mean(axis=1, keepdims=True)
+    return np.vstack([
+        poly.base,
+        verts,
+        nudged,
+        rng.dirichlet(np.ones(n), size=k),
+        rng.uniform(-0.2, 1.0, size=(k, n)),
+    ])
+
+
+def random_general_polytope(rng, n):
+    """A polytope of random rows H a <= h whose slack at the base is drawn
+    at random, so the base stays inside."""
+    base = rng.dirichlet(np.ones(n))
+    H = rng.normal(size=(int(rng.integers(1, 2 * n + 1)), n))
+    return ActionPolytope(base, H, H @ base + rng.uniform(0.0, 0.3, size=H.shape[0]))
+
+
+class TestBatches:
+    def test_reward_value_of_a_batch_is_the_value_of_each_row(self, rng):
+        for _ in range(25):
+            n = int(rng.integers(2, 7))
+            rows = rng.uniform(-0.5, 1.5, size=(int(rng.integers(1, 9)), n))
+            for spec in sample_specs(rng, n):
+                batch = spec.value(rows)
+                assert batch.shape == (rows.shape[0],)
+                one_by_one = [spec.value(a) for a in rows]
+                assert all(isinstance(v, float) for v in one_by_one)
+                np.testing.assert_allclose(batch, one_by_one, rtol=1e-13, atol=1e-13)
+
+    def test_contains_and_margin_of_a_batch_match_each_row(self, rng):
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            base = rng.dirichlet(np.ones(n))
+            for poly in (
+                box_polytope(base, float(rng.uniform(0.05, 0.6))),
+                random_general_polytope(rng, n),
+                ActionPolytope(base),
+            ):
+                rows = probe_rows(rng, poly)
+                np.testing.assert_allclose(
+                    poly.margin(rows), [poly.margin(a) for a in rows],
+                    rtol=0.0, atol=1e-15,
+                )
+                for tol in (FEAS_TOL, VERTEX_FEAS_TOL):
+                    inside = poly.contains(rows, tol)
+                    assert inside.dtype == bool and inside.shape == (rows.shape[0],)
+                    assert inside.tolist() == [poly.contains(a, tol) for a in rows]
+                    assert 0 < inside.sum() < rows.shape[0]
+
+    def test_quadratic_gradient_matches_central_differences(self, rng):
+        h = 1e-6
+        for convex in (False, True):
+            for _ in range(10):
+                n = int(rng.integers(2, 6))
+                spec = QuadraticDeviationReward(
+                    rng.dirichlet(np.ones(n)), convex=convex,
+                    weights=rng.uniform(0.1, 2.0, size=n),
+                )
+                a = rng.dirichlet(np.ones(n))
+                fd = [(spec.value(a + e) - spec.value(a - e)) / (2 * h)
+                      for e in np.eye(n) * h]
+                np.testing.assert_allclose(spec.gradient(a), fd, rtol=0.0, atol=1e-7)
+
+
 class TestValidate:
     def test_valid_instance_passes(self):
         assert validate(tiny_instance()) == []
@@ -183,3 +261,23 @@ class TestPolicies:
         assert pol.expected_reward("s", rew) == pytest.approx(-0.8)
         det = DeterministicPolicy({"s": pol.action_marginal("s")})
         assert det.expected_reward("s", rew) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("actions", [
+        {"s": [0.8, 0.2]},
+        {"s": [0.05, 0.95]},
+        {"s": [0.6, 0.3]},
+        {},
+        {"s": [0.5, 0.5], "ok": [1.0]},
+    ])
+    def test_deterministic_is_the_one_atom_mixture(self, actions):
+        inst = tiny_instance()
+        det = DeterministicPolicy(actions)
+        mix = RandomizedPolicy({s: [(1.0, a)] for s, a in actions.items()})
+        assert isinstance(det, RandomizedPolicy)
+        assert det.check(inst) == mix.check(inst)
+        for s in actions:
+            np.testing.assert_array_equal(det.actions[s], actions[s])
+            np.testing.assert_array_equal(det.action_marginal(s), mix.action_marginal(s))
+            if s in inst.rewards:
+                rew = inst.rewards[s]
+                assert det.expected_reward(s, rew) == mix.expected_reward(s, rew)

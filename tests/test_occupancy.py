@@ -5,6 +5,7 @@ from helpers import (
     backward_induction_value,
     loop_occupancy_lp,
     loop_occupancy_value,
+    occupancy_violations,
     random_instance,
 )
 
@@ -151,7 +152,7 @@ class TestSolve:
                 sol = solve_occupancy(inst)
             except QualityInfeasibleError:
                 continue
-            assert sol.check(inst) == []
+            assert occupancy_violations(sol, inst) == []
 
     def test_round_trip_with_evaluator(self, rng):
         for _ in range(15):
@@ -270,7 +271,7 @@ class TestSignRows:
         assert sol.objective == pytest.approx(self.extreme_value(inst), abs=1e-9)
         assert sol.objective == pytest.approx(self.grid_oracle(H, h), abs=1e-9)
         assert min(sol.edge_mass.values()) >= 0.0
-        assert sol.check(inst) == []
+        assert occupancy_violations(sol, inst) == []
         policy = extract_policy(sol, inst)
         assert policy.check(inst) == []
         assert evaluate_exact(inst, policy).value == pytest.approx(

@@ -9,6 +9,7 @@ from helpers import (
     loop_finite_lp,
     random_instance,
     single_lp_finite,
+    vertex_counts,
 )
 
 import modcmdp.lp as lpmod
@@ -368,7 +369,7 @@ class TestColumnGeneration:
     def test_quadratic_loans_match_single_lp(self, n):
         inst = generate_loan_instance(LoanConfig(n_states=n, reward_kind="quad_convex"))
         vs = enumerate_for_instance(inst, method="auto")
-        assert max(vs.counts().values()) > COLUMNS_PER_STATE
+        assert max(vertex_counts(vs).values()) > COLUMNS_PER_STATE
         self.assert_matches_single_lp(inst, vs)
 
     def test_master_grown_to_every_column(self):
@@ -388,7 +389,7 @@ class TestColumnGeneration:
     def test_l1_loan_with_kink_planes_matches_single_lp(self):
         inst = generate_loan_instance(LoanConfig(n_states=5, reward_kind="l1"))
         vs = enumerate_for_instance(inst, kink_planes=True)
-        assert max(vs.counts().values()) > COLUMNS_PER_STATE
+        assert max(vertex_counts(vs).values()) > COLUMNS_PER_STATE
         self.assert_matches_single_lp(inst, vs)
 
     def test_random_instances_match_single_lp(self, rng):
@@ -396,7 +397,7 @@ class TestColumnGeneration:
         for _ in range(24):
             inst = random_instance(rng, max_states=6, reward="affine")
             vs = enumerate_for_instance(inst)
-            priced += max(vs.counts().values()) > COLUMNS_PER_STATE
+            priced += max(vertex_counts(vs).values()) > COLUMNS_PER_STATE
             self.assert_matches_single_lp(inst, vs)
         assert priced >= 8
 
