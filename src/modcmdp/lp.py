@@ -178,7 +178,7 @@ def farkas_gap(problem: LpProblem, cert: dict) -> float:
     # bound (certificate invalid)
     lo = problem.lower
     finite = np.isfinite(lo)
-    if np.any(g < -1e-7) or np.any(g[~finite] > 1e-9):
+    if np.any(g < -DUAL_TOL) or np.any(g[~finite] > 1e-9):
         return -np.inf
     g = np.clip(g, 0.0, None)
     return float(g[finite] @ lo[finite]) - rhs
@@ -327,6 +327,15 @@ def _solve_highs(problem: LpProblem, time_limit, highs=None) -> LpSolution:
     )
     check_optimal(p, sol)
     return sol
+
+
+def solve_once(problem: LpProblem, time_limit: Optional[float] = None) -> LpSolution:
+    """One checked HiGHS solve of ``problem`` and no phase 1: an optimal
+    result passes :func:`check_optimal`, and rows that cannot be met give
+    "infeasible" or "infeasible_or_unbounded" with no certificate. For an
+    LP known to be bounded whose infeasibility needs no proof, such as a
+    query outside a hull."""
+    return _solve_highs(problem, time_limit)
 
 
 def deadline_after(time_limit: Optional[float]) -> Optional[float]:

@@ -1,7 +1,7 @@
 """Occupancy-measure convex program over edge masses u(s, s') and visit
-masses d(s), and extraction of the deterministic optimal policy. Its one
-assembler also builds the finite-action LP of the extreme-point and
-envelope routes.
+masses d(s), and extraction of the deterministic optimal policy. (The
+finite-action LP of the extreme-point and envelope routes has its own
+columns and is never assembled whole: :class:`modcmdp.vertices.FiniteLp`.)
 
 The program maximizes the homogeneously lifted reward of each state's
 outgoing edge-mass vector subject to flow conservation, the initial
@@ -25,17 +25,12 @@ numbered layer-major, the rows are written as (row, index, value)
 triplets over the LP's columns and the edge masses, and one sparse
 product with the layout's lift, which writes each edge mass over the
 columns (u = M x), rewrites them over the columns alone; the same map
-recovers u from a solution. In the finite-action LP
-(``assemble_lp(instance, finite=fc)``) a state's columns are one mass w_j
-per vertex of its polytope, u = V^T w and the objective is the vertex
-rewards. It needs no polytope rows, since every mixture of vertices lies
-in the polytope, and its outgoing rows sum the weights w, since each
-vertex sums to one; rows and column order are otherwise the same.
+recovers u from a solution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -69,16 +64,21 @@ class QualityInfeasibleError(RuntimeError):
 
 
 def raise_for_status(
-    problem: lpmod.LpProblem, sol: lpmod.LpSolution, what: str
+    problem, sol: lpmod.LpSolution, what: str, margin=lpmod.farkas_gap
 ) -> None:
     """Turn a non-optimal solve of a route's LP into the package's error.
 
     The flow and polytope rows always hold for the base policy, so an
     infeasible LP means the caps cannot be met; the certificate's margin
-    (the phase-1 value) is the smallest total excess over the caps.
+    ``margin(problem, certificate)`` (the phase-1 value) is the smallest
+    total excess over the caps, and a margin that is not positive raises
+    LpError. ``problem`` is an :class:`lp.LpProblem`, or whatever
+    ``margin`` takes.
     """
     if sol.status == "infeasible":
-        excess = lpmod.farkas_gap(problem, sol.certificate)
+        excess = margin(problem, sol.certificate)
+        if not excess > 0.0:
+            raise lpmod.LpError(f"{what}: the certificate does not certify infeasibility")
         raise QualityInfeasibleError(
             "quality constraints unsatisfiable: the smallest attainable "
             f"total cap excess is {excess:.6g}",
@@ -146,12 +146,10 @@ class _Layout:
     Rows are written over the LP's columns and the edge masses, edge ``e``
     taking index ``n_cols + e``. ``lift`` maps that space onto the
     columns: it is the identity on the columns and u = M x on the edges,
-    where a block of M is the state's own u columns, the split
-    p - m + center * d of a weighted-L1 state, or vertex masses w with
-    u = V^T w. So rewriting rows over the columns is one product with
-    ``lift``, and so is recovering u from a solution. The finite-action
-    LP's layout drops it once the rows are written: that route reads its
-    solution per vertex column and never needs u.
+    where a block of M is the state's own u columns or the split
+    p - m + center * d of a weighted-L1 state. So rewriting rows over the
+    columns is one product with ``lift``, and so is recovering u from a
+    solution.
     """
 
     states: tuple[str, ...]  # nonterminal states
@@ -161,14 +159,14 @@ class _Layout:
     col_start: np.ndarray  # (G + 1,)
     d_col: np.ndarray  # (S,) column of d, in all_states() order
     aux_col: dict[str, int]  # tangent-cut epigraph column per state
-    lift: Optional[sp.csc_matrix]  # (n_cols + E, n_cols)
+    lift: sp.csc_matrix  # (n_cols + E, n_cols)
 
     @property
     def n_cols(self) -> int:
         return int(self.d_col[-1]) + 1 + len(self.aux_col)
 
 
-def _make_layout(instance: CmdpInstance, cuts: Optional[int], finite=None) -> _Layout:
+def _make_layout(instance: CmdpInstance, cuts: Optional[int]) -> _Layout:
     space = instance.states
     sizes = np.array([len(layer) for layer in space.layers])
     layer_start = np.concatenate([[0], np.cumsum(sizes)])
@@ -184,13 +182,10 @@ def _make_layout(instance: CmdpInstance, cuts: Optional[int], finite=None) -> _L
     local = edges - edge_start[src]
     dst = layer_start[layer_of[src] + 1] + local
 
-    # each state's block (u, p then m, or its vertex masses), then every
-    # d, then the tangent-cut epigraph columns
-    if finite is None:
-        l1 = np.array([isinstance(r, WeightedL1Reward) for r in rewards])
-        block = width * np.where(l1, 2, 1)
-    else:
-        block = np.array([finite.vertices[s].shape[0] for s in states])
+    # each state's block (u, or p then m), then every d, then the
+    # tangent-cut epigraph columns
+    l1 = np.array([isinstance(r, WeightedL1Reward) for r in rewards])
+    block = width * np.where(l1, 2, 1)
     col_start = np.concatenate([[0], np.cumsum(block)])
     d_col = col_start[-1] + np.arange(layer_start[-1])
     cut_states = [
@@ -200,38 +195,22 @@ def _make_layout(instance: CmdpInstance, cuts: Optional[int], finite=None) -> _L
     aux_col = {s: int(d_col[-1]) + 1 + k for k, s in enumerate(cut_states)}
     n_cols = int(d_col[-1]) + 1 + len(cut_states)
 
-    if finite is None:
-        # Every block column carries one edge: edge e writes over its own
-        # u (or p) column, and a weighted-L1 edge also over its m column
-        # (-1) and its state's d column (the center), which come after.
-        pos = col_start[src] + local
-        e1 = np.flatnonzero(l1[src])
-        center = np.concatenate(
-            [np.zeros(0)] + [rewards[g].center for g in np.flatnonzero(l1)]
-        )
-        edge = np.empty(col_start[-1], dtype=int)
-        val = np.ones(col_start[-1])
-        edge[pos] = edges
-        edge[pos[e1] + width[src[e1]]] = e1
-        val[pos[e1] + width[src[e1]]] = -1.0
-        col = np.concatenate([np.arange(col_start[-1]), d_col[src[e1]]])
-        edge = np.concatenate([edge, e1])
-        val = np.concatenate([val, center])
-    else:
-        # Entry (j, k) of a state's vertex array is what vertex j sends
-        # along the state's edge k. Read row by row, the arrays list the
-        # vertex columns' entries in column order. The dense copy of the
-        # arrays is the largest array here and goes as soon as its
-        # nonzeros are read.
-        flat = np.concatenate([finite.vertices[s].ravel() for s in states])
-        nz = np.flatnonzero(flat != 0)
-        val = flat[nz]
-        del flat
-        entry_start = np.concatenate([[0], np.cumsum(block * width)])
-        g = np.searchsorted(entry_start, nz, side="right") - 1
-        j, k = np.divmod(nz - entry_start[g], width[g])
-        col = col_start[g] + j
-        edge = edge_start[g] + k
+    # Every block column carries one edge: edge e writes over its own
+    # u (or p) column, and a weighted-L1 edge also over its m column
+    # (-1) and its state's d column (the center), which come after.
+    pos = col_start[src] + local
+    e1 = np.flatnonzero(l1[src])
+    center = np.concatenate(
+        [np.zeros(0)] + [rewards[g].center for g in np.flatnonzero(l1)]
+    )
+    edge = np.empty(col_start[-1], dtype=int)
+    val = np.ones(col_start[-1])
+    edge[pos] = edges
+    edge[pos[e1] + width[src[e1]]] = e1
+    val[pos[e1] + width[src[e1]]] = -1.0
+    col = np.concatenate([np.arange(col_start[-1]), d_col[src[e1]]])
+    edge = np.concatenate([edge, e1])
+    val = np.concatenate([val, center])
     # column-compressed directly: each column's identity entry, then its
     # edge entries, which come sorted by column and then edge
     indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n_cols) + 1)])
@@ -314,18 +293,13 @@ def build_occupancy_lp(
 
 
 def assemble_lp(
-    instance: CmdpInstance, tangent_cuts: Optional[int] = None, finite=None
+    instance: CmdpInstance, tangent_cuts: Optional[int] = None
 ) -> OccupancyLp:
-    """The occupancy LP of an instance already validated. With ``finite``
-    (a :class:`modcmdp.vertices.FiniteCmdp` of the instance), each state's
-    block is its vertex masses w: the edge masses are V^T w, the objective
-    is the vertex rewards, and there are no polytope rows, since every
-    mixture of vertices lies in the polytope.
-    """
+    """The occupancy LP of an instance already validated."""
     from .extend import extend_reward
 
     space = instance.states
-    lay = _make_layout(instance, tangent_cuts, finite)
+    lay = _make_layout(instance, tangent_cuts)
     n = lay.n_cols
     n_first = len(space.layers[0])
     n_states = lay.d_col.size
@@ -344,14 +318,7 @@ def assemble_lp(
     later = np.arange(n_first, n_states)
     eq.add(n_nonterminal + later, lay.d_col[later], -1.0)
     edges = n + np.arange(lay.edge_src.size)
-    if finite is None:
-        eq.add(n_first + lay.edge_src, edges, 1.0)
-    else:
-        # each vertex sums to one, so a block's outgoing mass is the sum of
-        # its weights, with coefficients of exactly 1 (the sums of V^T w
-        # would carry rounding error, and column generation follows it)
-        owner = np.repeat(np.arange(n_nonterminal), np.diff(lay.col_start))
-        eq.add(n_first + owner, np.arange(owner.size), 1.0)
+    eq.add(n_first + lay.edge_src, edges, 1.0)
     eq.add(n_nonterminal + lay.edge_dst, edges, 1.0)
     b_eq = np.concatenate([instance.alpha, np.zeros(n_nonterminal + later.size)])
 
@@ -359,14 +326,11 @@ def assemble_lp(
     for i, qc in enumerate(instance.constraints):
         ineq.add(i, lay.d_col[sorted(index[s] for s in qc.states)], 1.0)
     row = len(instance.constraints)
-    if finite is not None:
-        c[: lay.col_start[-1]] = np.concatenate([finite.rewards[s] for s in lay.states])
     # the lifted polytope rows H u - h d <= 0 of every state come first,
-    # then each state's sign or tangent-cut rows; vertex blocks have none
-    poly_states = lay.states if finite is None else ()
+    # then each state's sign or tangent-cut rows
     poly_row = row
-    row += sum(instance.polytopes[s].h.size for s in poly_states)
-    for g, s in enumerate(poly_states):
+    row += sum(instance.polytopes[s].h.size for s in lay.states)
+    for g, s in enumerate(lay.states):
         poly = instance.polytopes[s]
         e0, c0 = n + lay.edge_start[g], lay.col_start[g]
         r, j = np.nonzero(poly.H)
@@ -407,8 +371,6 @@ def assemble_lp(
     b_in = np.zeros(row)
     b_in[: len(instance.constraints)] = [qc.bound for qc in instance.constraints]
     a_eq, a_in = over_columns(eq, b_eq.size), over_columns(ineq, row)
-    if finite is not None:
-        lay = replace(lay, lift=None)
     return OccupancyLp(
         c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in, lower=lower, layout=lay
     )

@@ -4,21 +4,24 @@ solver of its LP, and conversions between randomized vertex policies and
 deterministic interior ones.
 
 The finite-action LP is the occupancy LP with each state's edge masses
-written as u = V^T w over its vertex masses w; the occupancy module's
-assembler builds it. It has one column per (state, vertex), hundreds of
-thousands once box polytopes reach ten or more dimensions, of which a few
-thousand carry mass. ``solve_finite`` therefore solves it by delayed
-column generation over a restricted master held in one HiGHS model
-(:class:`modcmdp.lp.Master`), which re-solves warm as columns arrive,
-and proves the master's answer optimal (or infeasible) for the whole LP
-by pricing every column.
+written as u = V^T w over its vertex masses w. It has one column per
+(state, vertex), hundreds of thousands once box polytopes reach ten or
+more dimensions, of which a few thousand carry mass; states with one
+polytope share one vertex array. So it is never assembled whole:
+:class:`FiniteLp` writes a column from the vertex arrays when one is
+needed and prices every column by one product per distinct array.
+``solve_finite`` solves it by delayed column generation over a restricted
+master held in one HiGHS model (:class:`modcmdp.lp.Master`), which
+re-solves warm as columns arrive, and proves the master's answer optimal
+(or infeasible) for the whole LP by pricing every column.
 
 Vertex enumeration is exhaustive basis enumeration by default: pick n-1
 active rows among the polytope rows and the nonnegativity bounds, solve
 together with the simplex equality, keep feasible solutions, dedup. Its
 combinatorial cost is intentional (the benchmark exhibits the blowup);
-box-shaped polytopes additionally get a structured enumerator that scales
-to the dimensions the envelope solver needs.
+box-shaped polytopes additionally get a structured enumerator, which
+writes all vertex rows at once and scales to the dimensions the envelope
+solver needs.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import lp as lpmod
 from .model import (
@@ -39,7 +43,7 @@ from .model import (
     WeightedL1Reward,
     require_valid,
 )
-from .occupancy import UNREACHABLE_TOL, assemble_lp, raise_for_status
+from .occupancy import UNREACHABLE_TOL, raise_for_status
 
 # Two vertices closer than this in L-infinity are considered equal.
 DEDUP_TOL = 1e-7
@@ -159,8 +163,10 @@ def box_simplex_vertices(lower, upper) -> np.ndarray:
     coordinate absorbing the residual. Writing g = upper - lower and
     R = 1 - sum(lower), the coordinates raised to their upper bound form
     a subset S with gap-sum in [R - max(g), R]; those subsets are walked
-    once with window pruning, then the free coordinate is vectorized, so
-    the cost is close to linear in the output size.
+    once with window pruning into a membership matrix, from which every
+    vertex row is written at once, so the cost is close to linear in the
+    output size. Rows come out in the lexicographic order of their
+    coordinates rounded to 9 decimals, one per rounded key.
     """
     lo = np.asarray(lower, dtype=float)
     up = np.asarray(upper, dtype=float)
@@ -179,11 +185,13 @@ def box_simplex_vertices(lower, upper) -> np.ndarray:
     g_max = gm[0] if gm.size else 0.0
     w_lo = R - g_max - tol
 
-    subsets: list[tuple[tuple[int, ...], float]] = []
+    subsets: list[tuple[int, ...]] = []
+    gapsums: list[float] = []
 
     def dfs(pos: int, cur: float, chosen: tuple[int, ...]):
         if cur >= w_lo:
-            subsets.append((chosen, cur))
+            subsets.append(chosen)
+            gapsums.append(cur)
         for k in range(pos, gm.size):
             t2 = cur + gm[k]
             if t2 > R + tol:
@@ -194,33 +202,43 @@ def box_simplex_vertices(lower, upper) -> np.ndarray:
 
     dfs(0, 0.0, ())
 
-    rows: list[np.ndarray] = []
-    for chosen, gapsum in subsets:
-        base = lo.copy()
-        for k in chosen:
-            base[movable[k]] = up[movable[k]]
-        resid = R - gapsum  # extra mass the free coordinate must absorb
-        if resid <= tol:
-            if resid >= -tol:
-                rows.append(base)
-            continue
-        in_s = np.zeros(n, dtype=bool)
-        in_s[movable[list(chosen)]] = True
-        ok = np.flatnonzero((g >= resid - tol) & ~in_s)
-        for f in ok:
-            v = base.copy()
-            v[f] = lo[f] + resid
-            rows.append(v)
-    if not rows:
+    sizes = [len(c) for c in subsets]
+    member = np.zeros((len(subsets), n), dtype=bool)
+    member[np.repeat(np.arange(len(subsets)), sizes),
+           movable[list(itertools.chain.from_iterable(subsets))]] = True
+    resid = R - np.array(gapsums)  # extra mass the free coordinate must absorb
+    # per subset, its exact row (slot 0) or a row per free coordinate f
+    # (slot f + 1); nonzero reads them subset by subset, slot by slot
+    slots = np.empty((len(subsets), n + 1), dtype=bool)
+    slots[:, 0] = np.abs(resid) <= tol
+    slots[:, 1:] = ~member & (g >= resid[:, None] - tol) & (resid[:, None] > tol)
+    sub, slot = np.nonzero(slots)
+    if sub.size == 0:
         return np.zeros((0, n))
-    pts = np.clip(np.vstack(rows), 0.0, None)
+    pts = np.where(member[sub], up, lo)
+    row = np.flatnonzero(slot)
+    free = slot[row] - 1
+    pts[row, free] = lo[free] + resid[sub[row]]
+    # rows that sit apart by more than DEDUP_TOL in some coordinate: a
+    # gap, or a free value off both of its bounds (read before any clip)
+    apart = (lo.min(initial=0.0) >= 0.0 and np.all(gm > DEDUP_TOL)
+             and np.all(np.abs(pts[row, free] - lo[free]) > DEDUP_TOL)
+             and np.all(np.abs(pts[row, free] - up[free]) > DEDUP_TOL))
+    pts = np.clip(pts, 0.0, None)
     pts = pts[np.abs(pts.sum(axis=1) - 1.0) <= 1e-9]
     # bound arithmetic is exact, so duplicates (free coord landing on a
-    # bound) collapse under rounding; the kept vertices stay unrounded, in
-    # the lexicographic order of their rounded keys
-    _, first = np.unique(np.round(pts, 9), axis=0, return_index=True)
-    pts = pts[first]
-    if pts.shape[0] <= 400:
+    # bound) collapse under rounding; the first of each rounded key stays,
+    # unrounded, in the lexicographic order of the keys
+    key = np.round(pts, 9)
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(key[1:] != key[:-1], axis=1)
+    pts = pts[order[first]]
+    # two rows with different bound patterns differ by a gap or by a free
+    # value's distance to a bound, so when all of those exceed DEDUP_TOL
+    # the tolerance pass has nothing to merge
+    if pts.shape[0] <= 400 and not apart:
         pts = _dedup(pts, DEDUP_TOL)
     return pts
 
@@ -362,113 +380,267 @@ def _top_per_state(score, mask, col_start, k: int) -> np.ndarray:
     vertex columns where ``mask`` holds, state by state, best first; ties
     keep column order. State ``g`` owns columns ``col_start[g]`` to
     ``col_start[g + 1] - 1``."""
-    # one short sort per state: a single sort of every column by (state,
-    # score) took three times as long on the 1.24M columns of quad n=30
-    out = []
-    for lo, hi in zip(col_start[:-1], col_start[1:]):
-        idx = lo + np.flatnonzero(mask[lo:hi])
-        out.append(idx[np.argsort(-score[idx], kind="stable")[:k]])
-    return np.concatenate(out)
+    keep = mask.copy()
+    # A state with more than k candidates keeps those above its k-th
+    # highest score and the first of those tied with it, in column order;
+    # the states of one block size are done at once, one per row.
+    size = np.diff(col_start)
+    crowded = np.flatnonzero(np.add.reduceat(mask, col_start[:-1], dtype=np.int64) > k)
+    for nv in np.unique(size[crowded]):
+        at = col_start[crowded[size[crowded] == nv], None] + np.arange(nv)
+        s = np.where(mask[at], score[at], -np.inf)
+        kth = np.partition(s, nv - k, axis=1)[:, nv - k, None]
+        above, tied = s > kth, s == kth
+        room = k - above.sum(axis=1, keepdims=True)
+        keep[at] = above | (tied & (np.cumsum(tied, axis=1) <= room))
+    idx = np.flatnonzero(keep)
+    state = np.searchsorted(col_start, idx, side="right") - 1
+    # one stable sort by state, then score: equal scores keep column order
+    return idx[np.lexsort((-score[idx], state))]
+
+
+class FiniteLp:
+    """The occupancy LP of a finite-action reduction, never assembled
+    whole: the restricted master's columns are written from the vertex
+    arrays as it takes them, and every column is priced from those arrays.
+
+    Columns: one mass w per (state, vertex), nonterminal state ``g`` (in
+    ``space.nonterminal()`` order) owning ``col_start[g]`` to
+    ``col_start[g + 1] - 1`` in the order of its vertex rows, then one
+    visit mass d per state in ``space.all_states()`` order; all lie in
+    [0, inf). Equality rows: the initial distribution, the outgoing mass
+    of each nonterminal state, the incoming mass of each later state; then
+    one row per cap. The column of vertex v at state s costs the vertex
+    reward r_s(v) and has a 1 on the outgoing row of s (each vertex sums
+    to one), the entries of v on the incoming rows of the next layer, and
+    nothing else: there are no polytope rows, since every mixture of
+    vertices lies in the polytope.
+    """
+
+    def __init__(self, fc: FiniteCmdp):
+        instance = fc.instance
+        space = instance.states
+        sizes = np.array([len(layer) for layer in space.layers])
+        layer_start = np.concatenate([[0], np.cumsum(sizes)])
+        self.states = tuple(space.nonterminal())
+        self.vertices = [fc.vertices[s] for s in self.states]
+        n_first, n_states, n_g = int(sizes[0]), int(layer_start[-1]), len(self.states)
+        self.col_start = np.concatenate(
+            [[0], np.cumsum([v.shape[0] for v in self.vertices])]).astype(np.int64)
+        self.n_vertex = int(self.col_start[-1])
+        self.nvars = self.n_vertex + n_states
+        self.cost = np.concatenate([fc.rewards[s] for s in self.states]
+                                   + [np.zeros(n_states)])
+        self.cost_scale = max(1.0, float(np.abs(self.cost).max()))
+        # the rows of state g's vertex columns: its outgoing row, and the
+        # next layer's incoming rows from in_start[g] on
+        self.out_row = n_first + np.arange(n_g)
+        layer_of = np.repeat(np.arange(space.horizon - 1), sizes[:-1])
+        self.in_start = n_g + layer_start[layer_of + 1]
+        self.b_eq = np.concatenate([instance.alpha, np.zeros(n_g + n_states - n_first)])
+        self.b_in = np.array([qc.bound for qc in instance.constraints], dtype=float)
+
+        # d: +1 on its initial row, -1 on its outgoing and incoming rows,
+        # +1 on every cap that holds its state
+        later = np.arange(n_first, n_states)
+        rows = np.concatenate([np.arange(n_first), self.out_row, n_g + later])
+        cols = np.concatenate([np.arange(n_first), np.arange(n_g), later])
+        vals = np.concatenate([np.ones(n_first), -np.ones(n_g + later.size)])
+        self.d_eq = sp.csc_matrix((vals, (rows, cols)), shape=(self.b_eq.size, n_states))
+        index = {s: i for i, s in enumerate(space.all_states())}
+        caps = [(i, index[s]) for i, qc in enumerate(instance.constraints)
+                for s in qc.states]
+        rows, cols = np.array(caps, dtype=np.int64).reshape(-1, 2).T
+        self.d_in = sp.csc_matrix((np.ones(rows.size), (rows, cols)),
+                                  shape=(self.b_in.size, n_states))
+        for m in (self.d_eq, self.d_in):
+            m.sort_indices()
+
+        # states that share one vertex array are priced by one product
+        shared: dict[int, list[int]] = {}
+        for g, v in enumerate(self.vertices):
+            shared.setdefault(id(v), []).append(g)
+        self.shared = [np.array(gs) for gs in shared.values()]
+        self.array_of = np.empty(n_g, dtype=np.int64)  # index into shared
+        for a, gs in enumerate(self.shared):
+            self.array_of[gs] = a
+
+    def columns(self, j) -> lpmod.LpProblem:
+        """Columns ``j`` of the LP, in that order, over all of its rows."""
+        j = np.asarray(j, dtype=np.int64)
+        at_v = np.flatnonzero(j < self.n_vertex)
+        g = np.searchsorted(self.col_start, j[at_v], side="right") - 1
+        local = j[at_v] - self.col_start[g]
+        parts = [(self.out_row[g], np.arange(at_v.size), np.ones(at_v.size))]
+        for a in np.unique(self.array_of[g]):
+            k = np.flatnonzero(self.array_of[g] == a)
+            block = self.vertices[self.shared[a][0]][local[k]]
+            r, c = np.nonzero(block)
+            parts.append((self.in_start[g[k[r]]] + c, k[r], block[r, c]))
+        rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+        a_eq = sp.csc_matrix((vals, (rows, cols)), shape=(self.b_eq.size, at_v.size))
+        a_in = sp.csc_matrix((self.b_in.size, at_v.size))
+        if at_v.size < j.size:
+            # the vertex columns, then the d columns, put back in j's order
+            d = j[j >= self.n_vertex] - self.n_vertex
+            back = np.argsort(np.concatenate([at_v, np.flatnonzero(j >= self.n_vertex)]),
+                              kind="stable")
+            a_eq = sp.hstack([a_eq, self.d_eq[:, d]], format="csc")[:, back]
+            a_in = sp.hstack([a_in, self.d_in[:, d]], format="csc")[:, back]
+        a_eq.sort_indices()
+        return lpmod.LpProblem(c=self.cost[j], a_eq=a_eq, b_eq=self.b_eq,
+                               a_in=a_in, b_in=self.b_in)
+
+    def price(self, y_eq, y_in) -> np.ndarray:
+        """``a_j @ y`` of every column j for row multipliers ``y``."""
+        out = np.empty(self.nvars)
+        for gs in self.shared:
+            v = self.vertices[gs[0]]
+            # one row of next-layer multipliers per state using v
+            y_next = y_eq[self.in_start[gs][:, None] + np.arange(v.shape[1])]
+            p = y_next @ v.T
+            p += y_eq[self.out_row[gs]][:, None]
+            for g, row in zip(gs, p):
+                out[self.col_start[g] : self.col_start[g + 1]] = row
+        out[self.n_vertex :] = self.d_eq.T @ y_eq + self.d_in.T @ y_in
+        return out
+
+    def cap_mass(self) -> np.ndarray:
+        """Per vertex column, the least capped mass its choice leads to:
+        the mass the vertex sends into capped states (a state counting
+        once per cap that holds it) plus the least that can follow from
+        there, by backward recursion over the layers."""
+        to_go = np.asarray(self.d_in.sum(axis=0), dtype=float).ravel()
+        out = np.empty(self.n_vertex)
+        for g in reversed(range(len(self.states))):
+            v = self.vertices[g]
+            nxt = self.in_start[g] - len(self.states)  # first next-layer state
+            mass = v @ to_go[nxt : nxt + v.shape[1]]
+            out[self.col_start[g] : self.col_start[g + 1]] = mass
+            to_go[g] += mass.min()
+        return out
+
+    def check_optimal(self, cols, sol: lpmod.LpSolution) -> None:
+        """:func:`lp.check_optimal` of the whole LP for ``sol``, a solution
+        over the columns ``cols`` that the rest join at 0; raises LpError.
+
+        A column at 0 adds no residual, no duality-gap term and no
+        complementary-slackness term, so the whole LP's check is the check
+        of the columns ``cols`` plus one condition on every other column:
+        its reduced cost may not exceed ``DUAL_TOL`` times the whole LP's
+        cost scale, since it presses against an infinite upper bound. The
+        check of ``cols`` scales by their own costs, never more than the
+        whole LP's, so it is at least as strict."""
+        lpmod.check_optimal(self.columns(cols), sol)
+        rc = self.cost - self.price(sol.dual_eq, sol.dual_in)
+        rc[cols] = 0.0
+        worst = float(rc.max())
+        if worst > lpmod.DUAL_TOL * self.cost_scale:
+            raise lpmod.LpError(f"reduced cost {worst:.3e} against an infinite bound")
+
+    def farkas_gap(self, cert) -> float:
+        """:func:`lp.farkas_gap` of the whole LP: every column lies in
+        [0, inf), so the margin is -inf when some column has
+        ``a_j @ y + up_j < -DUAL_TOL`` and ``-(b_eq @ y_eq + b_in @ y_in)``
+        otherwise."""
+        g = self.price(cert["eq"], cert["in"]) + cert["up"]
+        if np.any(g < -lpmod.DUAL_TOL):
+            return -np.inf
+        return -float(self.b_eq @ cert["eq"] + self.b_in @ cert["in"])
 
 
 def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPolicy]:
-    """Occupancy LP of the finite-action reduction, assembled by
-    :func:`occupancy.assemble_lp` with vertex blocks: one mass w(s, i) per
-    (state, vertex), flow conservation, initial distribution and the
-    visitation caps. Returns the optimal value and the randomized vertex
-    policy w(s, i) / d(s).
+    """Occupancy LP of the finite-action reduction (:class:`FiniteLp`):
+    one mass w(s, i) per (state, vertex), flow conservation, initial
+    distribution and the visitation caps. Returns the optimal value and
+    the randomized vertex policy w(s, i) / d(s).
 
-    The LP is solved by delayed column generation (Dantzig & Wolfe 1960).
-    The restricted master holds every d column and, per state, the
-    ``COLUMNS_PER_STATE`` vertices of highest reward; when no state has
-    more vertices than that, the master is the whole LP and one solve
-    settles it. The master lives in one HiGHS model (:class:`lp.Master`):
-    each round adds columns to it and re-solves from the last basis, and
-    every master optimum passes :func:`lp.check_optimal`. Each round
-    prices every vertex column against the master's duals and adds, per
-    state, up to ``COLUMNS_PER_STATE`` columns of largest positive reduced
-    cost. A master that cannot meet the caps runs phase 1 in the same
-    model; its duals form a Farkas certificate, and each round adds per
-    state up to as many of the columns that break it most (Farkas
-    pricing) until phase 1 meets every row and the costs return. The loop
-    stops when nothing is added; the master's solution, zero-padded, then
-    passes :func:`lp.check_optimal` on the whole LP, and a certificate no
-    column breaks is a certificate for the whole LP, its margin the whole
-    LP's smallest total row violation. ``time_limit`` covers all rounds.
+    The LP is solved by delayed column generation (Dantzig & Wolfe 1960)
+    and never assembled whole. The restricted master holds every d column
+    and, per state, the ``COLUMNS_PER_STATE`` vertices of highest reward
+    and as many that lead to the least capped mass
+    (:meth:`FiniteLp.cap_mass`), so that the first master tends to meet
+    the caps. It lives in one HiGHS
+    model (:class:`lp.Master`): each round adds columns, written from the
+    vertex arrays, and re-solves from the last basis, and every master
+    optimum passes :func:`lp.check_optimal`. Each round prices every
+    vertex column against the master's duals, one product per distinct
+    vertex array, and adds, per state, up to ``COLUMNS_PER_STATE``
+    columns of largest positive reduced cost. A master that cannot meet
+    the caps runs phase 1 in the same model; its duals form a Farkas
+    certificate, and each round adds per state up to as many of the
+    columns that break it most (Farkas pricing) until phase 1 meets every
+    row and the costs return. The loop stops when nothing is added.
+
+    Out-of-master columns sit at 0, so :meth:`FiniteLp.check_optimal`
+    (the master's check plus "every other reduced cost is at most
+    ``DUAL_TOL`` times the whole LP's cost scale") is the whole LP's
+    :func:`lp.check_optimal`, and a certificate that no column breaks
+    (``a_j @ y >= -DUAL_TOL``) is one for the whole LP, its
+    :meth:`FiniteLp.farkas_gap` the whole LP's :func:`lp.farkas_gap`: the
+    smallest total row violation. ``time_limit`` runs from entry and
+    covers the column setup and all rounds.
     """
-    problem = assemble_lp(fc.instance, finite=fc)
-    lay = problem.layout
-    n = problem.nvars
-    n_u = int(lay.col_start[-1])
-    price_tol = lpmod.DUAL_TOL * max(1.0, float(np.abs(problem.c).max()))
     deadline = lpmod.deadline_after(time_limit)
+    flp = FiniteLp(fc)
+    n_u = flp.n_vertex
+    price_tol = lpmod.DUAL_TOL * flp.cost_scale
 
-    in_master = np.zeros(n, dtype=bool)
+    in_master = np.zeros(flp.nvars, dtype=bool)
     in_master[n_u:] = True
-    in_master[_top_per_state(problem.c, np.ones(n_u, dtype=bool), lay.col_start,
-                             COLUMNS_PER_STATE)] = True
+    every = np.ones(n_u, dtype=bool)
+    in_master[_top_per_state(flp.cost, every, flp.col_start, COLUMNS_PER_STATE)] = True
+    # and those that lead to the least capped mass, where the vertices differ
+    mass = flp.cap_mass()
+    starts = flp.col_start[:-1]
+    varies = np.repeat(np.maximum.reduceat(mass, starts) > np.minimum.reduceat(mass, starts),
+                       np.diff(flp.col_start))
+    in_master[_top_per_state(-mass, varies, flp.col_start, COLUMNS_PER_STATE)] = True
     cols = np.flatnonzero(in_master)
-    whole = cols.size == n  # else the master's columns come in their own order
-    master = lpmod.Master(problem if whole else lpmod.LpProblem(
-        c=problem.c[cols], a_eq=problem.a_eq[:, cols], b_eq=problem.b_eq,
-        a_in=problem.a_in[:, cols], b_in=problem.b_in,
-    ))
+    master = lpmod.Master(flp.columns(cols))
     while True:
-        left = None if deadline is None else deadline - time.monotonic()
-        sol = master.solve(time_limit=left)
+        sol = master.solve(time_limit=lpmod.time_left(deadline))
         if sol.status == "optimal":
             y_eq, y_in = sol.dual_eq, sol.dual_in
+            score = flp.cost[:n_u] - flp.price(y_eq, y_in)[:n_u]
+            add = score > price_tol
         elif sol.status == "infeasible":
             y_eq, y_in = sol.certificate["eq"], sol.certificate["in"]
+            # a column j breaks the certificate when a_j @ y < 0
+            score = -flp.price(y_eq, y_in)[:n_u]
+            add = score > lpmod.DUAL_TOL
         else:
             raise_for_status(master.lp, sol, "finite-action LP")
-        if whole:
-            break
-        priced = problem.a_eq.T @ y_eq + problem.a_in.T @ y_in
-        if sol.status == "optimal":
-            rc = problem.c - priced
-            score, add = rc[:n_u], rc[:n_u] > price_tol
-        else:
-            # a column j breaks the certificate when a_j @ y < 0
-            score, add = -priced[:n_u], priced[:n_u] < -lpmod.DUAL_TOL
-        new = _top_per_state(score, add & ~in_master[:n_u], lay.col_start,
+        new = _top_per_state(score, add & ~in_master[:n_u], flp.col_start,
                              COLUMNS_PER_STATE)
         if new.size == 0:
             break
         in_master[new] = True
         cols = np.concatenate([cols, new])
-        master.add_columns(problem.c[new], problem.a_eq[:, new], problem.a_in[:, new])
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("finite-action LP exceeded its time budget")
+        p = flp.columns(new)
+        master.add_columns(p.c, p.a_eq, p.a_in)
 
-    if sol.status == "optimal" and not whole:
-        x = np.zeros(n)
-        x[cols] = sol.x
-        sol = lpmod.LpSolution(
-            "optimal", x=x, objective=float(problem.c @ x),
-            dual_eq=y_eq, dual_in=y_in, reduced_costs=rc,
-        )
-        lpmod.check_optimal(problem, sol)
-    elif sol.status == "infeasible":
-        up = np.zeros(n)
+    if sol.status == "infeasible":
+        up = np.zeros(flp.nvars)
         up[cols] = sol.certificate["up"]
         cert = {"eq": y_eq, "in": y_in, "up": up}
-        if not lpmod.farkas_gap(problem, cert) > 0.0:
-            raise lpmod.LpError("master certificate does not carry over")
-        sol = lpmod.LpSolution("infeasible", certificate=cert,
-                               message=sol.message)
-    raise_for_status(problem, sol, "finite-action LP")
+        raise_for_status(flp, lpmod.LpSolution("infeasible", certificate=cert,
+                                               message=sol.message),
+                         "finite-action LP", margin=FiniteLp.farkas_gap)
+    flp.check_optimal(cols, sol)
 
+    x = np.zeros(flp.nvars)
+    x[cols] = sol.x
     mixtures = {}
-    for g, s in enumerate(lay.states):
-        verts = fc.vertices[s]
-        d = float(sol.x[lay.d_col[g]])
+    for g, s in enumerate(flp.states):
+        verts = flp.vertices[g]
+        d = float(x[n_u + g])
         if d <= UNREACHABLE_TOL:
             mixtures[s] = [(1.0, verts[0])]
             continue
-        lam = np.clip(sol.x[lay.col_start[g] : lay.col_start[g + 1]], 0.0, None) / d
+        lam = np.clip(x[flp.col_start[g] : flp.col_start[g + 1]], 0.0, None) / d
         mixtures[s] = _atoms(lam, verts)
-    return float(sol.objective), RandomizedPolicy(mixtures)
+    return float(flp.cost @ x), RandomizedPolicy(mixtures)
 
 
 def mix_to_point(policy: RandomizedPolicy) -> DeterministicPolicy:
@@ -491,9 +663,9 @@ def hull_envelope(points, values, query) -> tuple[float, np.ndarray]:
     a_eq = np.vstack([pts.T, np.ones((1, nv))])
     b_eq = np.concatenate([q, [1.0]])
     problem = lpmod.LpProblem(c=values, a_eq=a_eq, b_eq=b_eq)
-    # one checked HiGHS call and no phase-1 certificate: the hull LP is
-    # bounded, so a non-optimal status means the query is outside the hull
-    sol = lpmod._solve_highs(problem, None)
+    # the hull LP is bounded, so a non-optimal status means the query is
+    # outside the hull, and that needs no phase-1 certificate
+    sol = lpmod.solve_once(problem)
     if sol.status != "optimal":
         raise DecompositionError("query point is outside the generator hull")
     return float(sol.objective), np.clip(sol.x, 0.0, None)

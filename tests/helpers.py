@@ -12,6 +12,11 @@ the helper's master holds every column from the start, so it checks the
 pricing, not the phase 1. That phase 1 is checked against an elastic LP
 solved by ``linprog`` in ``test_lp_engine.py``.
 
+``loop_box_simplex_vertices`` is the box enumerator as it was before it
+wrote its vertex rows in one pass: a Python loop per vertex and numpy's
+row-wise ``unique``. The package's enumerator must reproduce its output
+byte for byte.
+
 It also holds the helpers that only tests use: the homogenized polytope
 rows, a randomized concavity check, a visit-mass CSV writer, the
 occupancy-solution invariants and per-state vertex counts.
@@ -461,3 +466,84 @@ def single_lp_finite(fc):
     whole LP."""
     problem = loop_finite_lp(fc)
     return problem, solve_lp(problem)
+
+
+def _loop_dedup(points, tol):
+    """Drop every point within ``tol`` (L-infinity) of an earlier kept
+    one; the first of each cluster wins."""
+    _, first = np.unique(points, axis=0, return_index=True)
+    points = points[np.sort(first)]
+    kept = np.empty_like(points, dtype=float)
+    m = 0
+    for p in points:
+        if m and np.min(np.max(np.abs(kept[:m] - p), axis=1)) <= tol:
+            continue
+        kept[m] = p
+        m += 1
+    return kept[:m].copy()
+
+
+def loop_box_simplex_vertices(lower, upper, dedup_tol=1e-7):
+    """All vertices of {a : lower <= a <= upper, sum(a) = 1}, one row at a
+    time: each subset S of coordinates raised to their upper bound whose
+    gap-sum lies in [R - max(g), R] gives its exact row or one row per
+    coordinate that can absorb the residual; rows are then deduplicated
+    on their 9-decimal keys (lexicographic order) and, up to 400 rows,
+    within ``dedup_tol``."""
+    lo = np.asarray(lower, dtype=float)
+    up = np.asarray(upper, dtype=float)
+    n = lo.size
+    tol = 1e-9
+    if lo.sum() > 1.0 + tol or up.sum() < 1.0 - tol or np.any(up < lo - tol):
+        return np.zeros((0, n))
+    g = up - lo
+    R = 1.0 - lo.sum()
+    movable = np.flatnonzero(g > tol)
+    gm = g[movable]
+    order = np.argsort(-gm, kind="stable")
+    gm = gm[order]
+    movable = movable[order]
+    suffix = np.concatenate([np.cumsum(gm[::-1])[::-1], [0.0]])
+    g_max = gm[0] if gm.size else 0.0
+    w_lo = R - g_max - tol
+
+    subsets = []
+
+    def dfs(pos, cur, chosen):
+        if cur >= w_lo:
+            subsets.append((chosen, cur))
+        for k in range(pos, gm.size):
+            t2 = cur + gm[k]
+            if t2 > R + tol:
+                continue
+            if t2 + suffix[k + 1] < w_lo:
+                break
+            dfs(k + 1, t2, chosen + (k,))
+
+    dfs(0, 0.0, ())
+
+    rows = []
+    for chosen, gapsum in subsets:
+        base = lo.copy()
+        for k in chosen:
+            base[movable[k]] = up[movable[k]]
+        resid = R - gapsum
+        if resid <= tol:
+            if resid >= -tol:
+                rows.append(base)
+            continue
+        in_s = np.zeros(n, dtype=bool)
+        in_s[movable[list(chosen)]] = True
+        for f in np.flatnonzero((g >= resid - tol) & ~in_s):
+            v = base.copy()
+            v[f] = lo[f] + resid
+            rows.append(v)
+    if not rows:
+        return np.zeros((0, n))
+    pts = np.clip(np.vstack(rows), 0.0, None)
+    pts = pts[np.abs(pts.sum(axis=1) - 1.0) <= 1e-9]
+    _, first = np.unique(np.round(pts, 9), axis=0, return_index=True)
+    pts = pts[first]
+    if pts.shape[0] <= 400:
+        pts = _loop_dedup(pts, dedup_tol)
+    return pts

@@ -1,5 +1,6 @@
-"""Import hygiene: no module of the package imports another module's
-private (single-underscore) name."""
+"""Import hygiene: no module of the package uses another module's
+private (single-underscore) name, whether imported by name or read as
+an attribute of the imported module."""
 
 import ast
 from pathlib import Path
@@ -9,23 +10,40 @@ import modcmdp
 PACKAGE = Path(modcmdp.__file__).parent
 
 
-def private_relative_imports(source: str) -> list[str]:
-    """Names a relative import in ``source`` takes that start with one
-    underscore; dunders such as ``__version__`` are allowed."""
-    out = []
-    for node in ast.walk(ast.parse(source)):
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_names(source: str) -> list[str]:
+    """Private names ``source`` takes from the package: names a relative
+    import takes that start with one underscore, and such attributes
+    read off a module bound by a relative import (``from . import lp as
+    lpmod`` makes ``lpmod._solve_highs`` one). Dunders such as
+    ``__version__`` are allowed."""
+    tree = ast.parse(source)
+    out, modules = [], set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level > 0:
             for alias in node.names:
-                name = alias.name
-                if name.startswith("_") and not name.startswith("__"):
-                    out.append(f"line {node.lineno}: {name}")
+                if _private(alias.name):
+                    out.append(f"line {node.lineno}: {alias.name}")
+                if not node.module:  # from . import lp: a package module
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            out.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
     return out
 
 
 def test_the_rule_flags_private_names_only():
     source = "from .vertices import _finite_cmdp, solve\nfrom . import __version__\n"
-    assert private_relative_imports(source) == ["line 1: _finite_cmdp"]
-    assert private_relative_imports("from numpy import _private\n") == []
+    assert private_names(source) == ["line 1: _finite_cmdp"]
+    assert private_names("from numpy import _private\n") == []
+    source = "from . import lp as lpmod\nx = lpmod._solve_highs(p)\ny = lpmod.solve_lp(p)\n"
+    assert private_names(source) == ["line 2: lpmod._solve_highs"]
+    source = "from . import lp\nimport numpy as np\nlp.__name__, np._core, lp.solve_lp\n"
+    assert private_names(source) == []
 
 
 def test_no_module_imports_a_private_name():
@@ -34,6 +52,6 @@ def test_no_module_imports_a_private_name():
     bad = {
         p.name: found
         for p in modules
-        if (found := private_relative_imports(p.read_text()))
+        if (found := private_names(p.read_text()))
     }
     assert bad == {}

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from helpers import loop_finite_lp
+
 import modcmdp.lp as lpmod
 from modcmdp import (
     LoanConfig,
@@ -14,7 +16,6 @@ from modcmdp import (
     generate_loan_instance,
     solve_lp,
 )
-from modcmdp.occupancy import assemble_lp
 
 
 def random_feasible_problem(rng, with_upper=False):
@@ -433,7 +434,7 @@ class TestMpsExport:
         quad = generate_loan_instance(LoanConfig(n_states=6, reward_kind="quad_convex"))
         fc = build_finite_cmdp(quad, enumerate_for_instance(quad, method="auto"))
         for name, p in (("l1", build_occupancy_lp(l1)),
-                        ("finite", assemble_lp(quad, finite=fc))):
+                        ("finite", loop_finite_lp(fc))):
             path = tmp_path / f"{name}.mps"
             export_lp(p, path)
             h = hs._Highs()

@@ -1,4 +1,6 @@
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from helpers import (
     brute_force_mixture_value,
     certify_extreme,
+    loop_box_simplex_vertices,
     loop_finite_lp,
     random_instance,
     single_lp_finite,
@@ -38,10 +41,12 @@ from modcmdp import (
     solve_occupancy,
     solve_with_envelope,
 )
-from modcmdp.occupancy import assemble_lp
 from modcmdp.vertices import (
     COLUMNS_PER_STATE,
+    DEDUP_TOL,
+    FiniteLp,
     VertexSet,
+    _top_per_state,
     box_bounds,
     box_simplex_vertices,
 )
@@ -72,6 +77,74 @@ def brute_vertices(poly):
 
 def as_set(verts):
     return sorted(map(tuple, np.round(verts, 9)))
+
+
+def random_box(rng, n, grid=False):
+    """Bounds of a random box around a random distribution over ``n``
+    coordinates; with ``grid``, widened to multiples of 1/64."""
+    b = rng.dirichlet(np.ones(n) * rng.uniform(0.5, 3.0))
+    eps = rng.uniform(0.02 if n <= 8 else 0.2, 0.6)
+    lo, up = np.clip(b - eps, 0.0, None), np.minimum(b + eps, 1.0)
+    if grid:
+        lo, up = np.floor(lo * 64) / 64, np.ceil(up * 64) / 64
+    return lo, up
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def passes(check, *args) -> bool:
+    """Whether ``check(*args)`` returns without LpError."""
+    try:
+        check(*args)
+    except lpmod.LpError:
+        return False
+    return True
+
+
+def assert_optimal_verdicts_agree(flp, problem, cols, sol):
+    """FiniteLp.check_optimal of a master solution over ``cols`` says what
+    lp.check_optimal of the whole LP ``problem`` says of it, zero-padded,
+    with every reduced cost priced: both accept it, both reject it once
+    the duals are perturbed, and both reject it once a column outside the
+    master costs enough to price out."""
+
+    def whole(s):
+        x = np.zeros(problem.nvars)
+        x[cols] = s.x
+        rc = problem.c - (problem.a_eq.T @ s.dual_eq + problem.a_in.T @ s.dual_in)
+        return passes(lpmod.check_optimal, problem, lpmod.LpSolution(
+            "optimal", x=x, objective=s.objective, dual_eq=s.dual_eq,
+            dual_in=s.dual_in, reduced_costs=rc))
+
+    assert whole(sol) and passes(flp.check_optimal, cols, sol)
+    # the first state's outgoing row: every vertex column of that state,
+    # and its visit mass, price 0.01 off
+    y_eq = sol.dual_eq.copy()
+    y_eq[flp.out_row[0]] -= 1e-2
+    master = flp.columns(cols)
+    rc = master.c - (master.a_eq.T @ y_eq + master.a_in.T @ sol.dual_in)
+    off = lpmod.LpSolution("optimal", x=sol.x, objective=sol.objective, dual_eq=y_eq,
+                           dual_in=sol.dual_in, reduced_costs=rc)
+    assert not whole(off) and not passes(flp.check_optimal, cols, off)
+    out = np.setdiff1d(np.arange(flp.n_vertex), cols)
+    if out.size:
+        # the outside column that prices best gets a reduced cost of 1
+        rc = problem.c - (problem.a_eq.T @ sol.dual_eq + problem.a_in.T @ sol.dual_in)
+        j = out[np.argmax(rc[out])]
+        flp.cost[j] = problem.c[j] = problem.c[j] + 1.0 - rc[j]
+        assert not whole(sol) and not passes(flp.check_optimal, cols, sol)
+
+
+def assert_certificate_verdicts_agree(flp, problem, cert):
+    """FiniteLp.farkas_gap equals lp.farkas_gap of the whole LP, on the
+    certificate and on one a column breaks."""
+    assert flp.farkas_gap(cert) == farkas_gap(problem, cert) > 0.0
+    broken = dict(cert, eq=cert["eq"].copy())
+    broken["eq"][flp.out_row[0]] -= 1.0
+    assert flp.farkas_gap(broken) == farkas_gap(problem, broken) == -np.inf
 
 
 def l1_instance(bound=0.2):
@@ -159,6 +232,34 @@ class TestEnumerate:
         poly = ActionPolytope([0.5, 0.5], H=[[1.0, 1.0]], h=[1.5])
         with pytest.raises(ValueError, match="box form"):
             enumerate_vertices(poly, method="box")
+
+    def test_box_enumerator_matches_the_loop_oracle(self, rng):
+        # continuous and 1/64-grid boxes in 2 to 16 dimensions, and the 16
+        # boxes of the 16-level loan (14,586 vertices)
+        boxes = [random_box(rng, 2 + k % 15, grid=bool(k % 2)) for k in range(150)]
+        inst = generate_loan_instance(LoanConfig(n_states=16, reward_kind="quad_convex"))
+        boxes += [box_bounds(inst.polytopes[s]) for s in inst.states.layers[0]]
+        for lo, up in boxes:
+            assert_same_bytes(box_simplex_vertices(lo, up), loop_box_simplex_vertices(lo, up))
+
+    def test_tolerance_pass_matches_the_loop_oracle(self, rng):
+        # a gap, or the residual a free coordinate absorbs, below DEDUP_TOL:
+        # rows closer than the tolerance, which only the tolerance pass merges
+        merged = 0
+        for k in range(60):
+            n = int(rng.integers(2, 9))
+            tiny = rng.uniform(2e-9, 0.9 * DEDUP_TOL)
+            if k % 2:
+                lo, up = random_box(rng, n)
+                j = int(rng.integers(n))
+                up[j] = lo[j] + tiny
+            else:
+                lo = rng.dirichlet(np.ones(n)) * (1.0 - tiny)
+                up = lo + rng.uniform(0.0, 0.5, size=n)
+            want = loop_box_simplex_vertices(lo, up)
+            assert_same_bytes(box_simplex_vertices(lo, up), want)
+            merged += loop_box_simplex_vertices(lo, up, dedup_tol=0.0).shape[0] > want.shape[0]
+        assert merged >= 30
 
     def test_box_simplex_direct(self):
         v = box_simplex_vertices([0.0, 0.0], [1.0, 1.0])
@@ -349,7 +450,9 @@ class TestColumnGeneration:
     on the optimum of the whole LP, or prove the whole LP infeasible."""
 
     @staticmethod
-    def assert_matches_single_lp(inst, vs):
+    def assert_matches_single_lp(monkeypatch, inst, vs):
+        """solve_finite reaches the whole LP's optimum or certificate, and
+        its own verdicts on them are those of the whole LP's checks."""
         fc = build_finite_cmdp(inst, vs)
         problem, oracle = single_lp_finite(fc)
         if oracle.status == "infeasible":
@@ -360,19 +463,31 @@ class TestColumnGeneration:
             assert excess == pytest.approx(err.value.excess, abs=1e-12)
             assert excess == pytest.approx(farkas_gap(problem, oracle.certificate),
                                            abs=1e-9)
+            assert_certificate_verdicts_agree(FiniteLp(fc), problem, err.value.certificate)
             return
+        seen = []
+        check = FiniteLp.check_optimal
+
+        def spy(flp, cols, sol):
+            seen.append((flp, cols, sol))
+            check(flp, cols, sol)
+
+        monkeypatch.setattr(FiniteLp, "check_optimal", spy)
         obj, pol = solve_finite(fc)
+        monkeypatch.undo()
         assert obj == pytest.approx(oracle.objective, abs=1e-9)
         assert evaluate_exact(inst, pol).value == pytest.approx(obj, abs=1e-9)
+        (flp, cols, sol), = seen
+        assert_optimal_verdicts_agree(flp, problem, cols, sol)
 
     @pytest.mark.parametrize("n", [10, 14, 20])
-    def test_quadratic_loans_match_single_lp(self, n):
+    def test_quadratic_loans_match_single_lp(self, monkeypatch, n):
         inst = generate_loan_instance(LoanConfig(n_states=n, reward_kind="quad_convex"))
         vs = enumerate_for_instance(inst, method="auto")
         assert max(vertex_counts(vs).values()) > COLUMNS_PER_STATE
-        self.assert_matches_single_lp(inst, vs)
+        self.assert_matches_single_lp(monkeypatch, inst, vs)
 
-    def test_master_grown_to_every_column(self):
+    def test_master_grown_to_every_column(self, monkeypatch):
         # 11 actions, the one that avoids the capped state paying least:
         # the seeded top 10 miss the cap, pricing adds the last one, and
         # the master ends up holding every column, in its own order
@@ -384,22 +499,24 @@ class TestColumnGeneration:
             [QualityConstraint({"t0"}, 0.05)],
         )
         j = np.arange(COLUMNS_PER_STATE + 1) / COLUMNS_PER_STATE
-        self.assert_matches_single_lp(inst, VertexSet({"s0": np.column_stack([j, 1 - j])}))
+        self.assert_matches_single_lp(
+            monkeypatch, inst, VertexSet({"s0": np.column_stack([j, 1 - j])}))
 
-    def test_l1_loan_with_kink_planes_matches_single_lp(self):
+    def test_l1_loan_with_kink_planes_matches_single_lp(self, monkeypatch):
         inst = generate_loan_instance(LoanConfig(n_states=5, reward_kind="l1"))
         vs = enumerate_for_instance(inst, kink_planes=True)
         assert max(vertex_counts(vs).values()) > COLUMNS_PER_STATE
-        self.assert_matches_single_lp(inst, vs)
+        self.assert_matches_single_lp(monkeypatch, inst, vs)
 
-    def test_random_instances_match_single_lp(self, rng):
-        priced = 0
+    def test_random_instances_match_single_lp(self, monkeypatch, rng):
+        priced = infeasible = 0
         for _ in range(24):
             inst = random_instance(rng, max_states=6, reward="affine")
             vs = enumerate_for_instance(inst)
             priced += max(vertex_counts(vs).values()) > COLUMNS_PER_STATE
-            self.assert_matches_single_lp(inst, vs)
-        assert priced >= 8
+            infeasible += single_lp_finite(build_finite_cmdp(inst, vs))[1].status == "infeasible"
+            self.assert_matches_single_lp(monkeypatch, inst, vs)
+        assert priced >= 8 and infeasible >= 1
 
     def test_infeasible_cap_certifies_the_whole_lp(self):
         inst = generate_loan_instance(LoanConfig(n_states=10, reward_kind="quad_convex"))
@@ -415,6 +532,20 @@ class TestColumnGeneration:
             assert err.value.excess == pytest.approx(0.5, abs=1e-9)
             assert farkas_gap(problem, err.value.certificate) == pytest.approx(
                 0.5, abs=1e-9)
+            assert_certificate_verdicts_agree(FiniteLp(fc), problem, err.value.certificate)
+
+    def test_top_per_state_is_a_stable_sort_per_state(self, rng):
+        # blocks of equal and unequal sizes, scores with many ties
+        for _ in range(200):
+            sizes = rng.integers(1, 40, size=int(rng.integers(1, 30)))
+            col_start = np.concatenate([[0], np.cumsum(sizes)])
+            score = np.round(rng.normal(size=col_start[-1]), 1)
+            mask = rng.random(col_start[-1]) < rng.uniform(0.1, 1.0)
+            k = int(rng.integers(1, 12))
+            want = [lo + np.flatnonzero(mask[lo:hi]) for lo, hi in zip(col_start, col_start[1:])]
+            want = [i[np.argsort(-score[i], kind="stable")[:k]] for i in want]
+            got = _top_per_state(score, mask, col_start, k)
+            np.testing.assert_array_equal(got, np.concatenate(want))
 
     def test_zero_time_limit_times_out(self):
         inst = generate_loan_instance(LoanConfig(n_states=16, reward_kind="quad_convex"))
@@ -422,42 +553,101 @@ class TestColumnGeneration:
         with pytest.raises(TimeoutError):
             solve_finite(fc, time_limit=0)
 
+    def test_time_limit_covers_the_column_setup(self):
+        # the budget runs from entry: half the time of the setup before the
+        # first master solve. Building the whole 25-level LP took 0.36 s
+        # before the clock started, and the budget ran out 0.3 s late.
+        inst = generate_loan_instance(LoanConfig(n_states=25, reward_kind="quad_convex"))
+        fc = build_finite_cmdp(inst, enumerate_for_instance(inst, method="auto"))
+        solve_finite(build_finite_cmdp(l1_instance(), enumerate_for_instance(l1_instance())))
+        start = time.monotonic()  # HiGHS is loaded now
+        FiniteLp(fc).cap_mass()
+        budget = (time.monotonic() - start) / 2
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            solve_finite(fc, time_limit=budget)
+        assert time.monotonic() - start <= budget + 0.25
+
+    def test_memory_stays_near_the_vertex_data(self):
+        # the 20-level LP's 21 distinct vertex arrays take 6.1 MB; the
+        # whole LP, assembled, peaked at 68 MB
+        inst = generate_loan_instance(LoanConfig(n_states=20, reward_kind="quad_convex"))
+        fc = build_finite_cmdp(inst, enumerate_for_instance(inst, method="auto"))
+        tracemalloc.start()
+        try:
+            solve_finite(fc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25e6
+
 
 class TestAgainstLoopAssembly:
-    """The occupancy assembler, given vertex blocks, builds the same
-    finite-action LP as the state-by-state assembly of the vertex arrays."""
+    """The finite-action LP written column by column from the vertex arrays
+    is the state-by-state loop assembly of that LP, and every column a
+    master of solve_finite holds is one of its columns."""
 
     @staticmethod
-    def assert_same_lp(inst, vs):
+    def assert_same_lp(monkeypatch, inst, vs):
         fc = build_finite_cmdp(inst, vs)
-        got, want = assemble_lp(inst, finite=fc), loop_finite_lp(fc)
+        want = loop_finite_lp(fc)
+        flp = FiniteLp(fc)
+        got = flp.columns(np.arange(flp.nvars))
         for name in ("a_eq", "a_in"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape
-            np.testing.assert_allclose(a.toarray(), np.asarray(
-                b.toarray() if hasattr(b, "toarray") else b), rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(
+                a.toarray(), b.toarray() if hasattr(b, "toarray") else b)
         for name in ("c", "b_eq", "b_in"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.shape == b.shape
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
-    def test_quadratic_loan(self):
+        def dense(p):
+            """One row per column: its cost, then its row entries."""
+            rows = [p.c[None, :]] + [m.toarray() if hasattr(m, "toarray") else m
+                                     for m in (p.a_eq, p.a_in)]
+            return np.vstack(rows).T
+
+        index = {col.tobytes(): j for j, col in enumerate(dense(want))}
+        held = []
+
+        class Recording(lpmod.Master):
+            def __init__(self, problem):
+                super().__init__(problem)
+                held.append(problem)
+
+            def add_columns(self, c, a_eq, a_in):
+                super().add_columns(c, a_eq, a_in)
+                held.append(lpmod.LpProblem(c=c, a_eq=a_eq, b_eq=want.b_eq,
+                                            a_in=a_in, b_in=want.b_in))
+
+        monkeypatch.setattr(lpmod, "Master", Recording)
+        try:
+            solve_finite(fc)
+        except QualityInfeasibleError:
+            pass
+        monkeypatch.undo()
+        assert held
+        cols = [index.get(col.tobytes()) for p in held for col in dense(p)]
+        assert None not in cols  # each is a column of the loop LP
+        assert len(set(cols)) == len(cols)
+
+    def test_quadratic_loan(self, monkeypatch):
         inst = generate_loan_instance(LoanConfig(n_states=10, reward_kind="quad_convex"))
-        self.assert_same_lp(inst, enumerate_for_instance(inst, method="auto"))
+        self.assert_same_lp(monkeypatch, inst, enumerate_for_instance(inst, method="auto"))
 
-    def test_l1_loan_with_kink_planes(self):
+    def test_l1_loan_with_kink_planes(self, monkeypatch):
         inst = generate_loan_instance(LoanConfig(n_states=5, reward_kind="l1"))
-        self.assert_same_lp(inst, enumerate_for_instance(inst, kink_planes=True))
+        self.assert_same_lp(monkeypatch, inst, enumerate_for_instance(inst, kink_planes=True))
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
-    def test_affine_loans(self, n):
+    def test_affine_loans(self, monkeypatch, n):
         inst = generate_loan_instance(LoanConfig(n_states=n, reward_kind="affine"))
-        self.assert_same_lp(inst, enumerate_for_instance(inst))
+        self.assert_same_lp(monkeypatch, inst, enumerate_for_instance(inst))
 
-    def test_random_instances(self, rng):
+    def test_random_instances(self, monkeypatch, rng):
         for _ in range(24):
             inst = random_instance(rng, max_states=6, reward="affine")
-            self.assert_same_lp(inst, enumerate_for_instance(inst))
+            self.assert_same_lp(monkeypatch, inst, enumerate_for_instance(inst))
 
 
 class TestConversions:
