@@ -261,8 +261,12 @@ def _load_highs(p: LpProblem):
 
     start, index, value = _columns(p)
     h = hs._Highs()
+    # feasibility a tenth inside FEAS_TOL, so that HiGHS's "optimal" passes
+    # check_optimal; at its 1e-7 default, tight-cap L1 loans at n >= 62 failed
     options = {"output_flag": False, "simplex_strategy": 1,
-               "simplex_iteration_limit": DEFAULT_MAXITER}
+               "simplex_iteration_limit": DEFAULT_MAXITER,
+               "primal_feasibility_tolerance": FEAS_TOL / 10,
+               "dual_feasibility_tolerance": FEAS_TOL / 10}
     for key, setting in options.items():
         if h.setOptionValue(key, setting) != hs.HighsStatus.kOk:
             raise LpError(f"HiGHS rejected option {key}={setting!r}")

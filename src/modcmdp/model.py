@@ -14,6 +14,7 @@ a mixture of actions per state; a deterministic one has a single atom.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -88,7 +89,8 @@ class ActionPolytope:
     base distribution ``base`` over the next layer.
 
     ``H`` may have zero rows, in which case the feasible set is the whole
-    simplex.
+    simplex. What its rows imply (:attr:`box`, :attr:`implied_nonnegative`)
+    is worked out once, on first use.
     """
 
     base: np.ndarray
@@ -112,6 +114,33 @@ class ActionPolytope:
     @property
     def dim(self) -> int:
         return self.base.size
+
+    @cached_property
+    def box(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(lower, upper)``, lower clipped at 0, when the rows are exactly
+        ``[I; -I]``; None otherwise."""
+        n, eye = self.dim, np.eye(self.dim)
+        if not np.array_equal(self.H, np.vstack([eye, -eye])):
+            return None
+        return _readonly(np.clip(-self.h[n:], 0.0, None)), self.h[:n]
+
+    @cached_property
+    def implied_nonnegative(self) -> np.ndarray:
+        """Per coordinate k, whether a row ``-c e_k`` (c > 0) with h <= 0
+        forces ``a_k >= 0``, and so ``u_k >= 0`` in the lift H u <= h d."""
+        nz = self.H != 0
+        k = np.argmax(nz, axis=1)
+        lone = (nz.sum(axis=1) == 1) & (self.H[np.arange(k.size), k] < 0)
+        out = np.zeros(self.dim, dtype=bool)
+        out[k[lone & (self.h <= 0)]] = True
+        out.setflags(write=False)
+        return out
+
+    @property
+    def key(self) -> tuple:
+        """Content key: H's shape (joined bytes of two dimensions can
+        coincide), then the bytes of base, H and h."""
+        return (self.H.shape, self.base.tobytes(), self.H.tobytes(), self.h.tobytes())
 
     def contains(self, a, tol: float = FEAS_TOL):
         """Whether ``a`` is a distribution in the polytope within ``tol``:

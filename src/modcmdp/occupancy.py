@@ -17,8 +17,8 @@ objective -w . (p + m) (the absolute-value LP of Bertsimas & Tsitsiklis,
 Introduction to Linear Optimization, 1997, section 1.3). The split is
 substituted into the flow and polytope rows, so each coordinate costs two
 columns and no rows. u >= 0 then needs a row -(center * d + p - m) <= 0,
-which is added only for coordinates that no polytope row -e_k . u <= h d
-with h <= 0 already bounds below. The solver rebuilds u from p, m and d.
+which is added only where the polytope rows do not already imply it
+(``ActionPolytope.implied_nonnegative``). The solver rebuilds u from p, m and d.
 
 The constraint matrices are assembled from index arrays: edges are
 numbered layer-major, the rows are written as (row, index, value)
@@ -262,17 +262,6 @@ def _check_rewards(instance: CmdpInstance, tangent_cuts: Optional[int]) -> None:
                 )
 
 
-def _implied_nonnegative(poly) -> np.ndarray:
-    """Coordinates k whose lifted polytope rows already force u_k >= 0:
-    a row that is a negative multiple of e_k with h <= 0."""
-    nz = poly.H != 0
-    k = np.argmax(nz, axis=1)
-    lone = (nz.sum(axis=1) == 1) & (poly.H[np.arange(k.size), k] < 0)
-    out = np.zeros(poly.dim, dtype=bool)
-    out[k[lone & (poly.h <= 0)]] = True
-    return out
-
-
 def build_occupancy_lp(
     instance: CmdpInstance, tangent_cuts: Optional[int] = None
 ) -> OccupancyLp:
@@ -347,7 +336,7 @@ def assemble_lp(
             # u >= 0 needs its own row where the polytope does not imply it
             c[c0 : c0 + rew.dim] = -rew.weights
             c[c0 + rew.dim : c0 + 2 * rew.dim] = -rew.weights
-            free = np.flatnonzero(~_implied_nonnegative(poly))
+            free = np.flatnonzero(~poly.implied_nonnegative)
             ineq.add(row + np.arange(free.size), e0 + free, -1.0)
             row += free.size
         else:  # concave quadratic under tangent cuts: t - g_k . u <= 0

@@ -16,12 +16,12 @@ re-solves warm as columns arrive, and proves the master's answer optimal
 (or infeasible) for the whole LP by pricing every column.
 
 Vertex enumeration is exhaustive basis enumeration by default: pick n-1
-active rows among the polytope rows and the nonnegativity bounds, solve
-together with the simplex equality, keep feasible solutions, dedup. Its
-combinatorial cost is intentional (the benchmark exhibits the blowup);
-box-shaped polytopes additionally get a structured enumerator, which
-writes all vertex rows at once and scales to the dimensions the envelope
-solver needs.
+active rows among the polytope rows and the sign rows the polytope's rows
+do not imply, solve together with the simplex equality, keep feasible
+solutions, dedup. Its combinatorial cost is intentional (the benchmark
+exhibits the blowup); box-shaped polytopes (``ActionPolytope.box``)
+additionally get a structured enumerator, which writes all vertex rows
+at once and scales to the dimensions the envelope solver needs.
 """
 
 from __future__ import annotations
@@ -100,28 +100,22 @@ def _exhaustive(
         ok = poly.contains(a, tol=VERTEX_FEAS_TOL * 10)
         return a.reshape(1, 1) if ok else np.zeros((0, 1))
 
-    # active-row pool: polytope rows, nonnegativity bounds, optional
-    # reward kink planes (a_k = value)
-    rows = [poly.H]
-    rhs = [poly.h]
+    # active-row pool: polytope rows, the sign rows they do not imply,
+    # optional reward kink planes (a_k = value). An implied sign row would
+    # only repeat bases: the polytope row -c a_k <= h (c > 0, h <= 0) takes
+    # the place of -a_k <= 0 in a basis that comes earlier in combination
+    # order, and gives the same point (h = 0) or rules a_k = 0 out (h < 0).
     eye = np.eye(n)
-    rows.append(-eye)
-    rhs.append(np.zeros(n))
-    for k, val in extra_planes or []:
-        rows.append(eye[k : k + 1])
-        rhs.append(np.array([val]))
-    pool = np.vstack(rows)
-    pool_rhs = np.concatenate(rhs)
-    npool = pool.shape[0]
+    free = ~poly.implied_nonnegative
+    planes = extra_planes or []
+    pool = np.vstack([poly.H, -eye[free]] + [eye[k : k + 1] for k, _ in planes])
+    pool_rhs = np.concatenate([poly.h, np.zeros(int(free.sum())), [v for _, v in planes]])
 
     found = []
-    combos = itertools.combinations(range(npool), n - 1)
-    while True:
+    combos = itertools.combinations(range(pool.shape[0]), n - 1)
+    while chunk := list(itertools.islice(combos, _BATCH)):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("vertex enumeration exceeded its time budget")
-        chunk = list(itertools.islice(combos, _BATCH))
-        if not chunk:
-            break
         idx = np.array(chunk)
         m = np.empty((len(chunk), n, n))
         m[:, 0, :] = 1.0
@@ -142,18 +136,6 @@ def _exhaustive(
     if not found:
         return np.zeros((0, n))
     return _dedup(np.vstack(found), DEDUP_TOL)
-
-
-def box_bounds(poly: ActionPolytope):
-    """Recover per-coordinate bounds when the polytope rows form the
-    box pattern [I; -I]; returns (lower, upper) or None."""
-    n = poly.dim
-    if poly.H.shape != (2 * n, n):
-        return None
-    if not (np.array_equal(poly.H[:n], np.eye(n))
-            and np.array_equal(poly.H[n:], -np.eye(n))):
-        return None
-    return np.clip(-poly.h[n:], 0.0, None), poly.h[:n]
 
 
 def box_simplex_vertices(lower, upper) -> np.ndarray:
@@ -253,27 +235,20 @@ def enumerate_vertices(
 
     method "exhaustive" is the basis enumeration described above and
     refuses dimensions past ``MAX_EXHAUSTIVE_DIM`` (use the occupancy
-    solver there); "box" requires the [I; -I] row pattern; "auto" picks
-    "box" when the pattern matches (and no kink planes are requested),
-    falling back to "exhaustive".
+    solver there); "auto" writes a box's vertices with
+    :func:`box_simplex_vertices` when no kink planes are requested, and
+    enumerates exhaustively otherwise.
     """
-    if method not in ("exhaustive", "box", "auto"):
+    if method not in ("exhaustive", "auto"):
         raise ValueError(f"unknown enumeration method {method!r}")
-    if method == "auto":
-        method = "box" if (box_bounds(poly) and not extra_planes) else "exhaustive"
-    if method == "box":
-        bounds = box_bounds(poly)
-        if bounds is None:
-            raise ValueError("polytope rows are not in box form")
-        if extra_planes:
-            raise ValueError("kink planes need method='exhaustive'")
-        verts = box_simplex_vertices(*bounds)
+    if method == "auto" and poly.box is not None and not extra_planes:
+        verts = box_simplex_vertices(*poly.box)
+    elif poly.dim > MAX_EXHAUSTIVE_DIM:
+        raise ValueError(
+            f"dimension {poly.dim} exceeds the exhaustive enumeration "
+            f"limit {MAX_EXHAUSTIVE_DIM}; use the occupancy solver instead"
+        )
     else:
-        if poly.dim > MAX_EXHAUSTIVE_DIM:
-            raise ValueError(
-                f"dimension {poly.dim} exceeds the exhaustive enumeration "
-                f"limit {MAX_EXHAUSTIVE_DIM}; use the occupancy solver instead"
-            )
         verts = _exhaustive(poly, extra_planes, deadline)
     if verts.shape[0] == 0:
         raise ValueError("polytope has no vertices (empty feasible set)")
@@ -300,10 +275,7 @@ def enumerate_for_instance(
             rew = instance.rewards[s]
             if isinstance(rew, WeightedL1Reward):
                 planes = [(k, float(c)) for k, c in enumerate(rew.center)]
-        # the parts stay apart and carry their shapes: concatenated bytes
-        # of polytopes of different dimensions can coincide
-        key = (poly.H.shape, poly.base.tobytes(), poly.H.tobytes(),
-               poly.h.tobytes(), repr(planes))
+        key = (poly.key, repr(planes))
         if key not in cache:
             # the box enumerator does not watch the deadline itself
             if deadline is not None and time.monotonic() > deadline:
@@ -351,7 +323,8 @@ def check_vertex_set(instance: CmdpInstance, vertex_set: VertexSet) -> None:
     """Raise ValueError naming the first nonterminal state whose vertex
     array is missing, empty, not finite, not of rows over its next layer,
     or has a row that is not a distribution in the state's polytope
-    within ``FEAS_TOL``."""
+    within ``FEAS_TOL``, tested once per vertex array and polytope key."""
+    checked = set()
     for s in instance.states.nonterminal():
         if s not in vertex_set.vertices:
             raise ValueError(f"vertex set has no vertices for state {s!r}")
@@ -362,10 +335,15 @@ def check_vertex_set(instance: CmdpInstance, vertex_set: VertexSet) -> None:
                              f"expected one or more rows of width {n}")
         if not np.all(np.isfinite(v)):
             raise ValueError(f"vertices of state {s!r} are not all finite")
-        bad = ~instance.polytopes[s].contains(v, FEAS_TOL)
+        poly = instance.polytopes[s]
+        pair = (id(vertex_set.vertices[s]), poly.key)
+        if pair in checked:
+            continue
+        bad = ~poly.contains(v, FEAS_TOL)
         if bad.any():
             raise ValueError(f"vertex {int(np.argmax(bad))} of state {s!r} is not "
                              "a distribution in its polytope")
+        checked.add(pair)
 
 
 def _atoms(weights, vertices) -> list[tuple[float, np.ndarray]]:

@@ -14,8 +14,10 @@ solved by ``linprog`` in ``test_lp_engine.py``.
 
 ``loop_box_simplex_vertices`` is the box enumerator as it was before it
 wrote its vertex rows in one pass: a Python loop per vertex and numpy's
-row-wise ``unique``. The package's enumerator must reproduce its output
-byte for byte.
+row-wise ``unique``. ``full_pool_vertices`` is the exhaustive enumerator
+as it was before its active-row pool left out the sign rows that the
+polytope's own rows imply: every -e_k is in the pool. The package's
+enumerators must reproduce both outputs byte for byte.
 
 It also holds the helpers that only tests use: the homogenized polytope
 rows, a randomized concavity check, a visit-mass CSV writer, the
@@ -42,6 +44,7 @@ from modcmdp import (
     point_to_mix,
 )
 from modcmdp.lp import LpProblem, solve_lp
+from modcmdp.vertices import DEDUP_TOL, VERTEX_FEAS_TOL
 
 
 def extend_polytope(poly):
@@ -547,3 +550,41 @@ def loop_box_simplex_vertices(lower, upper, dedup_tol=1e-7):
     if pts.shape[0] <= 400:
         pts = _loop_dedup(pts, dedup_tol)
     return pts
+
+
+def full_pool_vertices(poly, extra_planes=None):
+    """Vertices of ``poly`` by basis enumeration over the pool of its rows,
+    every sign row -e_k . a <= 0 and the kink planes a_k = value of
+    ``extra_planes``: each choice of n - 1 pool rows, in combination order,
+    is solved with the simplex equality, and the feasible solutions are
+    deduplicated within ``DEDUP_TOL``, first occurrences kept."""
+    n = poly.dim
+    if n == 1:
+        a = np.ones(1)
+        ok = poly.contains(a, tol=VERTEX_FEAS_TOL * 10)
+        return a.reshape(1, 1) if ok else np.zeros((0, 1))
+    eye = np.eye(n)
+    rows, rhs = [poly.H, -eye], [poly.h, np.zeros(n)]
+    for k, val in extra_planes or []:
+        rows.append(eye[k : k + 1])
+        rhs.append(np.array([val]))
+    pool, pool_rhs = np.vstack(rows), np.concatenate(rhs)
+    found = []
+    combos = itertools.combinations(range(pool.shape[0]), n - 1)
+    while chunk := list(itertools.islice(combos, 1 << 15)):
+        idx = np.array(chunk)
+        m = np.empty((len(chunk), n, n))
+        m[:, 0, :] = 1.0
+        m[:, 1:, :] = pool[idx]
+        r = np.empty((len(chunk), n))
+        r[:, 0] = 1.0
+        r[:, 1:] = pool_rhs[idx]
+        good = np.abs(np.linalg.det(m)) > 1e-10
+        if not np.any(good):
+            continue
+        sols = np.linalg.solve(m[good], r[good][..., None])[..., 0]
+        resid = np.max(np.abs(m[good] @ sols[..., None] - r[good][..., None]), axis=(1, 2))
+        cand = sols[resid <= 1e-7]
+        found.append(cand[poly.contains(cand, VERTEX_FEAS_TOL)])
+    pts = np.vstack(found) if found else np.zeros((0, n))
+    return _loop_dedup(pts, DEDUP_TOL) if pts.shape[0] else pts

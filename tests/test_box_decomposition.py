@@ -17,7 +17,7 @@ from modcmdp import (
     naive_linear_baseline,
     point_to_mix,
 )
-from modcmdp.vertices import box_bounds, box_simplex_vertices
+from modcmdp.vertices import box_simplex_vertices
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def test_off_grid_boxes_decompose_in_box_points():
     for _ in range(40):
         dim = int(rng.integers(3, 8))
         base = rng.dirichlet(np.full(dim, 1.5))
-        lo, up = box_bounds(box_polytope(base, float(rng.uniform(0.05, 0.5))))
+        lo, up = box_polytope(base, float(rng.uniform(0.05, 0.5))).box
         verts = box_simplex_vertices(lo, up)
         for _ in range(10):
             a = in_box_point(rng, base, lo, up)

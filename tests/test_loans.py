@@ -7,6 +7,7 @@ import pytest
 from modcmdp import (
     METHODS,
     CmdpInstance,
+    DeterministicPolicy,
     LayeredStateSpace,
     QualityConstraint,
     QualityInfeasibleError,
@@ -192,6 +193,20 @@ class TestSolve:
         with pytest.raises(TimeoutError):
             solve(inst, "envelope", time_limit=0.3)
         assert time.monotonic() - t0 < 1.5
+
+    def test_tight_cap_l1_loan_passes_its_check(self):
+        # the smallest loan that reproduced: at HiGHS's default feasibility
+        # tolerance (1e-7) its "optimal" point missed a row by 5e-8, and
+        # check_optimal allows 1e-8
+        inst = generate_loan_instance(LoanConfig(n_states=62))
+        base = DeterministicPolicy({s: inst.polytopes[s].base
+                                    for s in inst.states.nonterminal()})
+        mass = evaluate_exact(inst, base).constraint_masses[0]
+        cap = QualityConstraint(inst.constraints[0].states, mass / 2)
+        tight = CmdpInstance(inst.states, inst.polytopes, inst.rewards, inst.alpha, [cap])
+        result = solve(tight, "convex")
+        assert result.objective == pytest.approx(-6.596066e-04, rel=1e-6)
+        assert evaluate_exact(tight, result.policy).feasible
 
 
 class TestBenchmark:

@@ -101,6 +101,35 @@ class TestBoxPolytope:
             poly = box_polytope(base, eps)
             assert poly.contains(poly.base)
 
+    def test_box_reads_box_rows_only(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(1, 8))
+            base, eps = rng.dirichlet(np.ones(n)), float(rng.uniform(0, 1))
+            poly = box_polytope(base, eps)
+            lo, up = poly.box
+            assert poly.box is poly.box
+            np.testing.assert_array_equal(lo, np.clip(-poly.h[n:], 0.0, None))
+            np.testing.assert_array_equal(up, poly.h[:n])
+            np.testing.assert_array_equal(lo, np.clip(base - eps, 0.0, None))
+            assert poly.implied_nonnegative.all()
+        eye = np.eye(2)
+        for H in (None, [[1.0, 1.0]], np.vstack([-eye, eye]),
+                  np.vstack([eye, -2 * eye]), np.vstack([eye, -eye, -eye])):
+            H = None if H is None else np.asarray(H)
+            h = None if H is None else np.ones(H.shape[0])
+            assert ActionPolytope([0.5, 0.5], H, h).box is None
+
+    def test_implied_nonnegative_needs_a_lone_negative_row_with_h_at_most_0(self):
+        poly = ActionPolytope([0.5, 0.5, 0.0], [[1, 1, 0], [-2, 0, 0], [0, -1, 0], [0, 0, 3],
+                                                [0, 0, -1]], [1.5, 0.0, 0.1, 1.0, -0.0])
+        np.testing.assert_array_equal(poly.implied_nonnegative, [True, False, True])
+        assert not ActionPolytope([1.0]).implied_nonnegative.any()
+
+    def test_key_is_the_content(self):
+        a, b = box_polytope([0.5, 0.5], 0.1), box_polytope([0.5, 0.5], 0.1)
+        assert a is not b and a.key == b.key
+        assert a.key != box_polytope([0.5, 0.5], 0.2).key
+
     def test_arrays_immutable(self):
         poly = box_polytope([0.5, 0.5], 0.1)
         with pytest.raises(ValueError):

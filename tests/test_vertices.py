@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     brute_force_mixture_value,
     certify_extreme,
+    full_pool_vertices,
     loop_box_simplex_vertices,
     loop_finite_lp,
     random_instance,
@@ -47,8 +48,8 @@ from modcmdp.vertices import (
     FiniteLp,
     VertexSet,
     _top_per_state,
-    box_bounds,
     box_simplex_vertices,
+    check_vertex_set,
 )
 
 
@@ -225,20 +226,15 @@ class TestEnumerate:
                 rng.dirichlet(np.ones(n)), float(rng.uniform(0.05, 0.9))
             )
             ex = as_set(enumerate_vertices(poly, method="exhaustive"))
-            bx = as_set(enumerate_vertices(poly, method="box"))
+            bx = as_set(enumerate_vertices(poly, method="auto"))
             assert ex == bx
-
-    def test_box_method_requires_box_rows(self):
-        poly = ActionPolytope([0.5, 0.5], H=[[1.0, 1.0]], h=[1.5])
-        with pytest.raises(ValueError, match="box form"):
-            enumerate_vertices(poly, method="box")
 
     def test_box_enumerator_matches_the_loop_oracle(self, rng):
         # continuous and 1/64-grid boxes in 2 to 16 dimensions, and the 16
         # boxes of the 16-level loan (14,586 vertices)
         boxes = [random_box(rng, 2 + k % 15, grid=bool(k % 2)) for k in range(150)]
         inst = generate_loan_instance(LoanConfig(n_states=16, reward_kind="quad_convex"))
-        boxes += [box_bounds(inst.polytopes[s]) for s in inst.states.layers[0]]
+        boxes += [inst.polytopes[s].box for s in inst.states.layers[0]]
         for lo, up in boxes:
             assert_same_bytes(box_simplex_vertices(lo, up), loop_box_simplex_vertices(lo, up))
 
@@ -265,6 +261,62 @@ class TestEnumerate:
         v = box_simplex_vertices([0.0, 0.0], [1.0, 1.0])
         assert as_set(v) == [(0.0, 1.0), (1.0, 0.0)]
         assert box_simplex_vertices([0.6, 0.6], [0.7, 0.7]).shape[0] == 0
+
+
+def pool_polytope(rng, kind, n):
+    """A random polytope over ``n`` coordinates that holds its base: a box
+    ("box"), random rows ("rows"), or random rows plus lone rows
+    -c e_k . a <= h with h = 0 or h < 0, which imply a_k >= 0 ("implying")."""
+    base = rng.dirichlet(np.ones(n))
+    if kind == "box":
+        return box_polytope(base, float(rng.uniform(0.05, 0.9)))
+    H = rng.normal(size=(int(rng.integers(1, n + 1)), n))
+    h = H @ base + rng.uniform(0.0, 0.3, size=H.shape[0])
+    if kind == "implying":
+        k = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        c = rng.choice([1.0, 2.5], size=k.size)
+        at = np.where(rng.random(k.size) < 0.5, 0.0, rng.uniform(0.0, 1.0, k.size) * base[k])
+        order = rng.permutation(H.shape[0] + k.size)
+        H = np.vstack([H, -c[:, None] * np.eye(n)[k]])[order]
+        h = np.concatenate([h, -c * at])[order]
+    return ActionPolytope(base, H, h)
+
+
+class TestExhaustivePool:
+    """The pool leaves out the sign rows the polytope's rows imply, and the
+    vertex arrays stay those of the full pool, byte for byte."""
+
+    @pytest.mark.parametrize("reward_kind, sizes", [("affine", (4, 5, 6, 7, 8)),
+                                                     ("l1", (5, 6))])
+    def test_loan_boxes_match_the_full_pool(self, reward_kind, sizes):
+        for n in sizes:
+            inst = generate_loan_instance(LoanConfig(n_states=n, reward_kind=reward_kind))
+            for s in inst.states.layers[0]:
+                poly, rew = inst.polytopes[s], inst.rewards[s]
+                assert poly.implied_nonnegative.all()
+                planes = None
+                if reward_kind == "l1":
+                    planes = [(k, float(c)) for k, c in enumerate(rew.center)]
+                got = enumerate_vertices(poly, extra_planes=planes)
+                assert_same_bytes(got, full_pool_vertices(poly, planes))
+
+    def test_random_polytopes_match_the_full_pool(self):
+        rng = np.random.default_rng(7)
+        implied = 0
+        for i in range(400):
+            n = int(rng.integers(2, 7))
+            poly = pool_polytope(rng, ("box", "rows", "implying")[i % 3], n)
+            planes = None
+            if i % 2:
+                planes = [(k, float(c)) for k, c in enumerate(rng.dirichlet(np.ones(n)))]
+            implied += int(poly.implied_nonnegative.sum())
+            want = full_pool_vertices(poly, planes)
+            if want.shape[0] == 0:
+                with pytest.raises(ValueError, match="no vertices"):
+                    enumerate_vertices(poly, extra_planes=planes)
+                continue
+            assert_same_bytes(enumerate_vertices(poly, extra_planes=planes), want)
+        assert implied > 400
 
 
 class TestFiniteCmdp:
@@ -305,6 +357,24 @@ class TestFiniteCmdp:
     def test_bad_vertex_sets_are_rejected(self, vertices, message):
         with pytest.raises(ValueError, match=message):
             build_finite_cmdp(l1_instance(), VertexSet(vertices))
+
+    def test_shared_array_names_the_first_bad_state(self):
+        # s0 and s1 share one array and hold equal polytopes in two
+        # objects; s2's polytope is narrower, so the array fails there first
+        space = LayeredStateSpace([["s0", "s1", "s2"], ["ok", "bad"]])
+        polys = {"s0": box_polytope([0.5, 0.5], 0.4),
+                 "s1": box_polytope([0.5, 0.5], 0.4),
+                 "s2": box_polytope([0.5, 0.5], 0.2)}
+        inst = CmdpInstance(space, polys, {s: WeightedL1Reward([0.5, 0.5]) for s in polys},
+                            [0.2, 0.3, 0.5])
+        shared = np.array([[0.1, 0.9], [0.9, 0.1]])
+        check_vertex_set(inst, VertexSet({"s0": shared, "s1": shared,
+                                          "s2": np.array([[0.3, 0.7], [0.7, 0.3]])}))
+        with pytest.raises(ValueError, match="vertex 0 of state 's2'"):
+            check_vertex_set(inst, VertexSet(dict.fromkeys(polys, shared)))
+        bad = np.array([[0.1, 0.9], [0.95, 0.05]])
+        with pytest.raises(ValueError, match="vertex 1 of state 's0'"):
+            check_vertex_set(inst, VertexSet(dict.fromkeys(polys, bad)))
 
     def test_vertex_lists_are_accepted(self):
         inst = l1_instance()
