@@ -3,8 +3,9 @@ instances, evaluate policies, and run the benchmark harness.
 
 Every command writes a ``<out>.manifest.json`` next to its output with
 the argv, input hashes, seed (``evaluate``'s; null for the others),
-package version and wall time, so any published number can be
-regenerated from one command line. Exit codes: 0 optimal/success, 2
+package version, numpy and scipy versions (scipy vendors the HiGHS
+solver) and wall time, so any published number can be regenerated from
+one command line. Exit codes: 0 optimal/success, 2
 infeasible, 3 timeout, 1 any other error, usage errors included. The
 environment variable MODCMDP_TIMEOUT sets the default time budget in
 seconds, which bounds every method.
@@ -17,6 +18,9 @@ import hashlib
 import os
 import sys
 import time
+
+import numpy
+import scipy
 
 from . import __version__, fileio
 from .evaluate import evaluate_exact, simulate
@@ -63,6 +67,8 @@ def _manifest(command, args_dict, inputs, outputs, seed, wall):
         "outputs": [str(p) for p in outputs],
         "seed": seed,
         "version": __version__,
+        "numpy_version": numpy.__version__,
+        "scipy_version": scipy.__version__,
         "wall_time_s": wall,
     }
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import lp as lpmod
-from .evaluate import evaluate_exact
+from .evaluate import evaluate_validated
 from .extend import extend_reward
 from .model import (
     AffineReward,
@@ -136,10 +136,10 @@ def naive_linear_baseline(
     base_policy = DeterministicPolicy(
         {s: instance.polytopes[s].base for s in instance.states.nonterminal()}
     )
-    base_lin = evaluate_exact(lin_instance, base_policy)
+    base_lin = evaluate_validated(lin_instance, base_policy)
     if base_lin.feasible and base_lin.value >= sol.objective - 1e-9 * max(
         1.0, abs(sol.objective)
     ):
         policy = base_policy
-    true_report = evaluate_exact(instance, policy)
+    true_report = evaluate_validated(instance, policy)
     return true_report.value, policy

@@ -41,8 +41,7 @@ class EvaluationReport:
     trajectories: Optional[int] = None
 
 
-def _require_valid(instance: CmdpInstance, policy: Policy) -> None:
-    require_valid(instance)
+def _check_policy(instance: CmdpInstance, policy: Policy) -> None:
     bad = policy.check(instance)
     if bad:
         raise ValueError("infeasible policy: " + "; ".join(bad))
@@ -64,8 +63,17 @@ def _constraint_summary(instance, visit):
 
 
 def evaluate_exact(instance: CmdpInstance, policy: Policy) -> EvaluationReport:
-    """Exact visit masses by forward recursion and the exact return."""
-    _require_valid(instance, policy)
+    """Exact visit masses by forward recursion and the exact return;
+    raises ValueError on an invalid instance or policy."""
+    require_valid(instance)
+    return evaluate_validated(instance, policy)
+
+
+def evaluate_validated(instance: CmdpInstance, policy: Policy) -> EvaluationReport:
+    """:func:`evaluate_exact` of an instance already validated, for the
+    solvers that evaluate the instance they were given: the policy is
+    checked, the instance is not validated again."""
+    _check_policy(instance, policy)
     space = instance.states
     visit: dict[str, float] = {}
     cur = np.asarray(instance.alpha, dtype=float).copy()
@@ -100,7 +108,8 @@ def simulate(
     """
     if trajectories < 1:
         raise ValueError("trajectories must be >= 1")
-    _require_valid(instance, policy)
+    require_valid(instance)
+    _check_policy(instance, policy)
     rng = np.random.Generator(np.random.Philox(seed))
     space = instance.states
     n = trajectories

@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .envelope import build_envelope, naive_linear_baseline
-from .evaluate import evaluate_exact
+from .evaluate import evaluate_validated
 from .lp import deadline_after, time_left
 from .model import (
     AffineReward,
@@ -234,7 +234,7 @@ def greedy_baseline(
         dist = nxt
 
     full = DeterministicPolicy(committed)
-    report = evaluate_exact(instance, full)
+    report = evaluate_validated(instance, full)
     return report.value, full
 
 
@@ -297,7 +297,7 @@ def solve(
             fc = FiniteCmdp(instance, vs.vertices)
         objective, policy = solve_finite(fc, time_limit=time_left(deadline))
         vertices = sum(v.shape[0] for v in fc.vertices.values())
-    visit = evaluate_exact(instance, policy).visit_mass
+    visit = evaluate_validated(instance, policy).visit_mass
     return SolveResult(objective, policy, visit, vertices=vertices)
 
 

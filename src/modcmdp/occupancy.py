@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lp as lpmod
-from .evaluate import cap_masses, evaluate_exact
+from .evaluate import cap_masses, evaluate_validated
 from .model import (
     AffineReward,
     CmdpInstance,
@@ -401,7 +401,7 @@ def solve_occupancy(
         # the extracted policy's achieved return as the objective
         tmp = OccupancySolution(edge, visit, objective=float(sol.objective))
         policy = extract_policy(tmp, instance)
-        report = evaluate_exact(instance, policy)
+        report = evaluate_validated(instance, policy)
         return OccupancySolution(
             edge, visit, objective=report.value, bound=float(sol.objective)
         )

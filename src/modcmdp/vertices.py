@@ -377,6 +377,16 @@ def _top_per_state(score, mask, col_start, k: int) -> np.ndarray:
     return idx[np.lexsort((-score[idx], state))]
 
 
+def _csc_entries(m: sp.csc_matrix, cols, at):
+    """(row, column, value) triplets of the entries of ``m``'s columns
+    ``cols``, those of ``cols[i]`` placed in column ``at[i]``."""
+    start = m.indptr[cols]
+    count = m.indptr[cols + 1] - start
+    # the entries of each column, one column after the other
+    pos = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+    return m.indices[pos], np.repeat(at, count), m.data[pos]
+
+
 class FiniteLp:
     """The occupancy LP of a finite-action reduction, never assembled
     whole: the restricted master's columns are written from the vertex
@@ -449,23 +459,19 @@ class FiniteLp:
         at_v = np.flatnonzero(j < self.n_vertex)
         g = np.searchsorted(self.col_start, j[at_v], side="right") - 1
         local = j[at_v] - self.col_start[g]
-        parts = [(self.out_row[g], np.arange(at_v.size), np.ones(at_v.size))]
+        parts = [(self.out_row[g], at_v, np.ones(at_v.size))]
         for a in np.unique(self.array_of[g]):
             k = np.flatnonzero(self.array_of[g] == a)
             block = self.vertices[self.shared[a][0]][local[k]]
             r, c = np.nonzero(block)
-            parts.append((self.in_start[g[k[r]]] + c, k[r], block[r, c]))
+            parts.append((self.in_start[g[k[r]]] + c, at_v[k[r]], block[r, c]))
+        at_d = np.flatnonzero(j >= self.n_vertex)
+        d = j[at_d] - self.n_vertex
+        parts.append(_csc_entries(self.d_eq, d, at_d))
         rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-        a_eq = sp.csc_matrix((vals, (rows, cols)), shape=(self.b_eq.size, at_v.size))
-        a_in = sp.csc_matrix((self.b_in.size, at_v.size))
-        if at_v.size < j.size:
-            # the vertex columns, then the d columns, put back in j's order
-            d = j[j >= self.n_vertex] - self.n_vertex
-            back = np.argsort(np.concatenate([at_v, np.flatnonzero(j >= self.n_vertex)]),
-                              kind="stable")
-            a_eq = sp.hstack([a_eq, self.d_eq[:, d]], format="csc")[:, back]
-            a_in = sp.hstack([a_in, self.d_in[:, d]], format="csc")[:, back]
-        a_eq.sort_indices()
+        a_eq = sp.csc_matrix((vals, (rows, cols)), shape=(self.b_eq.size, j.size))
+        rows, cols, vals = _csc_entries(self.d_in, d, at_d)
+        a_in = sp.csc_matrix((vals, (rows, cols)), shape=(self.b_in.size, j.size))
         return lpmod.LpProblem(c=self.cost[j], a_eq=a_eq, b_eq=self.b_eq,
                                a_in=a_in, b_in=self.b_in)
 
@@ -634,6 +640,11 @@ def hull_envelope(points, values, query) -> tuple[float, np.ndarray]:
     """Envelope of arbitrary generators: the largest convex combination of
     ``values`` whose combination of ``points`` equals ``query``. Returns
     (value, weight vector); raises DecompositionError outside the hull.
+
+    The LP (one row per coordinate and a convexity row, one column per
+    point) goes to :func:`lp.solve_once`, which runs the simplex without
+    HiGHS's presolve: at this size presolve costs about as much as the
+    simplex run, and callers solve one such LP per action they convert.
     """
     pts = np.asarray(points, dtype=float)
     q = np.asarray(query, dtype=float)

@@ -16,8 +16,12 @@ solved by ``linprog`` in ``test_lp_engine.py``.
 wrote its vertex rows in one pass: a Python loop per vertex and numpy's
 row-wise ``unique``. ``full_pool_vertices`` is the exhaustive enumerator
 as it was before its active-row pool left out the sign rows that the
-polytope's own rows imply: every -e_k is in the pool. The package's
-enumerators must reproduce both outputs byte for byte.
+polytope's own rows imply: every -e_k is in the pool.
+``slice_finite_lp_columns`` is ``FiniteLp.columns`` as it was before it
+gathered each row block's entries in one pass: the vertex columns from
+triplets, the d columns sliced out of ``d_eq`` and ``d_in``, stacked and
+put back in order. The package must reproduce all three outputs byte for
+byte.
 
 It also holds the helpers that only tests use: the homogenized polytope
 rows, a randomized concavity check, a visit-mass CSV writer, the
@@ -550,6 +554,34 @@ def loop_box_simplex_vertices(lower, upper, dedup_tol=1e-7):
     if pts.shape[0] <= 400:
         pts = _loop_dedup(pts, dedup_tol)
     return pts
+
+
+def slice_finite_lp_columns(flp, j):
+    """Columns ``j`` of the finite-action LP ``flp`` (a
+    ``modcmdp.vertices.FiniteLp``), in that order: the vertex columns
+    written from triplets, then the d columns sliced from ``flp.d_eq`` and
+    ``flp.d_in``, stacked and re-ordered into ``j``'s order."""
+    j = np.asarray(j, dtype=np.int64)
+    at_v = np.flatnonzero(j < flp.n_vertex)
+    g = np.searchsorted(flp.col_start, j[at_v], side="right") - 1
+    local = j[at_v] - flp.col_start[g]
+    parts = [(flp.out_row[g], np.arange(at_v.size), np.ones(at_v.size))]
+    for a in np.unique(flp.array_of[g]):
+        k = np.flatnonzero(flp.array_of[g] == a)
+        block = flp.vertices[flp.shared[a][0]][local[k]]
+        r, c = np.nonzero(block)
+        parts.append((flp.in_start[g[k[r]]] + c, k[r], block[r, c]))
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    a_eq = sp.csc_matrix((vals, (rows, cols)), shape=(flp.b_eq.size, at_v.size))
+    a_in = sp.csc_matrix((flp.b_in.size, at_v.size))
+    if at_v.size < j.size:
+        d = j[j >= flp.n_vertex] - flp.n_vertex
+        back = np.argsort(np.concatenate([at_v, np.flatnonzero(j >= flp.n_vertex)]),
+                          kind="stable")
+        a_eq = sp.hstack([a_eq, flp.d_eq[:, d]], format="csc")[:, back]
+        a_in = sp.hstack([a_in, flp.d_in[:, d]], format="csc")[:, back]
+    a_eq.sort_indices()
+    return LpProblem(c=flp.cost[j], a_eq=a_eq, b_eq=flp.b_eq, a_in=a_in, b_in=flp.b_in)
 
 
 def full_pool_vertices(poly, extra_planes=None):

@@ -3,11 +3,13 @@ import pytest
 
 from helpers import random_instance
 
+import modcmdp.model as model
 from modcmdp import (
     ActionPolytope,
     CmdpInstance,
     DeterministicPolicy,
     LayeredStateSpace,
+    LoanConfig,
     QualityConstraint,
     QuadraticDeviationReward,
     RandomizedPolicy,
@@ -15,10 +17,13 @@ from modcmdp import (
     box_polytope,
     evaluate_exact,
     extract_policy,
+    generate_loan_instance,
     mix_to_point,
     simulate,
+    solve,
     solve_occupancy,
 )
+from modcmdp.evaluate import evaluate_validated
 
 
 def chain_instance():
@@ -185,3 +190,56 @@ class TestOracleAgreement:
             policy = extract_policy(sol, inst)
             report = evaluate_exact(inst, policy)
             assert report.value == pytest.approx(sol.objective, abs=1e-7)
+
+
+class TestValidation:
+    """Each solver validates the instance it was given once and evaluates
+    its policy without validating it again; evaluate_exact validates."""
+
+    @staticmethod
+    def count_validate(monkeypatch):
+        calls = []
+        validate = model.validate
+
+        def counted(instance):
+            calls.append(instance)
+            return validate(instance)
+
+        monkeypatch.setattr(model, "validate", counted)
+        return calls
+
+    @pytest.mark.parametrize("method, reward_kind, calls", [
+        ("convex", "l1", 1),
+        ("extreme", "l1", 1),
+        ("envelope", "quad_convex", 1),
+        # the instance, then the linearized one by its occupancy LP
+        ("naive-linear", "quad_convex", 2),
+        # the instance, then one occupancy LP per period of the horizon 6
+        ("greedy", "l1", 6),
+    ])
+    def test_solve_validates_once_per_instance(self, monkeypatch, method, reward_kind, calls):
+        inst = generate_loan_instance(LoanConfig(n_states=5, q_default=0.5,
+                                                 reward_kind=reward_kind))
+        seen = self.count_validate(monkeypatch)
+        res = solve(inst, method)
+        assert len(seen) == calls
+        assert seen[0] is inst
+        if method != "convex":  # its visit masses come from the LP
+            assert res.visit_mass == evaluate_exact(inst, res.policy).visit_mass
+
+    def test_evaluate_exact_validates(self, monkeypatch):
+        inst, policy = chain_instance()
+        seen = self.count_validate(monkeypatch)
+        report = evaluate_exact(inst, policy)
+        assert seen == [inst]
+        again = evaluate_validated(inst, policy)
+        assert (again.visit_mass, again.value) == (report.visit_mass, report.value)
+        assert len(seen) == 1
+        broken = CmdpInstance(inst.states, inst.polytopes, inst.rewards, [0.5, 0.4], [])
+        with pytest.raises(ValueError, match="alpha"):
+            evaluate_exact(broken, policy)
+
+    def test_evaluate_validated_checks_the_policy(self):
+        inst, _ = chain_instance()
+        with pytest.raises(ValueError, match="infeasible policy"):
+            evaluate_validated(inst, DeterministicPolicy({"a": [2.0, -1.0]}))

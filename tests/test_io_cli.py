@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 from helpers import visit_mass_csv
 
@@ -282,6 +283,13 @@ class TestCli:
                             "--out", prob) == 1
         assert self.run_cli("generate", "loan", "--states", 4, "--out", prob) == 0
         assert load_json(str(prob) + ".manifest.json")["seed"] is None
+
+    def test_manifest_records_the_library_versions(self, tmp_path):
+        prob = tmp_path / "loan.json"
+        assert self.run_cli("generate", "loan", "--states", 4, "--out", prob) == 0
+        manifest = load_json(str(prob) + ".manifest.json")
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == scipy.__version__
 
     def test_benchmark_command(self, tmp_path):
         out = tmp_path / "bench.csv"

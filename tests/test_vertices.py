@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from helpers import (
     brute_force_mixture_value,
@@ -13,6 +14,7 @@ from helpers import (
     loop_finite_lp,
     random_instance,
     single_lp_finite,
+    slice_finite_lp_columns,
     vertex_counts,
 )
 
@@ -26,15 +28,19 @@ from modcmdp import (
     LoanConfig,
     QualityConstraint,
     QualityInfeasibleError,
+    QuadraticDeviationReward,
     RandomizedPolicy,
     WeightedL1Reward,
     box_polytope,
+    build_envelope,
     build_finite_cmdp,
     enumerate_for_instance,
     enumerate_vertices,
+    envelope_value,
     evaluate_exact,
     farkas_gap,
     generate_loan_instance,
+    hull_envelope,
     mix_to_point,
     point_to_mix,
     solve,
@@ -720,6 +726,162 @@ class TestAgainstLoopAssembly:
             self.assert_same_lp(monkeypatch, inst, enumerate_for_instance(inst))
 
 
+class TestColumnsAgainstSliceOracle:
+    """FiniteLp.columns gathers each row block's entries in one pass, and
+    its matrices are those of the slice-and-stack oracle, byte for byte."""
+
+    @staticmethod
+    def assert_same_columns(flp, j):
+        got, want = flp.columns(j), slice_finite_lp_columns(flp, j)
+        assert_same_bytes(got.c, want.c)
+        for name in ("a_eq", "a_in"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.format == b.format == "csc" and a.shape == b.shape
+            for part in ("indptr", "indices", "data"):
+                assert_same_bytes(getattr(a, part), getattr(b, part))
+
+    @classmethod
+    def assert_subsets(cls, rng, inst, vs, draws=30):
+        """Every column in order, then unsorted subsets mixing vertex and d
+        columns, vertex columns alone and d columns alone."""
+        flp = FiniteLp(build_finite_cmdp(inst, vs))
+        cls.assert_same_columns(flp, np.arange(flp.nvars))
+        for _ in range(draws):
+            size = int(rng.integers(1, flp.nvars + 1))
+            cls.assert_same_columns(flp, rng.choice(flp.nvars, size=size, replace=False))
+        for lo, hi in ((0, flp.n_vertex), (flp.n_vertex, flp.nvars)):
+            cls.assert_same_columns(flp, rng.permutation(np.arange(lo, hi)))
+        return flp
+
+    def test_quadratic_loan(self, rng):
+        inst = generate_loan_instance(LoanConfig(n_states=10, reward_kind="quad_convex"))
+        flp = self.assert_subsets(rng, inst, enumerate_for_instance(inst, method="auto"))
+        assert max(len(gs) for gs in flp.shared) > 1  # states share an array
+        assert flp.b_in.size == 1
+
+    def test_l1_loan_with_kink_planes(self, rng):
+        inst = generate_loan_instance(LoanConfig(n_states=5, reward_kind="l1"))
+        self.assert_subsets(rng, inst, enumerate_for_instance(inst, kink_planes=True))
+
+    def test_random_instances_with_caps(self, rng):
+        caps = 0
+        for _ in range(24):
+            inst = random_instance(rng, max_states=6, reward="affine", constraint_chance=1.0)
+            caps += len(inst.constraints)
+            self.assert_subsets(rng, inst, enumerate_for_instance(inst), draws=10)
+        assert caps > 24
+
+
+def linprog_hull(points, values, query):
+    """The LP of :func:`hull_envelope` solved by scipy's linprog with HiGHS
+    and its default presolve: (status, value), status 0 optimal and 2
+    infeasible."""
+    pts = np.asarray(points, dtype=float)
+    a_eq = np.vstack([pts.T, np.ones((1, pts.shape[0]))])
+    res = linprog(-np.asarray(values, dtype=float), A_eq=a_eq,
+                  b_eq=np.append(query, 1.0), bounds=(0, None), method="highs")
+    return res.status, (-res.fun if res.status == 0 else None)
+
+
+class TestHullAgainstLinprog:
+    """hull_envelope, point_to_mix and envelope_value, whose LPs run without
+    presolve, against linprog with presolve on the same LP: random box and
+    general polytopes, queried at vertices, on faces, inside and outside."""
+
+    @staticmethod
+    def queries(rng, poly, verts):
+        """(query, kind) pairs: up to four vertices, points on up to four
+        faces of the polytope's rows and sign rows, interior mixtures, and
+        points outside: past a vertex (away from the centroid), or off the
+        simplex."""
+        out = [(v, "vertex") for v in verts[rng.permutation(verts.shape[0])[:4]]]
+        rows = np.vstack([poly.H, -np.eye(poly.dim)])
+        rhs = np.concatenate([poly.h, np.zeros(poly.dim)])
+        for i in rng.permutation(rhs.size):
+            tight = verts[np.abs(verts @ rows[i] - rhs[i]) <= 1e-9]
+            if tight.shape[0] >= 2 and len(out) < 8:
+                out.append((rng.dirichlet(np.ones(tight.shape[0])) @ tight, "face"))
+        out += [(rng.dirichlet(np.ones(verts.shape[0])) @ verts, "interior")
+                for _ in range(2)]
+        if verts.shape[0] > 1:
+            center = verts.mean(axis=0)
+            out += [(center + 1.5 * (v - center), "outside") for v in verts[:2]]
+        out.append((verts[0] + 0.01, "outside"))
+        return out
+
+    @staticmethod
+    def polytopes(rng):
+        """(polytope, vertices): boxes by box_simplex_vertices, general
+        polytopes by exhaustive enumeration."""
+        for i in range(40):
+            n = int(rng.integers(2, 7))
+            poly = pool_polytope(rng, ("box", "rows", "implying")[i % 3], n)
+            if poly.box is not None:
+                yield poly, box_simplex_vertices(*poly.box)
+            else:
+                yield poly, enumerate_vertices(poly)
+
+    @staticmethod
+    def assert_value(got, want):
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    @staticmethod
+    def assert_reproduces(weights, verts, query):
+        assert weights.min() >= 0.0
+        assert weights.sum() == pytest.approx(1.0, abs=1e-8)
+        np.testing.assert_allclose(weights @ verts, query, rtol=0.0, atol=1e-8)
+
+    def test_values_and_weights_match_the_oracle(self):
+        rng = np.random.default_rng(13)
+        seen = dict.fromkeys(("vertex", "face", "interior", "outside"), 0)
+        for poly, verts in self.polytopes(rng):
+            n = poly.dim
+            inst = CmdpInstance(
+                LayeredStateSpace([["s"], [f"t{k}" for k in range(n)]]), {"s": poly},
+                {"s": QuadraticDeviationReward(poly.base, convex=True,
+                                               weights=rng.uniform(0.5, 2.0, n))},
+                np.array([1.0]), [],
+            )
+            fc = build_envelope(inst, VertexSet({"s": verts}))
+            values = rng.normal(size=verts.shape[0])
+            for q, kind in self.queries(rng, poly, verts):
+                seen[kind] += 1
+                inside = kind != "outside"
+                for vals, route in (
+                    (values, lambda: hull_envelope(verts, values, q)),
+                    (fc.rewards["s"], lambda: envelope_value(fc, "s", q)),
+                ):
+                    status, want = linprog_hull(verts, vals, q)
+                    assert status == (0 if inside else 2)
+                    if not inside:
+                        with pytest.raises(DecompositionError):
+                            route()
+                        continue
+                    got, weights = route()
+                    self.assert_value(got, want)
+                    self.assert_value(float(weights @ vals), want)
+                    self.assert_reproduces(weights, verts, q)
+                if not inside:
+                    with pytest.raises(DecompositionError):
+                        point_to_mix(q, verts)
+                    continue
+                pairs = point_to_mix(q, verts)
+                assert len(pairs) <= n
+                weights = np.array([w for w, _ in pairs])
+                self.assert_reproduces(weights, np.array([v for _, v in pairs]), q)
+        assert min(seen.values()) >= 60, seen
+
+    def test_hull_lps_run_without_presolve(self):
+        # presolve alone solves this LP; the hull solve runs the simplex
+        pts = np.array([[1.0, 0.0], [0.0, 1.0]])
+        p = lpmod.LpProblem(c=np.zeros(2), a_eq=np.vstack([pts.T, np.ones((1, 2))]),
+                            b_eq=[0.6, 0.4, 1.0])
+        assert lpmod.solve_lp(p).iterations == 0
+        sol = lpmod.solve_once(p)
+        assert sol.iterations > 0
+        np.testing.assert_allclose(sol.x, [0.6, 0.4], rtol=0.0, atol=1e-12)
+
+
 class TestConversions:
     def test_mix_to_point_example(self):
         pol = RandomizedPolicy({"s": [(0.6, [1.0, 0.0]), (0.4, [0.0, 1.0])]})
@@ -754,9 +916,9 @@ class TestConversions:
         calls = []
         solve_highs = lpmod._solve_highs
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return solve_highs(*args)
+            return solve_highs(*args, **kwargs)
 
         monkeypatch.setattr(lpmod, "_solve_highs", counted)
         with pytest.raises(DecompositionError):
