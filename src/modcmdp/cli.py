@@ -104,11 +104,14 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+# the loan reward kind each --reward value names
+_REWARDS = {"l1": "l1", "quad": "quad_convex", "affine": "affine"}
+
+
 def _loan_config(args, n_states: int) -> LoanConfig:
-    kind = {"l1": "l1", "quad": "quad_convex", "affine": "affine"}[args.reward]
     return LoanConfig(n_states=n_states, horizon=args.horizon,
                       epsilon=args.epsilon, q_default=args.qbound,
-                      reward_kind=kind)
+                      reward_kind=_REWARDS[args.reward])
 
 
 def cmd_generate(args) -> int:
@@ -212,14 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--timeout", type=float, default=_default_timeout())
     sv.set_defaults(func=cmd_solve)
 
+    loan_opts = argparse.ArgumentParser(add_help=False)
+    loan_opts.add_argument("--horizon", type=int, default=6)
+    loan_opts.add_argument("--epsilon", type=float, default=0.4)
+    loan_opts.add_argument("--qbound", type=float, default=0.04)
+    loan_opts.add_argument("--reward", default="l1", choices=list(_REWARDS))
+
     gen = sub.add_parser("generate", help="generate a synthetic problem file")
     gsub = gen.add_subparsers(dest="family", required=True)
-    loan = gsub.add_parser("loan", help="loan-delinquency chain")
+    loan = gsub.add_parser("loan", help="loan-delinquency chain", parents=[loan_opts])
     loan.add_argument("--states", type=int, default=8)
-    loan.add_argument("--horizon", type=int, default=6)
-    loan.add_argument("--epsilon", type=float, default=0.4)
-    loan.add_argument("--qbound", type=float, default=0.04)
-    loan.add_argument("--reward", default="l1", choices=["l1", "quad"])
     loan.add_argument("--out", required=True)
     loan.set_defaults(func=cmd_generate)
 
@@ -233,18 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", required=True)
     ev.set_defaults(func=cmd_evaluate)
 
-    bm = sub.add_parser("benchmark", help="timing/quality sweeps to CSV")
+    bm = sub.add_parser("benchmark", help="timing/quality sweeps to CSV",
+                        parents=[loan_opts])
     bm.add_argument("--states", required=True,
                     help="range a..b or comma list")
     bm.add_argument("--methods", required=True,
                     help="comma list from " + ",".join(METHODS))
     bm.add_argument("--q-sweep", default=None,
                     help="lo:hi:step cap sweep at the first state count")
-    bm.add_argument("--reward", default="l1",
-                    choices=["l1", "quad", "affine"])
-    bm.add_argument("--horizon", type=int, default=6)
-    bm.add_argument("--epsilon", type=float, default=0.4)
-    bm.add_argument("--qbound", type=float, default=0.04)
     bm.add_argument("--timeout", type=float,
                     default=_default_timeout() or 300.0)
     bm.add_argument("--out", required=True)

@@ -186,14 +186,23 @@ def policy_to_json(policy: Policy) -> dict:
 
 def policy_from_json(obj: dict) -> Policy:
     _require_keys(obj, {"type", "actions", "mixtures"}, {"type"}, "policy")
-    if obj["type"] == "deterministic":
-        return DeterministicPolicy(obj["actions"])
-    if obj["type"] == "randomized":
-        return RandomizedPolicy(
-            {s: [(w, np.asarray(a)) for w, a in pairs]
-             for s, pairs in obj["mixtures"].items()}
-        )
-    raise SchemaError(f"policy: unknown type {obj['type']!r}")
+    kind = obj["type"]
+    if kind not in ("deterministic", "randomized"):
+        raise SchemaError(f"policy: unknown type {kind!r}")
+    field = "actions" if kind == "deterministic" else "mixtures"
+    _require_keys(obj, {"type", field}, {"type", field}, f"{kind} policy")
+    entries = obj[field]
+    if not isinstance(entries, dict):
+        raise SchemaError(f"{kind} policy: {field} must be an object keyed by state")
+    if kind == "deterministic":
+        return DeterministicPolicy(entries)
+    for s, pairs in entries.items():
+        if not (isinstance(pairs, list)
+                and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+            raise SchemaError(f"randomized policy: the mixture of {s!r} is not a "
+                              "list of [weight, action] pairs")
+    return RandomizedPolicy(
+        {s: [(w, np.asarray(a)) for w, a in pairs] for s, pairs in entries.items()})
 
 
 def solution_to_json(instance: CmdpInstance, result) -> dict:

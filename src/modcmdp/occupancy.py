@@ -1,7 +1,8 @@
 """Occupancy-measure convex program over edge masses u(s, s') and visit
-masses d(s), and extraction of the deterministic optimal policy. (The
-finite-action LP of the extreme-point and envelope routes has its own
-columns and is never assembled whole: :class:`modcmdp.vertices.FiniteLp`.)
+masses d(s), and extraction of the deterministic optimal policy. Its flow
+and cap rows and the d columns' entries on them (:class:`FlowRows`) are
+shared with the finite-action LP of the extreme-point and envelope routes,
+whose other columns are vertex masses (:class:`modcmdp.vertices.FiniteLp`).
 
 The program maximizes the homogeneously lifted reward of each state's
 outgoing edge-mass vector subject to flow conservation, the initial
@@ -133,15 +134,58 @@ class _Coo:
         return sp.csc_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
 
 
+class FlowRows:
+    """The rows every occupancy LP of an instance shares, and the visit
+    masses' entries on them; :func:`build_occupancy_lp` and
+    :class:`modcmdp.vertices.FiniteLp` both build on it.
+
+    Equality rows: one initial-distribution row per first-layer state,
+    then the outgoing mass of each nonterminal state ``g`` (``states``
+    order) at ``out_row[g]``, then the incoming mass of each later state.
+    Then one cap row each, right-hand side ``b_in``. Mass leaving ``g``
+    for its k-th successor, ``space.all_states()`` state
+    ``succ_start[g] + k`` (k < ``succ_width[g]``), has a 1 on
+    ``out_row[g]`` and on ``in_start[g] + k``. ``d_eq`` and ``d_in`` are
+    the (row, state, value) triplets of the visit masses: d is +1 on its
+    initial row, -1 on its outgoing and incoming rows, and +1 on every
+    cap that holds its state.
+    """
+
+    def __init__(self, instance: CmdpInstance):
+        space = instance.states
+        sizes = np.array([len(layer) for layer in space.layers])
+        layer_start = np.concatenate([[0], np.cumsum(sizes)])
+        self.states = tuple(space.nonterminal())
+        n_first, n_g, self.n_states = int(sizes[0]), len(self.states), int(layer_start[-1])
+        layer_of = np.repeat(np.arange(space.horizon - 1), sizes[:-1])
+        self.succ_start = layer_start[layer_of + 1]
+        self.succ_width = sizes[layer_of + 1]
+        self.out_row = n_first + np.arange(n_g)
+        self.in_start = n_g + self.succ_start
+        self.b_eq = np.concatenate([instance.alpha, np.zeros(n_g + self.n_states - n_first)])
+        self.b_in = np.array([qc.bound for qc in instance.constraints], dtype=float)
+
+        later = np.arange(n_first, self.n_states)
+        self.d_eq = (
+            np.concatenate([np.arange(n_first), self.out_row, n_g + later]),
+            np.concatenate([np.arange(n_first), np.arange(n_g), later]),
+            np.concatenate([np.ones(n_first), -np.ones(n_g + later.size)]),
+        )
+        caps = [(i, layer_start[t] + k) for i, qc in enumerate(instance.constraints)
+                for t, k in sorted(map(space.position, qc.states))]
+        rows, cols = np.array(caps, dtype=np.int64).reshape(-1, 2).T
+        self.d_in = (rows, cols, np.ones(rows.size))
+
+
 @dataclass(frozen=True)
 class _Layout:
     """Column layout of the occupancy LP for one instance.
 
     Edges are numbered layer-major: nonterminal state ``g`` (in
-    ``space.nonterminal()`` order) owns edges ``edge_start[g]`` to
-    ``edge_start[g + 1] - 1``, one per next-layer state, and the column
-    block ``col_start[g]`` to ``col_start[g + 1] - 1``; every d column
-    follows, then the tangent-cut epigraph columns.
+    :class:`FlowRows` order) owns edges ``edge_start[g]`` to
+    ``edge_start[g + 1] - 1``, one per successor, and the column block
+    ``col_start[g]`` to ``col_start[g + 1] - 1``; every d column follows,
+    then the tangent-cut epigraph columns.
 
     Rows are written over the LP's columns and the edge masses, edge ``e``
     taking index ``n_cols + e``. ``lift`` maps that space onto the
@@ -152,10 +196,8 @@ class _Layout:
     solution.
     """
 
-    states: tuple[str, ...]  # nonterminal states
     edge_start: np.ndarray  # (G + 1,)
     edge_src: np.ndarray  # (E,) nonterminal index of each edge's source
-    edge_dst: np.ndarray  # (E,) all_states() index of each edge's target
     col_start: np.ndarray  # (G + 1,)
     d_col: np.ndarray  # (S,) column of d, in all_states() order
     aux_col: dict[str, int]  # tangent-cut epigraph column per state
@@ -166,30 +208,23 @@ class _Layout:
         return int(self.d_col[-1]) + 1 + len(self.aux_col)
 
 
-def _make_layout(instance: CmdpInstance, cuts: Optional[int]) -> _Layout:
-    space = instance.states
-    sizes = np.array([len(layer) for layer in space.layers])
-    layer_start = np.concatenate([[0], np.cumsum(sizes)])
-    states = tuple(space.nonterminal())
-    rewards = [instance.rewards[s] for s in states]
-    layer_of = np.repeat(np.arange(space.horizon - 1), sizes[:-1])
-    width = sizes[layer_of + 1]
-
+def _make_layout(instance: CmdpInstance, flow: FlowRows, cuts: Optional[int]) -> _Layout:
+    rewards = [instance.rewards[s] for s in flow.states]
+    width = flow.succ_width
     edge_start = np.concatenate([[0], np.cumsum(width)])
     n_edges = int(edge_start[-1])
     edges = np.arange(n_edges)
-    src = np.repeat(np.arange(len(states)), width)
+    src = np.repeat(np.arange(len(rewards)), width)
     local = edges - edge_start[src]
-    dst = layer_start[layer_of[src] + 1] + local
 
     # each state's block (u, or p then m), then every d, then the
     # tangent-cut epigraph columns
     l1 = np.array([isinstance(r, WeightedL1Reward) for r in rewards])
     block = width * np.where(l1, 2, 1)
     col_start = np.concatenate([[0], np.cumsum(block)])
-    d_col = col_start[-1] + np.arange(layer_start[-1])
+    d_col = col_start[-1] + np.arange(flow.n_states)
     cut_states = [
-        s for s, r in zip(states, rewards)
+        s for s, r in zip(flow.states, rewards)
         if cuts and isinstance(r, QuadraticDeviationReward)
     ]
     aux_col = {s: int(d_col[-1]) + 1 + k for k, s in enumerate(cut_states)}
@@ -223,7 +258,7 @@ def _make_layout(instance: CmdpInstance, cuts: Optional[int]) -> _Layout:
     lift = sp.csc_matrix(
         (value, index, indptr.astype(np.int32)), shape=(n_cols + n_edges, n_cols)
     )
-    return _Layout(states, edge_start, src, dst, col_start, d_col, aux_col, lift)
+    return _Layout(edge_start, src, col_start, d_col, aux_col, lift)
 
 
 @dataclass
@@ -276,50 +311,31 @@ def build_occupancy_lp(
 
     Raises ValueError on invalid instances or unsupported reward kinds.
     """
-    require_valid(instance)
-    _check_rewards(instance, tangent_cuts)
-    return assemble_lp(instance, tangent_cuts)
-
-
-def assemble_lp(
-    instance: CmdpInstance, tangent_cuts: Optional[int] = None
-) -> OccupancyLp:
-    """The occupancy LP of an instance already validated."""
     from .extend import extend_reward
 
-    space = instance.states
-    lay = _make_layout(instance, tangent_cuts)
+    require_valid(instance)
+    _check_rewards(instance, tangent_cuts)
+    flow = FlowRows(instance)
+    lay = _make_layout(instance, flow, tangent_cuts)
     n = lay.n_cols
-    n_first = len(space.layers[0])
-    n_states = lay.d_col.size
-    n_nonterminal = len(lay.states)
     c = np.zeros(n)
     lower = np.zeros(n)
 
     # triplets over the columns and the edge masses (edge e at n + e),
     # which the layout's lift rewrites over the columns at the end
     eq, ineq = _Coo(), _Coo()
-
-    # rows: initial distribution, then outgoing mass = d(s) for each
-    # nonterminal state, then incoming mass = d(s2) for each later state
-    eq.add(np.arange(n_first), lay.d_col[:n_first], 1.0)
-    eq.add(n_first + np.arange(n_nonterminal), lay.d_col[:n_nonterminal], -1.0)
-    later = np.arange(n_first, n_states)
-    eq.add(n_nonterminal + later, lay.d_col[later], -1.0)
-    edges = n + np.arange(lay.edge_src.size)
-    eq.add(n_first + lay.edge_src, edges, 1.0)
-    eq.add(n_nonterminal + lay.edge_dst, edges, 1.0)
-    b_eq = np.concatenate([instance.alpha, np.zeros(n_nonterminal + later.size)])
-
-    index = {s: i for i, s in enumerate(space.all_states())}
-    for i, qc in enumerate(instance.constraints):
-        ineq.add(i, lay.d_col[sorted(index[s] for s in qc.states)], 1.0)
-    row = len(instance.constraints)
+    for coo, (rows, d, vals) in ((eq, flow.d_eq), (ineq, flow.d_in)):
+        coo.add(rows, lay.d_col[d], vals)
+    # edge e of state src leaves it for its (e - edge_start[src])-th successor
+    e, src = np.arange(lay.edge_src.size), lay.edge_src
+    eq.add(flow.out_row[src], n + e, 1.0)
+    eq.add(flow.in_start[src] + e - lay.edge_start[src], n + e, 1.0)
+    row = flow.b_in.size
     # the lifted polytope rows H u - h d <= 0 of every state come first,
     # then each state's sign or tangent-cut rows
     poly_row = row
-    row += sum(instance.polytopes[s].h.size for s in lay.states)
-    for g, s in enumerate(lay.states):
+    row += sum(instance.polytopes[s].h.size for s in flow.states)
+    for g, s in enumerate(flow.states):
         poly = instance.polytopes[s]
         e0, c0 = n + lay.edge_start[g], lay.col_start[g]
         r, j = np.nonzero(poly.H)
@@ -357,11 +373,10 @@ def assemble_lp(
         out.sort_indices()
         return out
 
-    b_in = np.zeros(row)
-    b_in[: len(instance.constraints)] = [qc.bound for qc in instance.constraints]
-    a_eq, a_in = over_columns(eq, b_eq.size), over_columns(ineq, row)
+    b_in = np.concatenate([flow.b_in, np.zeros(row - flow.b_in.size)])
+    a_eq, a_in = over_columns(eq, flow.b_eq.size), over_columns(ineq, row)
     return OccupancyLp(
-        c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=b_in, lower=lower, layout=lay
+        c=c, a_eq=a_eq, b_eq=flow.b_eq, a_in=a_in, b_in=b_in, lower=lower, layout=lay
     )
 
 
@@ -387,12 +402,8 @@ def solve_occupancy(
     lay = problem.layout
     space = instance.states
     u = np.maximum((lay.lift @ sol.x)[lay.n_cols :], 0.0)
-    keys = [
-        (s, s2)
-        for t in range(space.horizon - 1)
-        for s in space.layers[t]
-        for s2 in space.layers[t + 1]
-    ]
+    keys = [(s, s2) for layer, nxt in zip(space.layers, space.layers[1:])
+            for s in layer for s2 in nxt]
     edge = dict(zip(keys, u.tolist()))
     visit = dict(zip(space.all_states(), np.maximum(sol.x[lay.d_col], 0.0).tolist()))
 
@@ -416,9 +427,8 @@ def extract_policy(
     immaterial and the base is always feasible)."""
     space = instance.states
     actions = {}
-    for t in range(space.horizon - 1):
-        nxt = space.layers[t + 1]
-        for s in space.layers[t]:
+    for layer, nxt in zip(space.layers, space.layers[1:]):
+        for s in layer:
             d = sol.visit_mass[s]
             poly = instance.polytopes[s]
             if d <= UNREACHABLE_TOL:

@@ -3,13 +3,14 @@ polytopes, the finite-action reduction built on those vertices, the
 solver of its LP, and conversions between randomized vertex policies and
 deterministic interior ones.
 
-The finite-action LP is the occupancy LP with each state's edge masses
-written as u = V^T w over its vertex masses w. It has one column per
-(state, vertex), hundreds of thousands once box polytopes reach ten or
-more dimensions, of which a few thousand carry mass; states with one
-polytope share one vertex array. So it is never assembled whole:
-:class:`FiniteLp` writes a column from the vertex arrays when one is
-needed and prices every column by one product per distinct array.
+The finite-action LP is the occupancy LP, on the same rows and d columns
+(:class:`modcmdp.occupancy.FlowRows`), with each state's edge masses
+written as u = V^T w over its vertex masses w: one column per (state,
+vertex), hundreds of thousands once box polytopes reach ten or more
+dimensions, of which a few thousand carry mass; states with one polytope
+share one vertex array. So it is never assembled whole: :class:`FiniteLp`
+writes a column from the vertex arrays when one is needed and prices
+every column by one product per distinct array.
 ``solve_finite`` solves it by delayed column generation over a restricted
 master held in one HiGHS model (:class:`modcmdp.lp.Master`), which
 re-solves warm as columns arrive, and proves the master's answer optimal
@@ -43,7 +44,7 @@ from .model import (
     WeightedL1Reward,
     require_valid,
 )
-from .occupancy import UNREACHABLE_TOL, raise_for_status
+from .occupancy import UNREACHABLE_TOL, FlowRows, raise_for_status
 
 # Two vertices closer than this in L-infinity are considered equal.
 DEDUP_TOL = 1e-7
@@ -392,55 +393,33 @@ class FiniteLp:
     whole: the restricted master's columns are written from the vertex
     arrays as it takes them, and every column is priced from those arrays.
 
-    Columns: one mass w per (state, vertex), nonterminal state ``g`` (in
-    ``space.nonterminal()`` order) owning ``col_start[g]`` to
-    ``col_start[g + 1] - 1`` in the order of its vertex rows, then one
-    visit mass d per state in ``space.all_states()`` order; all lie in
-    [0, inf). Equality rows: the initial distribution, the outgoing mass
-    of each nonterminal state, the incoming mass of each later state; then
-    one row per cap. The column of vertex v at state s costs the vertex
-    reward r_s(v) and has a 1 on the outgoing row of s (each vertex sums
-    to one), the entries of v on the incoming rows of the next layer, and
-    nothing else: there are no polytope rows, since every mixture of
-    vertices lies in the polytope.
+    Its rows and d columns are the instance's
+    :class:`modcmdp.occupancy.FlowRows`, as in the occupancy LP. Columns:
+    one mass w per (state, vertex), state ``g`` (in ``FlowRows.states``
+    order) owning ``col_start[g]`` to ``col_start[g + 1] - 1`` in the
+    order of its vertex rows, then the d columns; all lie in [0, inf).
+    The column of vertex v at state g costs the vertex reward
+    r_g(v) and has a 1 on ``out_row[g]`` (each vertex sums to one), the
+    entries of v from ``in_start[g]`` on, and nothing else: there are no
+    polytope rows, since every mixture of vertices lies in the polytope.
     """
 
     def __init__(self, fc: FiniteCmdp):
-        instance = fc.instance
-        space = instance.states
-        sizes = np.array([len(layer) for layer in space.layers])
-        layer_start = np.concatenate([[0], np.cumsum(sizes)])
-        self.states = tuple(space.nonterminal())
+        flow = FlowRows(fc.instance)
+        self.states, self.out_row, self.in_start = flow.states, flow.out_row, flow.in_start
+        self.succ_start, self.b_eq, self.b_in = flow.succ_start, flow.b_eq, flow.b_in
         self.vertices = [fc.vertices[s] for s in self.states]
-        n_first, n_states, n_g = int(sizes[0]), int(layer_start[-1]), len(self.states)
         self.col_start = np.concatenate(
             [[0], np.cumsum([v.shape[0] for v in self.vertices])]).astype(np.int64)
         self.n_vertex = int(self.col_start[-1])
-        self.nvars = self.n_vertex + n_states
+        self.nvars = self.n_vertex + flow.n_states
         self.cost = np.concatenate([fc.rewards[s] for s in self.states]
-                                   + [np.zeros(n_states)])
+                                   + [np.zeros(flow.n_states)])
         self.cost_scale = max(1.0, float(np.abs(self.cost).max()))
-        # the rows of state g's vertex columns: its outgoing row, and the
-        # next layer's incoming rows from in_start[g] on
-        self.out_row = n_first + np.arange(n_g)
-        layer_of = np.repeat(np.arange(space.horizon - 1), sizes[:-1])
-        self.in_start = n_g + layer_start[layer_of + 1]
-        self.b_eq = np.concatenate([instance.alpha, np.zeros(n_g + n_states - n_first)])
-        self.b_in = np.array([qc.bound for qc in instance.constraints], dtype=float)
-
-        # d: +1 on its initial row, -1 on its outgoing and incoming rows,
-        # +1 on every cap that holds its state
-        later = np.arange(n_first, n_states)
-        rows = np.concatenate([np.arange(n_first), self.out_row, n_g + later])
-        cols = np.concatenate([np.arange(n_first), np.arange(n_g), later])
-        vals = np.concatenate([np.ones(n_first), -np.ones(n_g + later.size)])
-        self.d_eq = sp.csc_matrix((vals, (rows, cols)), shape=(self.b_eq.size, n_states))
-        index = {s: i for i, s in enumerate(space.all_states())}
-        caps = [(i, index[s]) for i, qc in enumerate(instance.constraints)
-                for s in qc.states]
-        rows, cols = np.array(caps, dtype=np.int64).reshape(-1, 2).T
-        self.d_in = sp.csc_matrix((np.ones(rows.size), (rows, cols)),
-                                  shape=(self.b_in.size, n_states))
+        # the d columns, compressed for slicing and pricing
+        self.d_eq, self.d_in = (
+            sp.csc_matrix((vals, (rows, d)), shape=(b.size, flow.n_states))
+            for (rows, d, vals), b in ((flow.d_eq, self.b_eq), (flow.d_in, self.b_in)))
         for m in (self.d_eq, self.d_in):
             m.sort_indices()
 
@@ -449,7 +428,7 @@ class FiniteLp:
         for g, v in enumerate(self.vertices):
             shared.setdefault(id(v), []).append(g)
         self.shared = [np.array(gs) for gs in shared.values()]
-        self.array_of = np.empty(n_g, dtype=np.int64)  # index into shared
+        self.array_of = np.empty(len(self.states), dtype=np.int64)  # index into shared
         for a, gs in enumerate(self.shared):
             self.array_of[gs] = a
 
@@ -498,7 +477,7 @@ class FiniteLp:
         out = np.empty(self.n_vertex)
         for g in reversed(range(len(self.states))):
             v = self.vertices[g]
-            nxt = self.in_start[g] - len(self.states)  # first next-layer state
+            nxt = self.succ_start[g]
             mass = v @ to_go[nxt : nxt + v.shape[1]]
             out[self.col_start[g] : self.col_start[g + 1]] = mass
             to_go[g] += mass.min()

@@ -3,6 +3,9 @@ private (single-underscore) name, whether imported by name or read as
 an attribute of the imported module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import modcmdp
@@ -55,3 +58,14 @@ def test_no_module_imports_a_private_name():
         if (found := private_names(p.read_text()))
     }
     assert bad == {}
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    """``import modcmdp`` stays cheap: ``scipy.optimize``, which the first
+    LP loads, takes about 0.4 s to import, so no module may import it at
+    import time."""
+    code = "import sys, modcmdp; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -123,6 +123,22 @@ class TestPolicyFiles:
         with pytest.raises(SchemaError, match="unknown type"):
             policy_from_json({"type": "quantum"})
 
+    @pytest.mark.parametrize("obj, what", [
+        ({"type": ["deterministic"]}, "unknown type"),
+        ({"type": "deterministic"}, "missing fields"),
+        ({"type": "randomized"}, "missing fields"),
+        ({"type": "deterministic", "mixtures": {}}, "unknown fields"),
+        ({"type": "randomized", "actions": {}}, "unknown fields"),
+        ({"type": "deterministic", "actions": [[0.8, 0.2]]}, "object keyed by state"),
+        ({"type": "randomized", "mixtures": {"s": [[1.0]]}}, "pairs"),
+        ({"type": "randomized", "mixtures": {"s": [[0.5, [1, 0], 3]]}}, "pairs"),
+        ({"type": "randomized", "mixtures": {"s": [0.5, [1, 0]]}}, "pairs"),
+        ({"type": "randomized", "mixtures": {"s": 1.0}}, "pairs"),
+    ])
+    def test_malformed_policy_rejected(self, obj, what):
+        with pytest.raises(SchemaError, match=what):
+            policy_from_json(obj)
+
 
 class TestReportsAndCsv:
     def test_report_serialization(self):
@@ -257,6 +273,29 @@ class TestCli:
         assert self.run_cli(
             "solve", prob, "--method", "convex", "--out", tmp_path / "o.json"
         ) == 1
+
+    @pytest.mark.parametrize("policy", [
+        {"type": "deterministic"},
+        {"type": "randomized", "mixtures": {"s": [[1.0]]}},
+    ])
+    def test_malformed_policy_file_is_a_schema_error(self, tmp_path, capsys, policy):
+        prob, pol = tmp_path / "p.json", tmp_path / "pol.json"
+        dump_json(small_problem_dict(), prob)
+        dump_json(policy, pol)
+        assert self.run_cli("evaluate", prob, pol, "--out", tmp_path / "r.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and "Traceback" not in err
+
+    def test_generate_affine_loan_then_solve(self, tmp_path):
+        prob, out = tmp_path / "loan.json", tmp_path / "s.json"
+        assert self.run_cli("generate", "loan", "--states", 4, "--reward", "affine",
+                            "--qbound", 0.7, "--out", prob) == 0
+        cfg = LoanConfig(n_states=4, q_default=0.7, reward_kind="affine")
+        assert problem_to_json(problem_from_json(load_json(prob))) == \
+            problem_to_json(generate_loan_instance(cfg))
+        assert self.run_cli("solve", prob, "--method", "convex", "--out", out) == 0
+        want = solve(generate_loan_instance(cfg), "convex").objective
+        assert load_json(out)["objective"] == want
 
     def test_missing_file_exit_code(self, tmp_path):
         assert self.run_cli(

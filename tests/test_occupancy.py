@@ -14,6 +14,7 @@ from modcmdp import (
     AffineReward,
     CmdpInstance,
     LayeredStateSpace,
+    LoanConfig,
     OccupancySolution,
     QualityConstraint,
     QualityInfeasibleError,
@@ -26,9 +27,11 @@ from modcmdp import (
     evaluate_exact,
     extract_policy,
     farkas_gap,
+    generate_loan_instance,
     solve_finite,
     solve_occupancy,
 )
+from modcmdp.vertices import FiniteLp
 
 
 def l1_instance(bound=0.2, eps=0.4):
@@ -215,6 +218,68 @@ class TestAgainstLoopAssembly:
                 continue
             got = solve_occupancy(inst).objective
             assert got == pytest.approx(want, abs=1e-7)
+
+
+class TestSharedSkeleton:
+    """The occupancy LP and the finite-action LP of one instance build on
+    one occupancy.FlowRows: the same b_eq, the same cap right-hand sides
+    and the same d columns, byte for byte. The one difference is the L1
+    split u = center * d + p - m, which puts center terms on a weighted-L1
+    state's own d column, on its outgoing row and on its successors'
+    incoming rows; those entries are checked against the split."""
+
+    @staticmethod
+    def assert_shared(inst, vs):
+        prob = build_occupancy_lp(inst)
+        flp = FiniteLp(build_finite_cmdp(inst, vs))
+        fin = flp.columns(np.arange(flp.n_vertex, flp.nvars))
+        d_col, n_caps = prob.layout.d_col, flp.b_in.size
+        for got, want in ((prob.b_eq, fin.b_eq), (prob.b_in[:n_caps], fin.b_in)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+        split = np.zeros(fin.a_eq.shape, dtype=bool)
+        for g, s in enumerate(flp.states):
+            rew = inst.rewards[s]
+            if isinstance(rew, WeightedL1Reward):
+                rows = np.concatenate([[flp.out_row[g]], flp.in_start[g] + np.arange(rew.dim)])
+                split[rows, g] = True
+                col = prob.a_eq[:, d_col[g]].toarray().ravel()
+                np.testing.assert_allclose(col[rows], np.concatenate(
+                    [[rew.center.sum() - 1.0], rew.center]), rtol=0, atol=1e-15)
+
+        def entries(m, keep):
+            """Row, column and value of each kept entry, column by column."""
+            m = m.tocoo()
+            k = keep[m.row, m.col]
+            return [a[k].astype(t).tobytes()
+                    for a, t in ((m.row, np.int64), (m.col, np.int64), (m.data, float))]
+
+        caps = np.ones(fin.a_in.shape, dtype=bool)
+        assert entries(prob.a_eq[:, d_col], ~split) == entries(fin.a_eq, ~split)
+        assert entries(prob.a_in[:n_caps][:, d_col], caps) == entries(fin.a_in, caps)
+        return split.any()
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_l1_loans_with_kink_planes(self, n):
+        inst = generate_loan_instance(LoanConfig(n_states=n, reward_kind="l1"))
+        assert self.assert_shared(inst, enumerate_for_instance(inst, kink_planes=True))
+
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_affine_loans(self, n):
+        inst = generate_loan_instance(LoanConfig(n_states=n, reward_kind="affine"))
+        assert not self.assert_shared(inst, enumerate_for_instance(inst, method="auto"))
+
+    def test_random_instances_with_caps_across_layers(self, rng):
+        spanning = 0
+        for k in range(30):
+            reward = ("affine", "l1")[k % 2]
+            inst = random_instance(rng, max_states=5, max_horizon=5, reward=reward,
+                                   constraint_chance=1.0)
+            self.assert_shared(inst, enumerate_for_instance(inst, kink_planes=reward == "l1"))
+            layer_of = inst.states.layer_of
+            spanning += any(len({layer_of(s) for s in qc.states}) > 1
+                            for qc in inst.constraints)
+        assert spanning >= 5
 
 
 class TestSignRows:
