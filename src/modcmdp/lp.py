@@ -1,14 +1,17 @@
 """Linear programs: one HiGHS model per problem (:class:`Master`), which
 column generation grows and re-solves warm and :func:`solve_lp` solves
 once; :func:`export_lp` writes the same model as MPS with HiGHS's writer.
+The small hull LPs of :func:`solve_once` instead share one HiGHS model
+per thread, made on the thread's first such solve and emptied after
+every one.
 
 Every LP goes to HiGHS (Huangfu & Hall 2018, "Parallelizing the dual
 revised simplex method") through scipy's vendored bindings, solved by the
 dual simplex method; a :class:`Master` re-solves by the primal simplex
 from its last basis. A master's LP is presolved first (Andersen &
-Andersen 1995), which pays off at its size; the small hull LPs of
-:func:`solve_once` are not, since there presolve costs about as much as
-the simplex run it would save. Each optimal solve is then checked for primal
+Andersen 1995), which pays off at its size; the hull LPs are not, since
+there presolve costs about as much as the simplex run it would save.
+Each optimal solve is then checked for primal
 feasibility, dual sign and stationarity, duality gap and complementary
 slackness; a failed check raises :class:`LpError`. There is one phase 1,
 the master's: when the rows cannot be met, the same model gains elastic
@@ -30,6 +33,7 @@ presses against.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -63,6 +67,13 @@ def _as_matrix(a, ncols: int):
     return np.atleast_2d(arr)
 
 
+def _as_vector(v, size: int, default: float) -> np.ndarray:
+    """``v`` as a flat float array, or ``size`` copies of ``default``."""
+    if v is None:
+        return np.full(size, default)
+    return np.asarray(v, dtype=float).ravel()
+
+
 @dataclass
 class LpProblem:
     """maximize c @ x  s.t.  a_eq x = b_eq,  a_in x <= b_in,
@@ -86,16 +97,8 @@ class LpProblem:
             raise LpError("problem has no variables")
         self.a_eq = _as_matrix(self.a_eq, n)
         self.a_in = _as_matrix(self.a_in, n)
-        self.b_eq = (
-            np.zeros(self.a_eq.shape[0])
-            if self.b_eq is None
-            else np.asarray(self.b_eq, dtype=float).ravel()
-        )
-        self.b_in = (
-            np.zeros(self.a_in.shape[0])
-            if self.b_in is None
-            else np.asarray(self.b_in, dtype=float).ravel()
-        )
+        self.b_eq = _as_vector(self.b_eq, self.a_eq.shape[0], 0.0)
+        self.b_in = _as_vector(self.b_in, self.a_in.shape[0], 0.0)
         if self.a_eq.shape != (self.b_eq.size, n):
             raise LpError(
                 f"a_eq is {self.a_eq.shape}, expected ({self.b_eq.size}, {n})"
@@ -104,27 +107,19 @@ class LpProblem:
             raise LpError(
                 f"a_in is {self.a_in.shape}, expected ({self.b_in.size}, {n})"
             )
-        self.lower = (
-            np.zeros(n)
-            if self.lower is None
-            else np.asarray(self.lower, dtype=float).ravel()
-        )
-        self.upper = (
-            np.full(n, np.inf)
-            if self.upper is None
-            else np.asarray(self.upper, dtype=float).ravel()
-        )
+        self.lower = _as_vector(self.lower, n, 0.0)
+        self.upper = _as_vector(self.upper, n, np.inf)
         if self.lower.size != n or self.upper.size != n:
             raise LpError("bound vectors must match the variable count")
-        if not np.all(np.isfinite(self.c)):
+        if not np.isfinite(self.c).all():
             raise LpError("objective has non-finite coefficients")
         for m in (self.a_eq, self.a_in):
             data = m.data if sp.issparse(m) else m
-            if not np.all(np.isfinite(data)):
+            if data.size and not np.isfinite(data).all():
                 raise LpError("constraint matrix has non-finite coefficients")
-        if not (np.all(np.isfinite(self.b_eq)) and np.all(np.isfinite(self.b_in))):
+        if not (np.isfinite(self.b_eq).all() and np.isfinite(self.b_in).all()):
             raise LpError("rhs has non-finite entries")
-        if np.any(self.lower == np.inf) or np.any(self.upper == -np.inf):
+        if (self.lower == np.inf).any() or (self.upper == -np.inf).any():
             raise LpError("bounds wrong-signed infinity")
 
     @property
@@ -257,13 +252,12 @@ def _check_highs(status, what: str) -> None:
         raise LpError(f"HiGHS could not {what}")
 
 
-def _load_highs(p: LpProblem, presolve: bool = True):
-    """A HiGHS model holding ``p`` as the minimization of ``-c``, set to
-    the dual simplex and ``DEFAULT_MAXITER`` iterations per run, with
-    HiGHS's presolve left to HiGHS or, without ``presolve``, off."""
+def _new_highs(presolve: bool):
+    """An empty HiGHS model set to the dual simplex and
+    ``DEFAULT_MAXITER`` iterations per run, with HiGHS's presolve left to
+    HiGHS or, without ``presolve``, off."""
     from scipy.optimize._highspy import _core as hs
 
-    start, index, value = _columns(p)
     h = hs._Highs()
     # feasibility a tenth inside FEAS_TOL, so that HiGHS's "optimal" passes
     # check_optimal; at its 1e-7 default, tight-cap L1 loans at n >= 62 failed
@@ -276,6 +270,15 @@ def _load_highs(p: LpProblem, presolve: bool = True):
     for key, setting in options.items():
         if h.setOptionValue(key, setting) != hs.HighsStatus.kOk:
             raise LpError(f"HiGHS rejected option {key}={setting!r}")
+    return h
+
+
+def _pass_problem(h, p: LpProblem) -> None:
+    """Load ``p`` into the HiGHS model ``h`` as the minimization of ``-c``,
+    replacing what ``h`` held."""
+    from scipy.optimize._highspy import _core as hs
+
+    start, index, value = _columns(p)
     _check_highs(h.passModel(
         p.nvars, p.nrows, value.size, int(hs.MatrixFormat.kColwise),
         int(hs.ObjSense.kMinimize), 0.0, -p.c, p.lower, p.upper,
@@ -284,32 +287,63 @@ def _load_highs(p: LpProblem, presolve: bool = True):
         start.astype(np.int32), index.astype(np.int32), value,
         np.zeros(p.nvars, dtype=np.int32),  # every column continuous
     ), "load the problem")
+
+
+def _load_highs(p: LpProblem):
+    """A new HiGHS model holding ``p``, presolve left to HiGHS."""
+    h = _new_highs(presolve=True)
+    _pass_problem(h, p)
     return h
 
 
-def _solve_highs(problem: LpProblem, time_limit, highs=None,
-                 presolve: bool = True) -> LpSolution:
+# The HiGHS model of a thread's solve_once calls, made on the thread's first
+# call and emptied after each one; one per thread, so that no call needs a
+# lock and none can run in a model another thread is using.
+_hull = threading.local()
+
+
+def _hull_highs():
+    h = getattr(_hull, "highs", None)
+    if h is None:
+        h = _hull.highs = _new_highs(presolve=False)
+    return h
+
+
+def _solve_highs(problem: LpProblem, time_limit, highs=None) -> LpSolution:
     """One HiGHS solve of ``problem``, posed as the minimization of
     ``-c``; an optimal result passes :func:`check_optimal`. HiGHS's
     presolve may find a problem infeasible or unbounded without telling
     which; :meth:`Master.solve` settles that status.
 
-    Without ``highs``, ``problem`` is loaded into a new model by
-    :func:`_load_highs`, with ``presolve`` passed on. ``highs`` is a
-    model that already holds ``problem`` (a :class:`Master`'s), re-run
-    from the basis its last run left with the options it was given."""
+    ``highs`` is a model that already holds ``problem`` (a
+    :class:`Master`'s), re-run from the basis its last run left with the
+    options it was given. Without it, ``problem`` is loaded into this
+    thread's hull model, without presolve, and the model is emptied
+    again once the solve is over, whatever its outcome."""
+    if highs is not None:
+        return _run_highs(problem, time_limit, highs)
+    h = _hull_highs()
+    try:
+        _pass_problem(h, problem)
+        return _run_highs(problem, time_limit, h)
+    finally:
+        h.clearModel()
+
+
+def _run_highs(p: LpProblem, time_limit, h) -> LpSolution:
+    """Run the model ``h``, which holds ``p``, and read its outcome."""
     from scipy.optimize._highspy import _core as hs
 
-    p = problem
     m_eq = p.b_eq.size
-    h = _load_highs(p, presolve) if highs is None else highs
     # HiGHS holds a model's time limit against the total time of its runs
     limit = np.inf if time_limit is None else h.getRunTime() + max(float(time_limit), 0.0)
     if h.setOptionValue("time_limit", limit) != hs.HighsStatus.kOk:
         raise LpError(f"HiGHS rejected option time_limit={limit!r}")
     h.run()
     status = h.getModelStatus()
-    iterations = int(h.getInfo().simplex_iteration_count)
+    info, iterations = h.getInfoValue("simplex_iteration_count")
+    if info != hs.HighsStatus.kOk:
+        raise LpError("HiGHS has no iteration count for its run")
     message = h.modelStatusToString(status)
     S = hs.HighsModelStatus
     if status == S.kInfeasible:
@@ -347,14 +381,24 @@ def solve_once(problem: LpProblem, time_limit: Optional[float] = None) -> LpSolu
     with no certificate. For a small LP known to be bounded whose
     infeasibility needs no proof, such as a query outside a hull.
 
+    The calls of a thread share one HiGHS model, made and set up on the
+    thread's first call. Each call loads its LP into that model and
+    empties it once the solution is read, whatever the outcome, so
+    nothing of one call reaches the next and no LP stays in memory after
+    its call. Making and setting up a model for each call cost more than
+    its simplex run: a hull query over the 20 vertices of a 6-coordinate
+    box took 0.51 ms with a new model per call and 0.21 ms with the
+    shared one (medians of 5 alternating runs, 2-core host, HiGHS as
+    vendored by scipy 1.17.1).
+
     Presolve is off because on those LPs (a few rows, tens of columns) it
     costs about as much as the simplex run it saves: a hull query over
-    the 15 vertices of a 6-coordinate box took 0.47 ms without it and
-    0.85 ms with it. It stays on in :class:`Master`, whose LPs are large:
-    without it, the first masters of the 10-, 14- and 16-level quadratic
-    loan envelopes took 538, 886 and 888 simplex iterations, not 174, 190
-    and 226."""
-    return _solve_highs(problem, time_limit, presolve=False)
+    the 15 vertices of a 6-coordinate box, each on a new model, took
+    0.47 ms without it and 0.85 ms with it. It stays on in
+    :class:`Master`, whose LPs are large: without it, the first masters
+    of the 10-, 14- and 16-level quadratic loan envelopes took 538, 886
+    and 888 simplex iterations, not 174, 190 and 226."""
+    return _solve_highs(problem, time_limit)
 
 
 def deadline_after(time_limit: Optional[float]) -> Optional[float]:

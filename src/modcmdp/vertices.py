@@ -622,8 +622,9 @@ def hull_envelope(points, values, query) -> tuple[float, np.ndarray]:
 
     The LP (one row per coordinate and a convexity row, one column per
     point) goes to :func:`lp.solve_once`, which runs the simplex without
-    HiGHS's presolve: at this size presolve costs about as much as the
-    simplex run, and callers solve one such LP per action they convert.
+    HiGHS's presolve, in the one HiGHS model its thread keeps for such
+    LPs: at this size presolve, or making a model, costs about as much as
+    the simplex run, and callers solve one such LP per action they convert.
     """
     pts = np.asarray(points, dtype=float)
     q = np.asarray(query, dtype=float)

@@ -20,8 +20,10 @@ polytope's own rows imply: every -e_k is in the pool.
 ``slice_finite_lp_columns`` is ``FiniteLp.columns`` as it was before it
 gathered each row block's entries in one pass: the vertex columns from
 triplets, the d columns sliced out of ``d_eq`` and ``d_in``, stacked and
-put back in order. The package must reproduce all three outputs byte for
-byte.
+put back in order. ``fresh_hull_envelope`` is ``hull_envelope`` as it
+was before every hull LP of a thread shared one HiGHS model: each solve
+makes a new model and sets its options. The package must reproduce all
+four outputs byte for byte.
 
 It also holds the helpers that only tests use: the homogenized polytope
 rows, a randomized concavity check, a visit-mass CSV writer, the
@@ -47,6 +49,7 @@ from modcmdp import (
     box_polytope,
     point_to_mix,
 )
+from modcmdp import lp as lpmod
 from modcmdp.lp import LpProblem, solve_lp
 from modcmdp.vertices import DEDUP_TOL, VERTEX_FEAS_TOL
 
@@ -620,3 +623,43 @@ def full_pool_vertices(poly, extra_planes=None):
         found.append(cand[poly.contains(cand, VERTEX_FEAS_TOL)])
     pts = np.vstack(found) if found else np.zeros((0, n))
     return _loop_dedup(pts, DEDUP_TOL) if pts.shape[0] else pts
+
+
+def fresh_solve_once(problem):
+    """``lp.solve_once`` on a HiGHS model made for this one solve, with the
+    options every hull LP has: no output, dual simplex, the package's
+    iteration limit and a tenth of its feasibility tolerance, no presolve.
+    The model is read out by ``lp._solve_highs``, as a master's is."""
+    from scipy.optimize._highspy import _core as hs
+
+    p = problem
+    h = hs._Highs()
+    for key, setting in {"output_flag": False, "simplex_strategy": 1,
+                         "simplex_iteration_limit": lpmod.DEFAULT_MAXITER,
+                         "primal_feasibility_tolerance": lpmod.FEAS_TOL / 10,
+                         "dual_feasibility_tolerance": lpmod.FEAS_TOL / 10,
+                         "presolve": "off"}.items():
+        assert h.setOptionValue(key, setting) == hs.HighsStatus.kOk
+    a = sp.vstack([sp.csc_matrix(p.a_eq), sp.csc_matrix(p.a_in)], format="csc")
+    assert h.passModel(
+        p.nvars, p.nrows, a.nnz, int(hs.MatrixFormat.kColwise),
+        int(hs.ObjSense.kMinimize), 0.0, -p.c, p.lower, p.upper,
+        np.concatenate([p.b_eq, np.full(p.b_in.size, -np.inf)]),
+        np.concatenate([p.b_eq, p.b_in]),
+        a.indptr.astype(np.int32), a.indices.astype(np.int32), a.data,
+        np.zeros(p.nvars, dtype=np.int32),
+    ) != hs.HighsStatus.kError  # HiGHS warns when it drops a tiny entry
+    return lpmod._solve_highs(p, None, h)
+
+
+def fresh_hull_envelope(points, values, query):
+    """The hull LP of ``hull_envelope`` solved by ``fresh_solve_once``:
+    (value, weights), or None when the query is outside the hull."""
+    pts = np.asarray(points, dtype=float)
+    nv = pts.shape[0]
+    p = LpProblem(c=values, a_eq=np.vstack([pts.T, np.ones((1, nv))]),
+                  b_eq=np.concatenate([np.asarray(query, dtype=float), [1.0]]))
+    sol = fresh_solve_once(p)
+    if sol.status != "optimal":
+        return None
+    return float(sol.objective), np.clip(sol.x, 0.0, None)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from helpers import loop_finite_lp
+from helpers import fresh_solve_once, loop_finite_lp
 
 import modcmdp.lp as lpmod
 from modcmdp import (
@@ -73,6 +74,43 @@ class TestSolveBasics:
         with pytest.raises(lpmod.LpError):
             LpProblem(c=[np.inf])
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"a_eq": [[1.0, 2.0, 3.0]], "b_eq": [1.0]},
+         r"a_eq is \(1, 3\), expected \(1, 2\)"),
+        ({"a_in": [[1.0, 2.0]], "b_in": [1.0, 2.0]},
+         r"a_in is \(1, 2\), expected \(2, 2\)"),
+        ({"lower": [0.0]}, "bound vectors must match the variable count"),
+        ({"upper": [1.0, 1.0, 1.0]}, "bound vectors must match the variable count"),
+        ({"c": [1.0, np.nan]}, "objective has non-finite coefficients"),
+        ({"a_eq": [[1.0, np.inf]], "b_eq": [1.0]},
+         "constraint matrix has non-finite coefficients"),
+        ({"a_in": sp.csr_matrix([[np.nan, 1.0]]), "b_in": [1.0]},
+         "constraint matrix has non-finite coefficients"),
+        ({"a_eq": [[1.0, 1.0]], "b_eq": [np.inf]}, "rhs has non-finite entries"),
+        ({"a_eq": [[1.0, 1.0]], "b_eq": [1.0], "a_in": [[1.0, 0.0]],
+          "b_in": [np.nan]}, "rhs has non-finite entries"),
+        ({"lower": [0.0, np.inf]}, "bounds wrong-signed infinity"),
+        ({"upper": [-np.inf, 1.0]}, "bounds wrong-signed infinity"),
+    ])
+    def test_malformed_problem_messages(self, kwargs, message):
+        kwargs = {"c": [1.0, 2.0], **kwargs}
+        with pytest.raises(lpmod.LpError, match=f"^{message}$"):
+            LpProblem(**kwargs)
+
+    def test_first_failed_check_is_reported(self):
+        # the checks run in a fixed order: shapes, bound sizes, objective,
+        # matrices, rhs, bound signs
+        with pytest.raises(lpmod.LpError, match="bound vectors"):
+            LpProblem(c=[np.nan, 1.0], lower=[0.0])
+        with pytest.raises(lpmod.LpError, match="objective"):
+            LpProblem(c=[np.nan, 1.0], a_eq=[[np.inf, 1.0]], b_eq=[1.0])
+        with pytest.raises(lpmod.LpError, match="constraint matrix"):
+            LpProblem(c=[1.0, 1.0], a_eq=[[np.inf, 1.0]], b_eq=[np.nan],
+                      upper=[-np.inf, 1.0])
+        with pytest.raises(lpmod.LpError, match="rhs"):
+            LpProblem(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[np.nan],
+                      upper=[-np.inf, 1.0])
+
     def test_iteration_limit_status(self, rng):
         p = random_feasible_problem(rng)
         highs = lpmod._load_highs(p)
@@ -83,6 +121,59 @@ class TestSolveBasics:
     def test_bound_inversion_is_infeasible(self):
         p = LpProblem(c=[1.0], lower=[2.0], upper=[1.0])
         assert solve_lp(p).status == "infeasible"
+
+
+class TestSharedOnceModel:
+    """solve_once runs every LP of a thread in one HiGHS model, emptied
+    after each solve: a limit, a failure or an LP of one call must not
+    reach the next."""
+
+    @staticmethod
+    def assert_fresh(p, sol):
+        want = fresh_solve_once(p)
+        assert (sol.status, sol.iterations) == (want.status, want.iterations)
+        if want.status == "optimal":
+            assert sol.x.tobytes() == want.x.tobytes()
+
+    def test_random_lps_match_fresh_models(self, rng):
+        statuses = set()
+        for _ in range(40):
+            p = random_feasible_problem(rng, with_upper=bool(rng.integers(2)))
+            sol = lpmod.solve_once(p)
+            statuses.add(sol.status)
+            self.assert_fresh(p, sol)
+        assert statuses == {"optimal", "unbounded"}
+
+    @staticmethod
+    def bounded(rng):
+        """A random LP that has an optimum: every column at most 3, and
+        the point that made its rows feasible lies below 1."""
+        p = random_feasible_problem(rng)
+        return LpProblem(c=p.c, a_eq=p.a_eq, b_eq=p.b_eq, a_in=p.a_in,
+                         b_in=p.b_in, upper=np.full(p.nvars, 3.0))
+
+    def test_time_limit_does_not_carry_over(self, rng):
+        for _ in range(5):
+            p = self.bounded(rng)
+            assert lpmod.solve_once(p, time_limit=0).status == "limit_exceeded"
+            sol = lpmod.solve_once(p)
+            assert sol.status == "optimal"
+            self.assert_fresh(p, sol)
+
+    def test_model_is_emptied_after_a_failed_solve(self, rng, monkeypatch):
+        p = self.bounded(rng)
+
+        def failing(problem, sol):
+            raise lpmod.LpError("rejected")
+
+        monkeypatch.setattr(lpmod, "check_optimal", failing)
+        with pytest.raises(lpmod.LpError, match="rejected"):
+            lpmod.solve_once(p)
+        assert lpmod._hull_highs().getNumCol() == 0
+        monkeypatch.undo()
+        q = self.bounded(rng)
+        self.assert_fresh(q, lpmod.solve_once(q))
+        assert lpmod._hull_highs().getNumCol() == 0
 
 
 class TestOptimalityCheck:

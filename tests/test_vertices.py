@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -9,6 +11,7 @@ from scipy.optimize import linprog
 from helpers import (
     brute_force_mixture_value,
     certify_extreme,
+    fresh_hull_envelope,
     full_pool_vertices,
     loop_box_simplex_vertices,
     loop_finite_lp,
@@ -880,6 +883,113 @@ class TestHullAgainstLinprog:
         sol = lpmod.solve_once(p)
         assert sol.iterations > 0
         np.testing.assert_allclose(sol.x, [0.6, 0.4], rtol=0.0, atol=1e-12)
+
+
+class TestSharedHullModel:
+    """Every hull LP of a thread runs in one HiGHS model, emptied after
+    each solve: no answer may depend on what the model solved before."""
+
+    @staticmethod
+    def box(center, radius):
+        poly = box_polytope(np.asarray(center, dtype=float), radius)
+        return box_simplex_vertices(*poly.box)
+
+    def test_answers_match_fresh_models_byte_for_byte(self):
+        rng = np.random.default_rng(29)
+        outside = 0
+        for poly, verts in TestHullAgainstLinprog.polytopes(rng):
+            values = rng.normal(size=verts.shape[0])
+            for q, kind in TestHullAgainstLinprog.queries(rng, poly, verts):
+                for vals in (values, np.zeros(verts.shape[0])):
+                    want = fresh_hull_envelope(verts, vals, q)
+                    if want is None:
+                        assert kind == "outside"
+                        outside += 1
+                        with pytest.raises(DecompositionError):
+                            hull_envelope(verts, vals, q)
+                        continue
+                    value, weights = hull_envelope(verts, vals, q)
+                    assert value == want[0]
+                    assert weights.tobytes() == want[1].tobytes()
+        assert outside >= 100
+
+    def test_query_after_an_outside_one(self):
+        verts = self.box([0.5, 0.3, 0.2], 0.1)
+        zeros = np.zeros(verts.shape[0])
+        inside = np.array([0.45, 0.35, 0.2])
+        want = fresh_hull_envelope(verts, zeros, inside)[1]
+        for _ in range(3):
+            with pytest.raises(DecompositionError):
+                point_to_mix([0.9, 0.05, 0.05], verts)
+            assert hull_envelope(verts, zeros, inside)[1].tobytes() == want.tobytes()
+            pairs = point_to_mix(inside, verts)
+            np.testing.assert_allclose(sum(w * v for w, v in pairs), inside,
+                                       rtol=0.0, atol=1e-9)
+
+    def test_one_model_per_thread(self, monkeypatch):
+        from scipy.optimize._highspy import _core as hs
+
+        made = []
+        highs = hs._Highs
+
+        def counted():
+            made.append(threading.current_thread().name)
+            return highs()
+
+        monkeypatch.setattr(hs, "_Highs", counted)
+        rng = np.random.default_rng(31)
+        verts = self.box([0.25, 0.25, 0.25, 0.25], 0.2)
+        converted = []
+
+        def convert():
+            for _ in range(50):
+                a = rng.dirichlet(np.ones(verts.shape[0])) @ verts
+                converted.append(point_to_mix(a, verts))
+
+        worker = threading.Thread(target=convert, name="hull-worker")
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert len(converted) == 50
+        assert made == ["hull-worker"]
+
+    def test_threads_convert_at_once(self):
+        # more threads than cores, switching often, each on its own box
+        boxes = [self.box([0.5, 0.3, 0.2], 0.15),
+                 self.box([0.1, 0.2, 0.3, 0.4], 0.08),
+                 self.box([0.2, 0.2, 0.2, 0.2, 0.2], 0.1),
+                 self.box([0.7, 0.3], 0.2)]
+        start = threading.Barrier(len(boxes))
+        errors, done = [], []
+
+        def convert(k, verts):
+            rng = np.random.default_rng(k)
+            try:
+                start.wait(timeout=30)
+                for _ in range(100):
+                    a = rng.dirichlet(np.ones(verts.shape[0])) @ verts
+                    pairs = point_to_mix(a, verts)
+                    assert len(pairs) <= verts.shape[1]
+                    np.testing.assert_allclose(sum(w * v for w, v in pairs), a,
+                                               rtol=0.0, atol=1e-8)
+                done.append(k)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=convert, args=(k, v))
+                   for k, v in enumerate(boxes)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert sorted(done) == list(range(len(boxes)))
 
 
 class TestConversions:
