@@ -10,6 +10,11 @@ uniform over the less delinquent levels, and the stay probability is
 instantiation of the qualitative description they implement; absolute
 benchmark numbers therefore reproduce shapes, not published decimals.
 
+:func:`greedy_baseline` is the month-by-month myopic baseline the global
+optimum is compared with: each period solves one small LP over its own
+layer's actions, the later periods priced by the base policy's
+value-to-go and capped mass-to-go.
+
 :func:`solve` runs any solution method; the harness times the methods
 over a range of state counts or caps and writes one CSV row per cell:
 ``method,n_states,horizon,epsilon,q,objective,wall_ms,status,vertices_total,error``.
@@ -24,7 +29,9 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
+from . import lp as lpmod
 from .envelope import build_envelope, naive_linear_baseline
 from .evaluate import evaluate_validated
 from .lp import deadline_after, time_left
@@ -40,7 +47,13 @@ from .model import (
     box_polytope,
     require_valid,
 )
-from .occupancy import QualityInfeasibleError, extract_policy, solve_occupancy
+from .occupancy import (
+    UNREACHABLE_TOL,
+    QualityInfeasibleError,
+    extract_policy,
+    raise_for_status,
+    solve_occupancy,
+)
 from .vertices import FiniteCmdp, enumerate_for_instance, solve_finite
 
 REWARD_KINDS = ("l1", "quad_convex", "affine")
@@ -164,15 +177,101 @@ def generate_loan_instance(cfg: LoanConfig) -> CmdpInstance:
 # greedy baseline
 
 
+def _base_to_go(instance: CmdpInstance, member: list[np.ndarray]):
+    """Per layer t >= 1, the value-to-go ``V[t]`` of each state and its
+    capped mass-to-go ``M[t]`` (one row per cap, ``member[t]`` marking the
+    cap's states in the layer) when every state from layer t on keeps its
+    base action. The terminal layer counts its own cap membership."""
+    space = instance.states
+    V = [np.zeros(len(layer)) for layer in space.layers]
+    M = list(member)
+    for t in range(space.horizon - 2, 0, -1):
+        layer = space.layers[t]
+        base = np.array([instance.polytopes[s].base for s in layer])
+        reward = [instance.rewards[s].value(b) for s, b in zip(layer, base)]
+        V[t] = reward + base @ V[t + 1]
+        M[t] = member[t] + M[t + 1] @ base.T
+    return V, M
+
+
+def _period_lp(instance, states, dist, value, mass, rhs) -> lpmod.LpProblem:
+    """One greedy period as an LP over the actions of ``states``, which
+    share one next layer: maximise sum_s dist_s (r_s(a_s) + a_s . value)
+    subject to sum_s dist_s (a_s . mass_i) <= rhs_i per row ``i`` of
+    ``mass``, each a_s in its polytope.
+
+    Each action is split around its L1 center, a = c + p - m with p, m >=
+    0, so r_s(a) = -w . (p + m) (the absolute-value LP of Bertsimas &
+    Tsitsiklis 1997, section 1.3); state g owns the columns p, then m, from
+    2 n g on. One equality row per state keeps sum(p - m) = 1 - sum(c). A
+    box polytope becomes column bounds; any other adds its rows H (p - m)
+    <= h - H c and a row -(p - m)_k <= c_k for each coordinate whose sign
+    its rows do not imply."""
+    k, n = len(states), value.size
+    center = np.array([instance.rewards[s].center for s in states])
+    weights = np.array([instance.rewards[s].weights for s in states])
+    c = (dist[:, None] * np.hstack([value - weights, -value - weights])).ravel()
+    split = np.repeat([1.0, -1.0], n)  # a - c = split @ (p, m)
+    a_eq = sp.csc_matrix((np.tile(split, k), (np.repeat(np.arange(k), 2 * n),
+                                               np.arange(2 * k * n))), shape=(k, 2 * k * n))
+    b_eq = 1.0 - center.sum(axis=1)
+    caps = dist[:, None] * np.tile(mass, 2)[:, None, :] * split
+    caps = caps.reshape(rhs.size, 2 * k * n)
+    b_in = [rhs - mass @ (center.T @ dist)]
+    bounds = np.zeros((2, k, 2, n))
+    bounds[1] = np.inf
+    rows, cols, vals = [], [], []
+    row = 0
+    for g, s in enumerate(states):
+        poly, cg = instance.polytopes[s], center[g]
+        if poly.box is not None:
+            lo, hi = poly.box
+            bounds[:, g] = [[lo - cg, cg - hi], [hi - cg, cg - lo]]
+            continue
+        free = np.flatnonzero(~poly.implied_nonnegative)
+        H = np.vstack([poly.H, -np.eye(n)[free]])
+        r, j = np.nonzero(H)
+        rows += [row + r] * 2
+        cols += [2 * n * g + j, 2 * n * g + n + j]
+        vals += [H[r, j], -H[r, j]]
+        b_in.append(np.concatenate([poly.h, np.zeros(free.size)]) - H @ cg)
+        row += H.shape[0]
+    none = np.zeros(0, int)
+    polys = sp.csc_matrix(
+        (np.concatenate([np.zeros(0)] + vals),
+         (np.concatenate([none] + rows), np.concatenate([none] + cols))),
+        shape=(row, 2 * k * n),
+    )
+    a_in = sp.vstack([sp.csc_matrix(caps), polys], format="csc")
+    bounds = np.maximum(bounds, 0.0).reshape(2, -1)
+    return lpmod.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=np.concatenate(b_in),
+                           lower=bounds[0], upper=bounds[1])
+
+
 def greedy_baseline(
     instance: CmdpInstance, time_limit=None
 ) -> tuple[float, DeterministicPolicy]:
     """Period-by-period myopic baseline: at each period, optimize that
     period's modulation assuming every later period keeps its base row,
-    commit, and advance. Raises QualityInfeasibleError when some period's
-    subproblem cannot meet the (remaining) caps on its own — the global
-    method may still be feasible there. ``time_limit`` covers every
-    period's LP.
+    commit, and advance. Returns the committed policy's exact return.
+
+    With the later periods frozen, the future is linear in this period's
+    actions: one backward recursion under the base policy gives each
+    state's value-to-go V and, per cap, its capped mass-to-go M. Period t
+    is then one LP over its layer's actions (:func:`_period_lp`):
+    maximise sum_s dist_s (r_s(a_s) + a_s . V_{t+1}) subject to
+    sum_s dist_s (a_s . M_{t+1,i}) <= bound_i - accrued_i for each cap
+    with states after period t, where dist is the committed visit mass
+    of period t and accrued_i the cap mass of periods up to t. A state of
+    visit mass at most ``UNREACHABLE_TOL`` keeps its base action.
+
+    Raises QualityInfeasibleError when some period cannot meet the
+    (remaining) caps on its own; the global method may still be feasible
+    there. When that period's LP proved it, ``certificate`` is its Farkas
+    certificate and ``excess`` its phase-1 value, the smallest total
+    violation of its rows, which is not in general the excess of a
+    whole-horizon occupancy LP frozen after period t. ``time_limit``
+    covers every period's LP.
     """
     deadline = deadline_after(time_limit)
     require_valid(instance)
@@ -181,57 +280,56 @@ def greedy_baseline(
             raise ValueError("greedy baseline is defined for L1 rewards")
     space = instance.states
     T = space.horizon
+    member = [np.zeros((len(instance.constraints), len(layer))) for layer in space.layers]
+    last = np.zeros(len(instance.constraints), dtype=int)  # each cap's last period
+    for i, qc in enumerate(instance.constraints):
+        for s in qc.states:
+            t, j = space.position(s)
+            member[t][i, j] = 1.0
+            last[i] = max(last[i], t)
+    bound = np.array([qc.bound for qc in instance.constraints])
+    V, M = _base_to_go(instance, member)
     committed: dict[str, np.ndarray] = {}
     dist = np.asarray(instance.alpha, dtype=float).copy()
-    visited: dict[str, float] = {}
+    accrued = np.zeros(bound.size)
 
     for t in range(T - 1):
-        for i, s in enumerate(space.layers[t]):
-            visited[s] = float(dist[i])
-        sub_layers = space.layers[t:]
-        sub_space = LayeredStateSpace(sub_layers)
-        polys, rews = {}, {}
-        for tt in range(t, T - 1):
-            for s in space.layers[tt]:
-                base = instance.polytopes[s].base
-                if tt == t:
-                    polys[s] = instance.polytopes[s]
-                else:
-                    polys[s] = box_polytope(base, 0.0)  # frozen at base
-                rews[s] = instance.rewards[s]
-        constraints = []
-        for i, qc in enumerate(instance.constraints):
-            accrued = sum(visited.get(s, 0.0) for s in qc.states if s in visited)
-            remaining = {s for s in qc.states if s not in visited}
-            bound = qc.bound - accrued
-            if not remaining:
-                if bound < -1e-9:
+        accrued += member[t] @ dist
+        left = bound - accrued
+        for i in range(bound.size):
+            if last[i] <= t:
+                if left[i] < -1e-9:
                     raise QualityInfeasibleError(
                         f"greedy period {t + 1}: constraint {i} already "
-                        f"violated by {-bound:.3e}"
+                        f"violated by {-left[i]:.3e}"
                     )
-                continue
-            if bound < 0:
+            elif left[i] < 0:
                 raise QualityInfeasibleError(
                     f"greedy period {t + 1}: constraint {i} bound exhausted"
                 )
-            constraints.append(QualityConstraint(remaining, bound))
-        sub = CmdpInstance(sub_space, polys, rews, dist, constraints)
+        layer = space.layers[t]
+        actions = np.array([instance.polytopes[s].base for s in layer])
+        live = dist > UNREACHABLE_TOL
+        states = [s for s, keep in zip(layer, live) if keep]
+        caps = last > t
+        mass = M[t + 1][caps]
+        rhs = left[caps] - mass @ (actions[~live].T @ dist[~live])
+        problem = _period_lp(instance, states, dist[live], V[t + 1], mass, rhs)
+        sol = lpmod.solve_lp(problem, time_limit=time_left(deadline))
         try:
-            sol = solve_occupancy(sub, time_limit=time_left(deadline))
+            raise_for_status(problem, sol, f"greedy period {t + 1} LP")
         except QualityInfeasibleError as exc:
             raise QualityInfeasibleError(
                 f"greedy period {t + 1}: {exc}",
                 certificate=exc.certificate,
                 excess=exc.excess,
             ) from exc
-        policy = extract_policy(sol, sub)
-        nxt = np.zeros(len(space.layers[t + 1]))
-        for i, s in enumerate(space.layers[t]):
-            a = policy.actions[s]
-            committed[s] = a
-            nxt += dist[i] * a
-        dist = nxt
+        p, m = sol.x.reshape(len(states), 2, -1).transpose(1, 0, 2)
+        center = np.array([instance.rewards[s].center for s in states])
+        a = np.clip(center + p - m, 0.0, None)
+        actions[live] = a / a.sum(axis=1, keepdims=True)
+        committed.update(zip(layer, actions))
+        dist = dist @ actions
 
     full = DeterministicPolicy(committed)
     report = evaluate_validated(instance, full)

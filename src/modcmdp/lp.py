@@ -340,12 +340,17 @@ def _run_highs(p: LpProblem, time_limit, h) -> LpSolution:
     if h.setOptionValue("time_limit", limit) != hs.HighsStatus.kOk:
         raise LpError(f"HiGHS rejected option time_limit={limit!r}")
     h.run()
+    # the status first: a run that failed (a 'Solve error', say) may leave
+    # no iteration count, and the error must name what HiGHS reported
     status = h.getModelStatus()
-    info, iterations = h.getInfoValue("simplex_iteration_count")
-    if info != hs.HighsStatus.kOk:
-        raise LpError("HiGHS has no iteration count for its run")
     message = h.modelStatusToString(status)
     S = hs.HighsModelStatus
+    if status not in (S.kOptimal, S.kInfeasible, S.kUnboundedOrInfeasible,
+                      S.kUnbounded, S.kTimeLimit, S.kIterationLimit):
+        raise LpError(f"HiGHS stopped with model status {message!r}")
+    info, iterations = h.getInfoValue("simplex_iteration_count")
+    if info != hs.HighsStatus.kOk:
+        raise LpError(f"HiGHS has no iteration count for its run (model status {message!r})")
     if status == S.kInfeasible:
         return LpSolution("infeasible", iterations=iterations, message=message)
     if status == S.kUnboundedOrInfeasible:
@@ -355,8 +360,6 @@ def _run_highs(p: LpProblem, time_limit, h) -> LpSolution:
         return LpSolution("unbounded", iterations=iterations, message=message)
     if status in (S.kTimeLimit, S.kIterationLimit):
         return LpSolution("limit_exceeded", iterations=iterations, message=message)
-    if status != S.kOptimal:
-        raise LpError(f"HiGHS stopped with model status {message!r}")
     res = h.getSolution()
     x = np.array(res.col_value)
     # HiGHS duals belong to the minimization of -c; negate for max

@@ -297,6 +297,42 @@ def _check_rewards(instance: CmdpInstance, tangent_cuts: Optional[int]) -> None:
                 )
 
 
+def _starts(sizes) -> np.ndarray:
+    """Start of each block of the given sizes, laid end to end, and the
+    end of the last."""
+    return np.concatenate([[0], np.cumsum(sizes, dtype=int)])
+
+
+def _ranges(starts, sizes) -> np.ndarray:
+    """``starts[i] + arange(sizes[i])`` for every i, concatenated."""
+    sizes = np.asarray(sizes, dtype=int)
+    within = np.arange(sizes.sum()) - np.repeat(_starts(sizes)[:-1], sizes)
+    return np.repeat(np.asarray(starts, dtype=int), sizes) + within
+
+
+# Entries of H matrices gathered per pass of _add_polytope_rows (8 MB of
+# floats): every box of a horizon-6 loan of up to 47 levels in one pass,
+# and no copy of all the boxes at once at 100 levels (80 MB).
+_H_CHUNK = 1 << 20
+
+
+def _add_polytope_rows(coo: _Coo, polys, row_start, col_start) -> None:
+    """Add the nonzero entries of each ``polys[g].H``, row r and column j,
+    at (``row_start[g] + r``, ``col_start[g] + j``), gathering the
+    matrices of many states per pass."""
+    sizes = np.array([p.H.size for p in polys], dtype=int)
+    cuts = np.searchsorted(np.cumsum(sizes), np.arange(_H_CHUNK, sizes.sum(), _H_CHUNK))
+    bounds = np.unique(np.concatenate([[0], cuts, [len(polys)]]))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        flat = np.concatenate([p.H.ravel() for p in polys[lo:hi]])
+        at = np.flatnonzero(flat)
+        offset = _starts(sizes[lo:hi])
+        g = np.searchsorted(offset, at, side="right") - 1
+        dim = np.array([p.dim for p in polys[lo:hi]])
+        r, j = np.divmod(at - offset[g], dim[g])
+        coo.add(row_start[lo + g] + r, col_start[lo + g] + j, flat[at])
+
+
 def build_occupancy_lp(
     instance: CmdpInstance, tangent_cuts: Optional[int] = None
 ) -> OccupancyLp:
@@ -330,42 +366,53 @@ def build_occupancy_lp(
     e, src = np.arange(lay.edge_src.size), lay.edge_src
     eq.add(flow.out_row[src], n + e, 1.0)
     eq.add(flow.in_start[src] + e - lay.edge_start[src], n + e, 1.0)
-    row = flow.b_in.size
     # the lifted polytope rows H u - h d <= 0 of every state come first,
-    # then each state's sign or tangent-cut rows
-    poly_row = row
-    row += sum(instance.polytopes[s].h.size for s in flow.states)
-    for g, s in enumerate(flow.states):
-        poly = instance.polytopes[s]
-        e0, c0 = n + lay.edge_start[g], lay.col_start[g]
-        r, j = np.nonzero(poly.H)
-        ineq.add(poly_row + r, e0 + j, poly.H[r, j])
-        ineq.add(poly_row + np.arange(poly.h.size), lay.d_col[g], -poly.h)
-        poly_row += poly.h.size
+    # then each state's sign or tangent-cut rows, in state order
+    polys = [instance.polytopes[s] for s in flow.states]
+    rewards = [instance.rewards[s] for s in flow.states]
+    states = np.arange(len(polys))
+    poly_row = flow.b_in.size + _starts([p.h.size for p in polys])
+    _add_polytope_rows(ineq, polys, poly_row, n + lay.edge_start)
+    ineq.add(np.arange(poly_row[0], poly_row[-1]),
+             lay.d_col[np.repeat(states, np.diff(poly_row))],
+             -np.concatenate([np.zeros(0)] + [p.h for p in polys]))
 
-        rew = instance.rewards[s]
-        if isinstance(rew, AffineReward):
-            c[c0 : c0 + rew.dim] += rew.e
-            c[lay.d_col[g]] += rew.f
-        elif isinstance(rew, WeightedL1Reward):
-            # u = center * d + p - m: the objective charges p + m, and
-            # u >= 0 needs its own row where the polytope does not imply it
-            c[c0 : c0 + rew.dim] = -rew.weights
-            c[c0 + rew.dim : c0 + 2 * rew.dim] = -rew.weights
-            free = np.flatnonzero(~poly.implied_nonnegative)
-            ineq.add(row + np.arange(free.size), e0 + free, -1.0)
-            row += free.size
-        else:  # concave quadratic under tangent cuts: t - g_k . u <= 0
-            tcol = lay.aux_col[s]
-            c[tcol] = 1.0
-            lower[tcol] = -np.inf
-            ext = extend_reward(rew)
-            anchors = _cut_points(poly, tangent_cuts, g)
-            grads = np.array([ext.gradient(p) for p in anchors])
-            k, j = np.indices(grads.shape)
-            ineq.add(row + k, e0 + j, -grads)
-            ineq.add(row + np.arange(len(grads)), tcol, 1.0)
-            row += len(grads)
+    # an affine state's e on its u columns and f on its d column; a
+    # weighted-L1 state's -w on its p and m columns
+    def of_kind(kind) -> np.ndarray:
+        return np.array([g for g in states if isinstance(rewards[g], kind)], dtype=int)
+
+    affine, l1 = of_kind(AffineReward), of_kind(WeightedL1Reward)
+    c[_ranges(lay.col_start[affine], [rewards[g].dim for g in affine])] += np.concatenate(
+        [np.zeros(0)] + [rewards[g].e for g in affine])
+    c[lay.d_col[affine]] += [rewards[g].f for g in affine]
+    dim = lay.edge_start[l1 + 1] - lay.edge_start[l1]
+    weights = np.concatenate([np.zeros(0)] + [rewards[g].weights for g in l1])
+    for start in (lay.col_start[l1], lay.col_start[l1] + dim):  # p, then m
+        c[_ranges(start, dim)] = -weights
+
+    # a weighted-L1 state's u >= 0 needs a row -u_k <= 0 for each k its
+    # polytope rows do not imply; a concave quadratic state under tangent
+    # cuts has one row t - g_k . u <= 0 per cut
+    free = ~np.concatenate([np.zeros(0, bool)] + [polys[g].implied_nonnegative for g in l1])
+    owner = np.repeat(l1, dim)[free]
+    extra = np.bincount(owner, minlength=len(polys))
+    cut = of_kind(QuadraticDeviationReward)
+    extra[cut] = tangent_cuts or 0
+    extra_row = poly_row[-1] + _starts(extra)
+    sign_edge = _ranges(lay.edge_start[l1], dim)[free]
+    ineq.add(_ranges(extra_row[l1], extra[l1]), n + sign_edge, -1.0)
+    for g in cut:
+        row, tcol = extra_row[g], lay.aux_col[flow.states[g]]
+        c[tcol] = 1.0
+        lower[tcol] = -np.inf
+        ext = extend_reward(rewards[g])
+        anchors = _cut_points(polys[g], tangent_cuts, g)
+        grads = np.array([ext.gradient(p) for p in anchors])
+        k, j = np.indices(grads.shape)
+        ineq.add(row + k, n + lay.edge_start[g] + j, -grads)
+        ineq.add(row + np.arange(len(grads)), tcol, 1.0)
+    row = int(extra_row[-1])
 
     def over_columns(rows: _Coo, n_rows: int) -> sp.csc_matrix:
         out = rows.matrix(n_rows, lay.lift.shape[0]) @ lay.lift

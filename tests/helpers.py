@@ -25,6 +25,12 @@ was before every hull LP of a thread shared one HiGHS model: each solve
 makes a new model and sets its options. The package must reproduce all
 four outputs byte for byte.
 
+``frozen_greedy`` is ``greedy_baseline`` as it was before each period
+became one LP over its layer's actions: per period a whole sub-instance
+from that period on, every later state frozen at its base by an
+epsilon-0 box, solved by ``solve_occupancy``. The package's greedy must
+give the same objectives to 1e-9, and raise in the same period.
+
 It also holds the helpers that only tests use: the homogenized polytope
 rows, a randomized concavity check, a visit-mass CSV writer, the
 occupancy-solution invariants and per-state vertex counts.
@@ -42,12 +48,17 @@ from modcmdp import (
     AffineReward,
     CmdpInstance,
     DecompositionError,
+    DeterministicPolicy,
     LayeredStateSpace,
     QualityConstraint,
+    QualityInfeasibleError,
     QuadraticDeviationReward,
     WeightedL1Reward,
     box_polytope,
+    evaluate_exact,
+    extract_policy,
     point_to_mix,
+    solve_occupancy,
 )
 from modcmdp import lp as lpmod
 from modcmdp.lp import LpProblem, solve_lp
@@ -663,3 +674,65 @@ def fresh_hull_envelope(points, values, query):
     if sol.status != "optimal":
         return None
     return float(sol.objective), np.clip(sol.x, 0.0, None)
+
+
+def frozen_greedy(instance):
+    """The greedy baseline by frozen sub-instances: (objective, policy).
+    Period t solves the occupancy LP of the layers from t on, with period
+    t's own polytopes, every later state boxed at its base with epsilon
+    0, and each cap cut down to its states after period t and the bound
+    left once the mass of periods up to t is accrued."""
+    for s in instance.states.nonterminal():
+        if not isinstance(instance.rewards[s], WeightedL1Reward):
+            raise ValueError("greedy baseline is defined for L1 rewards")
+    space = instance.states
+    T = space.horizon
+    committed = {}
+    dist = np.asarray(instance.alpha, dtype=float).copy()
+    visited = {}
+
+    for t in range(T - 1):
+        for i, s in enumerate(space.layers[t]):
+            visited[s] = float(dist[i])
+        polys, rews = {}, {}
+        for tt in range(t, T - 1):
+            for s in space.layers[tt]:
+                base = instance.polytopes[s].base
+                polys[s] = instance.polytopes[s] if tt == t else box_polytope(base, 0.0)
+                rews[s] = instance.rewards[s]
+        constraints = []
+        for i, qc in enumerate(instance.constraints):
+            accrued = sum(visited.get(s, 0.0) for s in qc.states if s in visited)
+            remaining = {s for s in qc.states if s not in visited}
+            bound = qc.bound - accrued
+            if not remaining:
+                if bound < -1e-9:
+                    raise QualityInfeasibleError(
+                        f"greedy period {t + 1}: constraint {i} already "
+                        f"violated by {-bound:.3e}"
+                    )
+                continue
+            if bound < 0:
+                raise QualityInfeasibleError(
+                    f"greedy period {t + 1}: constraint {i} bound exhausted"
+                )
+            constraints.append(QualityConstraint(remaining, bound))
+        sub = CmdpInstance(LayeredStateSpace(space.layers[t:]), polys, rews, dist,
+                           constraints)
+        try:
+            sol = solve_occupancy(sub)
+        except QualityInfeasibleError as exc:
+            raise QualityInfeasibleError(
+                f"greedy period {t + 1}: {exc}",
+                certificate=exc.certificate,
+                excess=exc.excess,
+            ) from exc
+        policy = extract_policy(sol, sub)
+        nxt = np.zeros(len(space.layers[t + 1]))
+        for i, s in enumerate(space.layers[t]):
+            committed[s] = policy.actions[s]
+            nxt += dist[i] * policy.actions[s]
+        dist = nxt
+
+    full = DeterministicPolicy(committed)
+    return evaluate_exact(instance, full).value, full

@@ -214,8 +214,8 @@ class TestValidation:
         ("envelope", "quad_convex", 1),
         # the instance, then the linearized one by its occupancy LP
         ("naive-linear", "quad_convex", 2),
-        # the instance, then one occupancy LP per period of the horizon 6
-        ("greedy", "l1", 6),
+        # one LP per period, none of them an instance of its own
+        ("greedy", "l1", 1),
     ])
     def test_solve_validates_once_per_instance(self, monkeypatch, method, reward_kind, calls):
         inst = generate_loan_instance(LoanConfig(n_states=5, q_default=0.5,

@@ -4,8 +4,11 @@ import time
 import numpy as np
 import pytest
 
+from helpers import frozen_greedy, random_instance
+
 from modcmdp import (
     METHODS,
+    ActionPolytope,
     CmdpInstance,
     DeterministicPolicy,
     LayeredStateSpace,
@@ -262,3 +265,155 @@ class TestBenchmark:
         assert by["greedy"].status == "optimal"
         assert by["greedy"].error == ""
         assert by["greedy"].objective <= by["convex"].objective + 1e-7
+
+
+def general_l1_instance(rng):
+    """``random_instance`` with L1 rewards, remade with some polytopes
+    that are not boxes (extra cuts, free rows, the whole simplex, a sign
+    row of its own), some reward centers off the base, and up to four
+    caps over states of any period, the first included. The weights stay
+    positive: a zero weight can tie a period's LP, and greedy then
+    commits to whichever optimum its solver returns."""
+    inst = random_instance(rng, max_states=4, max_horizon=5, reward="l1")
+    polys, rewards = {}, {}
+    for s in inst.states.nonterminal():
+        box, n = inst.polytopes[s], inst.polytopes[s].dim
+        base, kind = box.base, int(rng.integers(5))
+        if kind == 0:
+            polys[s] = box
+        elif kind == 1:  # the box, cut by one more row through a point near the base
+            row = rng.normal(size=n)
+            polys[s] = ActionPolytope(base, np.vstack([box.H, row]),
+                                      np.append(box.h, row @ base + rng.uniform(0, 0.1)))
+        elif kind == 2:  # rows that imply no sign
+            rows = rng.normal(size=(int(rng.integers(1, 4)), n))
+            polys[s] = ActionPolytope(base, rows, rows @ base + rng.uniform(0.01, 0.3, len(rows)))
+        elif kind == 3:
+            polys[s] = ActionPolytope(base)
+        else:  # one lone sign row, and an upper bound on another coordinate
+            k, j = rng.integers(n, size=2)
+            H = np.zeros((2, n))
+            H[0, k], H[1, j] = -1.0, 1.0
+            polys[s] = ActionPolytope(base, H, [0.0, min(1.0, base[j] + 0.2)])
+        center = base if rng.random() < 0.5 else rng.dirichlet(np.ones(n))
+        rewards[s] = WeightedL1Reward(center, inst.rewards[s].weights)
+    caps = list(inst.constraints)
+    states = list(inst.states.all_states())
+    base = evaluate_exact(inst, DeterministicPolicy(
+        {s: inst.polytopes[s].base for s in inst.states.nonterminal()})).visit_mass
+    for _ in range(int(rng.integers(0, 3))):
+        members = rng.choice(states, size=min(len(states), int(rng.integers(1, 4))),
+                             replace=False)
+        mass = sum(base[s] for s in members)
+        caps.append(QualityConstraint(members, mass * rng.uniform(0.7, 1.3) + 1e-3))
+    return CmdpInstance(inst.states, polys, rewards, inst.alpha, caps)
+
+
+def greedy_outcomes(inst):
+    """(package greedy, frozen-sub-instance greedy): each an objective or
+    the QualityInfeasibleError it raised."""
+    out = []
+    for run in (greedy_baseline, frozen_greedy):
+        try:
+            out.append(run(inst)[0])
+        except QualityInfeasibleError as exc:
+            out.append(exc)
+    return out
+
+
+class TestGreedyAgainstFrozenSubInstances:
+    """Each greedy period as one LP over its layer's actions gives what the
+    whole frozen sub-instance gave: the same objectives where both are
+    feasible, and an infeasibility in the same period where one is not."""
+
+    @staticmethod
+    def check(inst, counts):
+        new, old = greedy_outcomes(inst)
+        if isinstance(old, QualityInfeasibleError):
+            assert isinstance(new, QualityInfeasibleError), (new, old)
+            period = str(old).split(":")[0]
+            assert str(new).split(":")[0] == period
+            if old.excess is not None:
+                assert new.excess is not None and new.excess > 0.0
+                assert new.certificate is not None
+                assert "smallest attainable total cap excess" in str(new)
+            else:
+                assert str(new) == str(old)
+            counts["infeasible"] += 1
+        else:
+            assert not isinstance(new, Exception), (new, old)
+            assert new == pytest.approx(old, abs=1e-9)
+            counts["feasible"] += 1
+
+    def test_random_box_instances(self):
+        rng = np.random.default_rng(5)
+        counts = {"feasible": 0, "infeasible": 0}
+        for _ in range(60):
+            self.check(random_instance(rng, max_states=5, max_horizon=5, reward="l1"), counts)
+        assert min(counts.values()) >= 5, counts
+
+    def test_general_polytopes_and_several_caps(self):
+        rng = np.random.default_rng(6)
+        counts = {"feasible": 0, "infeasible": 0}
+        for _ in range(60):
+            self.check(general_l1_instance(rng), counts)
+        assert min(counts.values()) >= 5, counts
+
+    def test_fixed_instances(self):
+        counts = {"feasible": 0, "infeasible": 0}
+        for inst in (adversarial_gap_instance(), greedy_infeasible_instance(),
+                     generate_loan_instance(LoanConfig(n_states=6, q_default=0.25)),
+                     generate_loan_instance(LoanConfig(n_states=8, q_default=0.12)),
+                     generate_loan_instance(LoanConfig(n_states=8))):
+            self.check(inst, counts)
+        assert counts == {"feasible": 3, "infeasible": 2}
+
+    def test_cap_spent_before_its_last_period(self):
+        # the cap covers g1 (mass 1) and b3; nothing is left for b3
+        inst = adversarial_gap_instance()
+        inst = CmdpInstance(inst.states, inst.polytopes, inst.rewards, inst.alpha,
+                            [QualityConstraint({"g1", "b3"}, 0.9)])
+        new, old = greedy_outcomes(inst)
+        assert str(new) == str(old) == "greedy period 1: constraint 0 bound exhausted"
+        # a cap over g1 alone is checked once its only period is over
+        inst = CmdpInstance(inst.states, inst.polytopes, inst.rewards, inst.alpha,
+                            [QualityConstraint({"g1"}, 0.5)])
+        new, old = greedy_outcomes(inst)
+        message = "greedy period 1: constraint 0 already violated by 5.000e-01"
+        assert str(new) == str(old) == message
+
+
+class TestGreedyStructure:
+    def test_one_lp_per_period_and_one_validation(self, monkeypatch):
+        import modcmdp.loans as loans
+        import modcmdp.lp as lpmod
+        import modcmdp.model as model
+        import modcmdp.occupancy as occupancy
+
+        inst = generate_loan_instance(LoanConfig(n_states=6, q_default=0.25))
+        calls = {}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((lpmod, "solve_lp"), (model, "validate"),
+                             (occupancy, "solve_occupancy"), (loans, "solve_occupancy"),
+                             (occupancy, "build_occupancy_lp"), (loans, "box_polytope")):
+            counted(module, name)
+        greedy_baseline(inst)
+        assert calls == {"solve_lp": inst.states.horizon - 1, "validate": 1}
+
+    def test_l1_loan_at_100_levels(self):
+        # the frozen sub-instance of period 2 ended in a HiGHS 'Solve error'
+        inst = generate_loan_instance(LoanConfig(n_states=100))
+        objective, policy = greedy_baseline(inst)
+        report = evaluate_exact(inst, policy)
+        assert report.feasible
+        assert report.value == objective
+        assert objective <= solve(inst, "convex").objective + 1e-9

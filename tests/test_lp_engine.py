@@ -176,6 +176,43 @@ class TestSharedOnceModel:
         assert lpmod._hull_highs().getNumCol() == 0
 
 
+class TestFailedRun:
+    """A HiGHS run that ends in an error status is reported by that
+    status, whatever else the model can still tell."""
+
+    class SolveErrorModel:
+        """A model whose run ends in 'Solve error' and leaves no
+        iteration count, the way a failed HiGHS run can."""
+
+        def __init__(self):
+            from scipy.optimize._highspy import _core as hs
+
+            self.hs, self.real = hs, hs._Highs()
+
+        def getRunTime(self):
+            return 0.0
+
+        def setOptionValue(self, key, value):
+            return self.hs.HighsStatus.kOk
+
+        def run(self):
+            return self.hs.HighsStatus.kError
+
+        def getModelStatus(self):
+            return self.hs.HighsModelStatus.kSolveError
+
+        def modelStatusToString(self, status):
+            return self.real.modelStatusToString(status)
+
+        def getInfoValue(self, name):
+            return self.hs.HighsStatus.kError, 0
+
+    def test_error_names_the_model_status(self):
+        p = LpProblem(c=[1.0, 1.0], a_in=[[1.0, 1.0]], b_in=[1.0])
+        with pytest.raises(lpmod.LpError, match="model status 'Solve error'"):
+            lpmod._run_highs(p, None, self.SolveErrorModel())
+
+
 class TestOptimalityCheck:
     """check_optimal runs on every optimal solve; here it is handed
     solutions that were damaged after the solve."""
