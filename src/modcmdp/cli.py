@@ -80,7 +80,12 @@ def _write_with_manifest(payload, out, manifest):
 
 def _default_timeout():
     v = os.environ.get("MODCMDP_TIMEOUT")
-    return float(v) if v else None
+    if not v:
+        return None
+    try:
+        return float(v)
+    except ValueError:
+        raise ValueError(f"MODCMDP_TIMEOUT must be a number of seconds, got {v!r}") from None
 
 
 def cmd_solve(args) -> int:
@@ -255,15 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        # building the parser reads MODCMDP_TIMEOUT, which may be malformed
         args = build_parser().parse_args(argv)
+        if args.cmd == "benchmark":
+            args.states_list = _parse_states(args.states)
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, the code of "infeasible" here;
         # --help and --version exit 0
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
-    try:
-        if args.cmd == "benchmark":
-            args.states_list = _parse_states(args.states)
-        return args.func(args)
     except tuple(kind for kind, _, _ in _FAILURES) as exc:
         prefix, code = next((p, c) for k, p, c in _FAILURES if isinstance(exc, k))
         print(f"{prefix}: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ a mixture of actions per state; a deterministic one has a single atom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -29,6 +29,15 @@ def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+class _Fields:
+    """Checks on the fields of an immutable dataclass, worked out once."""
+
+    @cached_property
+    def nonfinite(self) -> tuple[str, ...]:
+        """The names of the fields that hold a NaN or an infinity."""
+        return tuple(f.name for f in fields(self) if not np.isfinite(getattr(self, f.name)).all())
 
 
 @dataclass(frozen=True)
@@ -84,7 +93,7 @@ class LayeredStateSpace:
 
 
 @dataclass(frozen=True)
-class ActionPolytope:
+class ActionPolytope(_Fields):
     """Feasible transition vectors ``{a in simplex : H a <= h}`` around a
     base distribution ``base`` over the next layer.
 
@@ -169,8 +178,8 @@ def box_polytope(base, epsilon: float) -> ActionPolytope:
 
     With ``epsilon >= 1`` the feasible set equals the whole simplex.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
     base = np.asarray(base, dtype=float)
     if base.min(initial=0.0) < -NORM_TOL or abs(base.sum() - 1.0) > NORM_TOL:
         raise ValueError("base must be a probability vector")
@@ -182,7 +191,7 @@ def box_polytope(base, epsilon: float) -> ActionPolytope:
 
 
 @dataclass(frozen=True)
-class AffineReward:
+class AffineReward(_Fields):
     """r(a) = e . a + f."""
 
     e: np.ndarray
@@ -201,7 +210,7 @@ class AffineReward:
 
 
 @dataclass(frozen=True)
-class WeightedL1Reward:
+class WeightedL1Reward(_Fields):
     """r(a) = -sum_k weights[k] * |a[k] - center[k]| (concave, <= 0)."""
 
     center: np.ndarray
@@ -223,7 +232,7 @@ class WeightedL1Reward:
 
 
 @dataclass(frozen=True)
-class QuadraticDeviationReward:
+class QuadraticDeviationReward(_Fields):
     """r(a) = sign * sum_k weights[k] * (a[k] - center[k])^2 with sign -1
     (concave) or +1 (convex). Weights default to all ones, which gives the
     plain squared Euclidean deviation.
@@ -325,6 +334,8 @@ def validate(instance: CmdpInstance) -> list[str]:
             f"alpha has {alpha.size} entries but the first layer has "
             f"{len(space.layers[0])} states"
         )
+    elif not np.isfinite(alpha).all():
+        out.append("alpha has non-finite entries")
     else:
         s = float(alpha.sum())
         if abs(s - 1.0) > NORM_TOL:
@@ -349,6 +360,8 @@ def validate(instance: CmdpInstance) -> list[str]:
         if poly is None:
             continue
         n = instance.next_layer_size(s)
+        if poly.nonfinite:
+            out.extend(f"{name} of {s!r} has non-finite entries" for name in poly.nonfinite)
         if poly.dim != n:
             out.append(
                 f"polytope of {s!r} has dimension {poly.dim}, next layer has {n}"
@@ -372,6 +385,8 @@ def validate(instance: CmdpInstance) -> list[str]:
             continue
         if rew.dim != n:
             out.append(f"reward of {s!r} has dimension {rew.dim}, expected {n}")
+        if rew.nonfinite:
+            out.append(f"reward of {s!r} has non-finite parameters")
         if isinstance(rew, (WeightedL1Reward, QuadraticDeviationReward)):
             if rew.weights.min(initial=0.0) < 0:
                 out.append(f"reward of {s!r} has negative weights")
@@ -382,7 +397,9 @@ def validate(instance: CmdpInstance) -> list[str]:
         unknown = sorted(x for x in qc.states if x not in space)
         if unknown:
             out.append(f"constraint {i} references unknown states {unknown}")
-        if qc.bound < 0:
+        if not np.isfinite(qc.bound):
+            out.append(f"constraint {i} has non-finite bound {qc.bound}")
+        elif qc.bound < 0:
             out.append(f"constraint {i} has negative bound {qc.bound:.6g}")
     return out
 

@@ -22,11 +22,11 @@ which is added only where the polytope rows do not already imply it
 (``ActionPolytope.implied_nonnegative``). The solver rebuilds u from p, m and d.
 
 The constraint matrices are assembled from index arrays: edges are
-numbered layer-major, the rows are written as (row, index, value)
-triplets over the LP's columns and the edge masses, and one sparse
-product with the layout's lift, which writes each edge mass over the
-columns (u = M x), rewrites them over the columns alone; the same map
-recovers u from a solution.
+numbered layer-major, and each edge has its own column, plus on a
+weighted-L1 state its m column and its center on d. An entry on an edge
+mass becomes its (row, column, value) triplets through that map, each
+matrix is one sparse matrix of triplets, and the same map recovers u
+from a solution.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import scipy.sparse as sp
 from . import lp as lpmod
 from .evaluate import cap_masses, evaluate_validated
 from .model import (
+    FEAS_TOL,
     AffineReward,
     CmdpInstance,
     DeterministicPolicy,
@@ -110,28 +111,14 @@ class OccupancySolution:
         return cap_masses(instance, self.visit_mass)
 
 
-class _Coo:
-    """Accumulates (row, column, value) triplets of a sparse matrix; each
-    argument is an array or a scalar repeated to the arrays' length, and
-    repeated entries add up."""
-
-    def __init__(self):
-        self.parts: list[list[np.ndarray]] = []
-
-    def add(self, rows, cols, vals) -> None:
-        part = [np.asarray(a) for a in (rows, cols, vals)]
-        size = next(a.size for a in part if a.ndim)
-        self.parts.append([a.ravel() if a.ndim else np.full(size, a) for a in part])
-
-    def triplets(self) -> list[np.ndarray]:
-        return [
-            np.concatenate([p[i] for p in self.parts] or [np.zeros(0, dtype)])
-            for i, dtype in enumerate((int, int, float))
-        ]
-
-    def matrix(self, n_rows: int, n_cols: int) -> sp.csc_matrix:
-        rows, cols, vals = self.triplets()
-        return sp.csc_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
+def _matrix(parts, n_rows: int, n_cols: int) -> sp.csc_matrix:
+    """The (rows, columns, values) triplets of ``parts``, each broadcast
+    together, summed into a matrix; entries that sum to 0 are dropped."""
+    flat = ([a.ravel() for a in np.broadcast_arrays(*part)] for part in parts)
+    rows, cols, vals = (np.concatenate(a) for a in zip(*flat))
+    out = sp.csc_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
+    out.eliminate_zeros()
+    return out
 
 
 class FlowRows:
@@ -187,13 +174,11 @@ class _Layout:
     ``col_start[g]`` to ``col_start[g + 1] - 1``; every d column follows,
     then the tangent-cut epigraph columns.
 
-    Rows are written over the LP's columns and the edge masses, edge ``e``
-    taking index ``n_cols + e``. ``lift`` maps that space onto the
-    columns: it is the identity on the columns and u = M x on the edges,
-    where a block of M is the state's own u columns or the split
-    p - m + center * d of a weighted-L1 state. So rewriting rows over the
-    columns is one product with ``lift``, and so is recovering u from a
-    solution.
+    Edge ``e``'s mass is its own column ``edge_col[e]`` (u, or p on a
+    weighted-L1 state), and on a weighted-L1 state also minus the m column
+    ``m_off[e]`` further on plus ``center[e]`` times its state's d column;
+    ``m_off`` and ``center`` are 0 elsewhere. :meth:`on_edges` writes rows
+    over the columns through that map, and :meth:`edge_mass` recovers u.
     """
 
     edge_start: np.ndarray  # (G + 1,)
@@ -201,21 +186,41 @@ class _Layout:
     col_start: np.ndarray  # (G + 1,)
     d_col: np.ndarray  # (S,) column of d, in all_states() order
     aux_col: dict[str, int]  # tangent-cut epigraph column per state
-    lift: sp.csc_matrix  # (n_cols + E, n_cols)
+    edge_col: np.ndarray  # (E,) u or p column of each edge
+    m_off: np.ndarray  # (E,) offset of its m column, 0 off weighted-L1
+    center: np.ndarray  # (E,) its center, 0 off weighted-L1
 
     @property
     def n_cols(self) -> int:
         return int(self.d_col[-1]) + 1 + len(self.aux_col)
+
+    def on_edges(self, rows, edges, vals) -> tuple[np.ndarray, ...]:
+        """The (row, column, value) triplets of entries ``vals`` at
+        (``rows``, edge mass ``edges``), written over the columns."""
+        rows, edges, vals = (a.ravel() for a in np.broadcast_arrays(rows, edges, vals))
+        l1 = self.m_off[edges] > 0
+        r, e, v = rows[l1], edges[l1], vals[l1]
+        return (
+            np.concatenate([rows, r, r]),
+            np.concatenate([self.edge_col[edges], self.edge_col[e] + self.m_off[e],
+                            self.d_col[self.edge_src[e]]]),
+            np.concatenate([vals, -v, self.center[e] * v]),
+        )
+
+    def edge_mass(self, x: np.ndarray) -> np.ndarray:
+        """Every edge mass u at the column values ``x``."""
+        u = x[self.edge_col]
+        e = np.flatnonzero(self.m_off)
+        d = x[self.d_col[self.edge_src[e]]]
+        u[e] = (u[e] - x[self.edge_col[e] + self.m_off[e]]) + self.center[e] * d
+        return u
 
 
 def _make_layout(instance: CmdpInstance, flow: FlowRows, cuts: Optional[int]) -> _Layout:
     rewards = [instance.rewards[s] for s in flow.states]
     width = flow.succ_width
     edge_start = np.concatenate([[0], np.cumsum(width)])
-    n_edges = int(edge_start[-1])
-    edges = np.arange(n_edges)
     src = np.repeat(np.arange(len(rewards)), width)
-    local = edges - edge_start[src]
 
     # each state's block (u, or p then m), then every d, then the
     # tangent-cut epigraph columns
@@ -228,37 +233,11 @@ def _make_layout(instance: CmdpInstance, flow: FlowRows, cuts: Optional[int]) ->
         if cuts and isinstance(r, QuadraticDeviationReward)
     ]
     aux_col = {s: int(d_col[-1]) + 1 + k for k, s in enumerate(cut_states)}
-    n_cols = int(d_col[-1]) + 1 + len(cut_states)
 
-    # Every block column carries one edge: edge e writes over its own
-    # u (or p) column, and a weighted-L1 edge also over its m column
-    # (-1) and its state's d column (the center), which come after.
-    pos = col_start[src] + local
-    e1 = np.flatnonzero(l1[src])
-    center = np.concatenate(
-        [np.zeros(0)] + [rewards[g].center for g in np.flatnonzero(l1)]
-    )
-    edge = np.empty(col_start[-1], dtype=int)
-    val = np.ones(col_start[-1])
-    edge[pos] = edges
-    edge[pos[e1] + width[src[e1]]] = e1
-    val[pos[e1] + width[src[e1]]] = -1.0
-    col = np.concatenate([np.arange(col_start[-1]), d_col[src[e1]]])
-    edge = np.concatenate([edge, e1])
-    val = np.concatenate([val, center])
-    # column-compressed directly: each column's identity entry, then its
-    # edge entries, which come sorted by column and then edge
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n_cols) + 1)])
-    index = np.empty(indptr[-1], dtype=np.int32)
-    value = np.ones(indptr[-1])
-    index[indptr[:-1]] = np.arange(n_cols)
-    at = np.arange(col.size) + col + 1  # after the identity entries so far
-    index[at] = n_cols + edge
-    value[at] = val
-    lift = sp.csc_matrix(
-        (value, index, indptr.astype(np.int32)), shape=(n_cols + n_edges, n_cols)
-    )
-    return _Layout(edge_start, src, col_start, d_col, aux_col, lift)
+    center = np.concatenate([r.center if k else np.zeros(w) for r, k, w in zip(rewards, l1, width)])
+    edge_col = col_start[src] + np.arange(src.size) - edge_start[src]
+    m_off = np.where(l1, width, 0)[src]
+    return _Layout(edge_start, src, col_start, d_col, aux_col, edge_col, m_off, center)
 
 
 @dataclass
@@ -316,10 +295,10 @@ def _ranges(starts, sizes) -> np.ndarray:
 _H_CHUNK = 1 << 20
 
 
-def _add_polytope_rows(coo: _Coo, polys, row_start, col_start) -> None:
+def _add_polytope_rows(parts: list, lay: _Layout, polys, row_start) -> None:
     """Add the nonzero entries of each ``polys[g].H``, row r and column j,
-    at (``row_start[g] + r``, ``col_start[g] + j``), gathering the
-    matrices of many states per pass."""
+    at row ``row_start[g] + r`` on the edge mass ``lay.edge_start[g] + j``,
+    gathering the matrices of many states per pass."""
     sizes = np.array([p.H.size for p in polys], dtype=int)
     cuts = np.searchsorted(np.cumsum(sizes), np.arange(_H_CHUNK, sizes.sum(), _H_CHUNK))
     bounds = np.unique(np.concatenate([[0], cuts, [len(polys)]]))
@@ -330,7 +309,7 @@ def _add_polytope_rows(coo: _Coo, polys, row_start, col_start) -> None:
         g = np.searchsorted(offset, at, side="right") - 1
         dim = np.array([p.dim for p in polys[lo:hi]])
         r, j = np.divmod(at - offset[g], dim[g])
-        coo.add(row_start[lo + g] + r, col_start[lo + g] + j, flat[at])
+        parts.append(lay.on_edges(row_start[lo + g] + r, lay.edge_start[lo + g] + j, flat[at]))
 
 
 def build_occupancy_lp(
@@ -345,10 +324,14 @@ def build_occupancy_lp(
     README's "Tangent cuts": -0.290 and a bound of 0.0 at K = 64 where the
     optimum is near -2.7e-4). ROADMAP item 3 plans the exact route.
 
-    Raises ValueError on invalid instances or unsupported reward kinds.
+    Raises ValueError on invalid instances, unsupported reward kinds or a
+    ``tangent_cuts`` that is neither None nor a positive integer.
     """
     from .extend import extend_reward
 
+    integral = isinstance(tangent_cuts, (int, np.integer)) and not isinstance(tangent_cuts, bool)
+    if tangent_cuts is not None and not (integral and tangent_cuts >= 1):
+        raise ValueError(f"tangent_cuts must be None or an integer >= 1, got {tangent_cuts!r}")
     require_valid(instance)
     _check_rewards(instance, tangent_cuts)
     flow = FlowRows(instance)
@@ -357,25 +340,24 @@ def build_occupancy_lp(
     c = np.zeros(n)
     lower = np.zeros(n)
 
-    # triplets over the columns and the edge masses (edge e at n + e),
-    # which the layout's lift rewrites over the columns at the end
-    eq, ineq = _Coo(), _Coo()
-    for coo, (rows, d, vals) in ((eq, flow.d_eq), (ineq, flow.d_in)):
-        coo.add(rows, lay.d_col[d], vals)
     # edge e of state src leaves it for its (e - edge_start[src])-th successor
     e, src = np.arange(lay.edge_src.size), lay.edge_src
-    eq.add(flow.out_row[src], n + e, 1.0)
-    eq.add(flow.in_start[src] + e - lay.edge_start[src], n + e, 1.0)
+    rows, d, vals = flow.d_eq
+    a_eq = _matrix([(rows, lay.d_col[d], vals), lay.on_edges(flow.out_row[src], e, 1.0),
+                    lay.on_edges(flow.in_start[src] + e - lay.edge_start[src], e, 1.0)],
+                   flow.b_eq.size, n)
+    rows, d, vals = flow.d_in
+    ineq = [(rows, lay.d_col[d], vals)]  # (rows, columns, values) triplets
     # the lifted polytope rows H u - h d <= 0 of every state come first,
     # then each state's sign or tangent-cut rows, in state order
     polys = [instance.polytopes[s] for s in flow.states]
     rewards = [instance.rewards[s] for s in flow.states]
     states = np.arange(len(polys))
     poly_row = flow.b_in.size + _starts([p.h.size for p in polys])
-    _add_polytope_rows(ineq, polys, poly_row, n + lay.edge_start)
-    ineq.add(np.arange(poly_row[0], poly_row[-1]),
-             lay.d_col[np.repeat(states, np.diff(poly_row))],
-             -np.concatenate([np.zeros(0)] + [p.h for p in polys]))
+    _add_polytope_rows(ineq, lay, polys, poly_row)
+    ineq.append((np.arange(poly_row[0], poly_row[-1]),
+                 lay.d_col[np.repeat(states, np.diff(poly_row))],
+                 -np.concatenate([np.zeros(0)] + [p.h for p in polys])))
 
     # an affine state's e on its u columns and f on its d column; a
     # weighted-L1 state's -w on its p and m columns
@@ -401,7 +383,7 @@ def build_occupancy_lp(
     extra[cut] = tangent_cuts or 0
     extra_row = poly_row[-1] + _starts(extra)
     sign_edge = _ranges(lay.edge_start[l1], dim)[free]
-    ineq.add(_ranges(extra_row[l1], extra[l1]), n + sign_edge, -1.0)
+    ineq.append(lay.on_edges(_ranges(extra_row[l1], extra[l1]), sign_edge, -1.0))
     for g in cut:
         row, tcol = extra_row[g], lay.aux_col[flow.states[g]]
         c[tcol] = 1.0
@@ -410,18 +392,12 @@ def build_occupancy_lp(
         anchors = _cut_points(polys[g], tangent_cuts, g)
         grads = np.array([ext.gradient(p) for p in anchors])
         k, j = np.indices(grads.shape)
-        ineq.add(row + k, n + lay.edge_start[g] + j, -grads)
-        ineq.add(row + np.arange(len(grads)), tcol, 1.0)
+        ineq.append(lay.on_edges(row + k, lay.edge_start[g] + j, -grads))
+        ineq.append((row + np.arange(len(grads)), tcol, 1.0))
     row = int(extra_row[-1])
 
-    def over_columns(rows: _Coo, n_rows: int) -> sp.csc_matrix:
-        out = rows.matrix(n_rows, lay.lift.shape[0]) @ lay.lift
-        out.eliminate_zeros()
-        out.sort_indices()
-        return out
-
     b_in = np.concatenate([flow.b_in, np.zeros(row - flow.b_in.size)])
-    a_eq, a_in = over_columns(eq, flow.b_eq.size), over_columns(ineq, row)
+    a_in = _matrix(ineq, row, n)
     return OccupancyLp(
         c=c, a_eq=a_eq, b_eq=flow.b_eq, a_in=a_in, b_in=b_in, lower=lower, layout=lay
     )
@@ -448,7 +424,7 @@ def solve_occupancy(
 
     lay = problem.layout
     space = instance.states
-    u = np.maximum((lay.lift @ sol.x)[lay.n_cols :], 0.0)
+    u = np.maximum(lay.edge_mass(sol.x), 0.0)
     keys = [(s, s2) for layer, nxt in zip(space.layers, space.layers[1:])
             for s in layer for s2 in nxt]
     edge = dict(zip(keys, u.tolist()))
@@ -466,12 +442,29 @@ def solve_occupancy(
     return OccupancySolution(edge, visit, objective=float(sol.objective))
 
 
+def _nearest_action(poly, a: np.ndarray) -> np.ndarray:
+    """The action of ``poly`` nearest ``a`` in L1 norm: a + p - m with
+    p, m >= 0 and the least sum(p + m), as one small LP."""
+    step = np.hstack([np.eye(poly.dim), -np.eye(poly.dim)])  # p - m
+    sol = lpmod.solve_once(lpmod.LpProblem(
+        c=-np.ones(2 * poly.dim), a_eq=step.sum(axis=0, keepdims=True), b_eq=[1.0 - a.sum()],
+        a_in=np.vstack([poly.H @ step, -step]), b_in=np.concatenate([poly.h - poly.H @ a, a]),
+    ))
+    if sol.status != "optimal":
+        raise RuntimeError(f"nearest-action LP {sol.status} — formulation bug")
+    out = np.clip(a + step @ sol.x, 0.0, None)
+    return out / out.sum()
+
+
 def extract_policy(
     sol: OccupancySolution, instance: CmdpInstance
 ) -> DeterministicPolicy:
     """Deterministic policy dividing edge masses by visit mass; states with
     visit mass below 1e-9 fall back to their base action (their choice is
-    immaterial and the base is always feasible)."""
+    immaterial and the base is always feasible). The LP meets H u - h d <= 0
+    to an absolute tolerance, so u / d may leave the polytope by about that
+    over d: past ``FEAS_TOL`` but within ten times the LP's tolerance over
+    d, the nearest action inside is taken; a larger violation raises."""
     space = instance.states
     actions = {}
     for layer, nxt in zip(space.layers, space.layers[1:]):
@@ -484,10 +477,10 @@ def extract_policy(
             a = np.array([sol.edge_mass[(s, s2)] for s2 in nxt]) / d
             a = np.clip(a, 0.0, None)
             a /= a.sum()
-            if poly.margin(a) > 1e-7:
+            margin = poly.margin(a)
+            if margin > 10 * lpmod.FEAS_TOL / d:
                 raise RuntimeError(
-                    f"extracted action at {s!r} violates its polytope by "
-                    f"{poly.margin(a):.3e}"
+                    f"extracted action at {s!r} violates its polytope by {margin:.3e}"
                 )
-            actions[s] = a
+            actions[s] = _nearest_action(poly, a) if margin > FEAS_TOL else a
     return DeterministicPolicy(actions)

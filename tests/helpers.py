@@ -31,6 +31,13 @@ from that period on, every later state frozen at its base by an
 epsilon-0 box, solved by ``solve_occupancy``. The package's greedy must
 give the same objectives to 1e-9, and raise in the same period.
 
+``lift_matrix`` is the map from the occupancy LP's columns to its edge
+masses as the LP once built it, a hand-made (n_cols + E) x n_cols CSC
+matrix: the identity on the columns, then each edge mass's own column
+or the weighted-L1 split p - m + center * d. The layout's column map
+must write edge entries over the columns as a product with it does, and
+read the same u back.
+
 It also holds the helpers that only tests use: the homogenized polytope
 rows, a randomized concavity check, a visit-mass CSV writer, the
 occupancy-solution invariants and per-state vertex counts.
@@ -736,3 +743,52 @@ def frozen_greedy(instance):
 
     full = DeterministicPolicy(committed)
     return evaluate_exact(instance, full).value, full
+
+
+def lift_matrix(instance, tangent_cuts=None):
+    """The occupancy LP's lift for ``instance``, laid out as in
+    ``build_occupancy_lp``: row k < n_cols is column k, and row n_cols + e
+    writes edge e's mass over the columns."""
+    from modcmdp.occupancy import FlowRows
+
+    flow = FlowRows(instance)
+    rewards = [instance.rewards[s] for s in flow.states]
+    width = flow.succ_width
+    edge_start = np.concatenate([[0], np.cumsum(width)])
+    n_edges = int(edge_start[-1])
+    edges = np.arange(n_edges)
+    src = np.repeat(np.arange(len(rewards)), width)
+    local = edges - edge_start[src]
+    l1 = np.array([isinstance(r, WeightedL1Reward) for r in rewards])
+    col_start = np.concatenate([[0], np.cumsum(width * np.where(l1, 2, 1))])
+    d_col = col_start[-1] + np.arange(flow.n_states)
+    n_cuts = sum(bool(tangent_cuts) and isinstance(r, QuadraticDeviationReward)
+                 for r in rewards)
+    n_cols = int(d_col[-1]) + 1 + n_cuts
+
+    # every block column carries one edge: edge e writes over its own u
+    # (or p) column, and a weighted-L1 edge also over its m column (-1)
+    # and its state's d column (the center), which come after
+    pos = col_start[src] + local
+    e1 = np.flatnonzero(l1[src])
+    center = np.concatenate([np.zeros(0)] + [rewards[g].center for g in np.flatnonzero(l1)])
+    edge = np.empty(col_start[-1], dtype=int)
+    val = np.ones(col_start[-1])
+    edge[pos] = edges
+    edge[pos[e1] + width[src[e1]]] = e1
+    val[pos[e1] + width[src[e1]]] = -1.0
+    col = np.concatenate([np.arange(col_start[-1]), d_col[src[e1]]])
+    edge = np.concatenate([edge, e1])
+    val = np.concatenate([val, center])
+    # column-compressed directly: each column's identity entry, then its
+    # edge entries, which come sorted by column and then edge
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n_cols) + 1)])
+    index = np.empty(indptr[-1], dtype=np.int32)
+    value = np.ones(indptr[-1])
+    index[indptr[:-1]] = np.arange(n_cols)
+    at = np.arange(col.size) + col + 1
+    index[at] = n_cols + edge
+    value[at] = val
+    return sp.csc_matrix(
+        (value, index, indptr.astype(np.int32)), shape=(n_cols + n_edges, n_cols)
+    )

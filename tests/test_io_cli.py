@@ -221,6 +221,31 @@ class TestCli:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("cuts", [-3, 0])
+    def test_malformed_tangent_cuts(self, tmp_path, capsys, cuts):
+        prob = tmp_path / "p.json"
+        dump_json(small_problem_dict(), prob)
+        out = tmp_path / "s.json"
+        code = self.run_cli(
+            "solve", prob, "--method", "convex", "--tangent-cuts", cuts, "--out", out
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: tangent_cuts must be None or an integer >= 1, got {cuts}\n"
+        )
+        assert not out.exists()
+
+    def test_malformed_timeout_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MODCMDP_TIMEOUT", "abc")
+        prob = tmp_path / "loan.json"
+        assert self.run_cli("generate", "loan", "--out", prob) == 1
+        assert capsys.readouterr().err == (
+            "error: MODCMDP_TIMEOUT must be a number of seconds, got 'abc'\n"
+        )
+        assert not prob.exists()
+        monkeypatch.setenv("MODCMDP_TIMEOUT", "30")
+        assert self.run_cli("generate", "loan", "--out", prob) == 0
+
     def test_envelope_method_on_quadratic(self, tmp_path):
         d = small_problem_dict()
         d["states"]["s"]["reward"] = {"type": "quadratic", "convex": True}

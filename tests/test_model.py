@@ -79,6 +79,11 @@ class TestBoxPolytope:
         with pytest.raises(ValueError, match="epsilon"):
             box_polytope([0.5, 0.5], -0.1)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be a finite number >= 0"):
+            box_polytope([0.5, 0.5], eps)
+
     def test_non_distribution_base_rejected(self):
         with pytest.raises(ValueError, match="probability"):
             box_polytope([0.6, 0.6], 0.1)
@@ -263,6 +268,40 @@ class TestValidate:
     def test_idempotent(self):
         inst = tiny_instance()
         assert validate(inst) == validate(inst) == []
+
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize("change, message", [
+        pytest.param({"alpha": [NAN]}, "alpha has non-finite entries", id="alpha"),
+        pytest.param({"poly": ActionPolytope([NAN, 0.5])},
+                     "base of 's' has non-finite entries", id="base"),
+        pytest.param({"poly": ActionPolytope([0.5, 0.5], [[NAN, 0.0]], [1.0])},
+                     "H of 's' has non-finite entries", id="H"),
+        pytest.param({"poly": ActionPolytope([0.5, 0.5], [[1.0, 0.0]], [INF])},
+                     "h of 's' has non-finite entries", id="h"),
+        pytest.param({"reward": WeightedL1Reward([0.5, 0.5], [NAN, 1.0])},
+                     "reward of 's' has non-finite parameters", id="l1-weights"),
+        pytest.param({"reward": WeightedL1Reward([NAN, 0.5])},
+                     "reward of 's' has non-finite parameters", id="l1-center"),
+        pytest.param({"reward": AffineReward([INF, 0.0])},
+                     "reward of 's' has non-finite parameters", id="affine-e"),
+        pytest.param({"reward": AffineReward([0.0, 0.0], NAN)},
+                     "reward of 's' has non-finite parameters", id="affine-f"),
+        pytest.param({"reward": QuadraticDeviationReward([0.5, 0.5], weights=[1.0, INF])},
+                     "reward of 's' has non-finite parameters", id="quadratic-weights"),
+        pytest.param({"bound": NAN}, "constraint 0 has non-finite bound nan", id="cap-nan"),
+        pytest.param({"bound": INF}, "constraint 0 has non-finite bound inf", id="cap-inf"),
+    ])
+    def test_non_finite_data_is_named(self, change, message):
+        inst = tiny_instance()
+        bad = CmdpInstance(
+            inst.states,
+            {"s": change.get("poly", inst.polytopes["s"])},
+            {"s": change.get("reward", inst.rewards["s"])},
+            change.get("alpha", inst.alpha),
+            [QualityConstraint({"bad"}, change.get("bound", 0.2))],
+        )
+        assert validate(bad) == [message]
 
 
 class TestPolicies:

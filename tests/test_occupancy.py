@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from helpers import (
     backward_induction_value,
+    lift_matrix,
     loop_occupancy_lp,
     loop_occupancy_value,
     occupancy_violations,
@@ -28,6 +30,7 @@ from modcmdp import (
     extract_policy,
     farkas_gap,
     generate_loan_instance,
+    solve,
     solve_finite,
     solve_occupancy,
 )
@@ -66,13 +69,11 @@ class TestBuild:
         assert lay.d_col.tolist() == [4, 5, 6]
         assert lay.aux_col == {}
         # columns p(ok), p(bad), m(ok), m(bad), d(s), d(ok), d(bad); the
-        # lift keeps them and maps them to the edge masses u(s, ok) and
-        # u(s, bad)
-        lift = lay.lift.toarray()
-        np.testing.assert_array_equal(lift[:7], np.eye(7))
-        np.testing.assert_array_equal(
-            lift[7:], [[1, 0, -1, 0, 0.5, 0, 0], [0, 1, 0, -1, 0.5, 0, 0]]
-        )
+        # edge masses u(s, ok) and u(s, bad) are p - m + 0.5 * d(s)
+        assert lay.edge_col.tolist() == [0, 1]
+        assert lay.m_off.tolist() == [2, 2]
+        assert lay.center.tolist() == [0.5, 0.5]
+        assert lay.d_col[lay.edge_src].tolist() == [4, 4]
         # rows: 1 initial + 1 outgoing + 2 incoming flow rows, 1 cap and
         # the 4 box rows; the box's lower rows already imply u >= 0
         assert prob.b_eq.size == 4
@@ -218,6 +219,52 @@ class TestAgainstLoopAssembly:
                 continue
             got = solve_occupancy(inst).objective
             assert got == pytest.approx(want, abs=1e-7)
+
+
+def _column_map_cases():
+    """Loans and random draws for the column-map check: (name, instance,
+    tangent_cuts). The concave-quadratic draws put the quadratic on every
+    other state and keep L1 on the rest."""
+    cases = [(f"loan-{kind}-{n}", generate_loan_instance(LoanConfig(n_states=n, reward_kind=kind)), None)
+             for kind in ("l1", "affine") for n in (5, 20)]
+    rng = np.random.default_rng(11)
+    for k in range(30):
+        kind = ("l1", "affine", "quad")[k % 3]
+        inst = random_instance(rng, reward="affine" if kind == "affine" else "l1")
+        if kind == "quad":
+            rewards = dict(inst.rewards)
+            for s in sorted(rewards)[::2]:
+                rewards[s] = QuadraticDeviationReward(inst.polytopes[s].base)
+            inst = CmdpInstance(inst.states, inst.polytopes, rewards, inst.alpha, inst.constraints)
+        cases.append((f"random-{k}-{kind}", inst, 4 if kind == "quad" else None))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+class TestColumnMap:
+    """The layout's edge-to-column map against the lift matrix it
+    replaced (``helpers.lift_matrix``): entries on edge masses written
+    over the columns equal the same entries times the lift, and u read
+    back from a solution equals the lift's product."""
+
+    @pytest.mark.parametrize("name, inst, cuts", _column_map_cases())
+    def test_map_matches_the_lift(self, name, inst, cuts):
+        lay = build_occupancy_lp(inst, cuts).layout
+        lift = lift_matrix(inst, cuts)
+        n, n_edges = lay.n_cols, lay.edge_col.size
+        assert lift.shape == (n + n_edges, n)
+        rng = np.random.default_rng(len(name))
+        for n_rows in (n_edges, 3):  # sparse rows, then many repeats
+            rows = rng.integers(n_rows, size=2 * n_edges)
+            edges = rng.integers(n_edges, size=rows.size)
+            vals = rng.uniform(-1.0, 1.0, size=rows.size)
+            r, c, v = lay.on_edges(rows, edges, vals)
+            got = sp.csc_matrix((v, (r, c)), shape=(n_rows, n)).toarray()
+            want = (sp.csc_matrix((vals, (rows, n + edges)), shape=(n_rows, n + n_edges))
+                    @ lift).toarray()
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        for _ in range(3):
+            x = rng.uniform(0.0, 1.0, size=n)
+            np.testing.assert_allclose(lay.edge_mass(x), (lift @ x)[n:], rtol=0, atol=1e-15)
 
 
 class TestSharedSkeleton:
@@ -393,6 +440,59 @@ class TestExtractPolicy:
         pol = extract_policy(sol, inst)
         np.testing.assert_allclose(pol.actions["b"], [0.5, 0.5], atol=1e-12)
 
+    def test_small_visit_mass_gets_the_nearest_feasible_action(self):
+        # HiGHS meets b's lifted rows to an absolute tolerance, so at a
+        # visit mass of 1e-8 u / d leaves b's box by 0.046
+        space = LayeredStateSpace([["a", "b"], ["x", "y", "z"]])
+        inst = CmdpInstance(
+            space,
+            {"a": box_polytope([0.13, 0.712, 0.158], 0.25),
+             "b": box_polytope([0.06, 0.47, 0.47], 0.25)},
+            {"a": AffineReward([0.47, 0.88, 0.26]),
+             "b": AffineReward([-2.25, -0.14, 0.03])},
+            [1 - 1e-8, 1e-8],
+            [QualityConstraint({"z"}, 0.1)],
+        )
+        convex = solve(inst, "convex")
+        assert convex.objective == pytest.approx(solve(inst, "extreme").objective, abs=1e-9)
+        assert convex.policy.check(inst) == []
+        report = evaluate_exact(inst, convex.policy)
+        assert report.value == pytest.approx(convex.objective, abs=1e-7)
+
+    def test_small_visit_masses_on_random_draws(self):
+        rng = np.random.default_rng(0)
+        solved = 0
+        for k in range(300):
+            inst = random_instance(rng, reward=("affine", "l1")[k % 2])
+            alpha = np.full(inst.alpha.size, 1e-8)
+            alpha[0] = 1.0 - alpha[1:].sum()
+            inst = CmdpInstance(inst.states, inst.polytopes, inst.rewards, alpha, inst.constraints)
+            try:
+                sol = solve_occupancy(inst)
+            except QualityInfeasibleError:
+                continue
+            policy = extract_policy(sol, inst)
+            assert policy.check(inst) == []
+            assert evaluate_exact(inst, policy).value == pytest.approx(sol.objective, abs=1e-7)
+            solved += 1
+        assert solved == 259
+
+    @pytest.mark.parametrize("d, raises", [(1e-8, False), (1.0, True)])
+    def test_violation_allowed_scales_with_one_over_visit_mass(self, d, raises):
+        # the box is [0.1, 0.9] per coordinate, and (0.95, 0.05) leaves it by 0.05
+        inst = l1_instance(bound=1.0)
+        sol = OccupancySolution(
+            {("s", "ok"): 0.95 * d, ("s", "bad"): 0.05 * d},
+            {"s": d, "ok": 0.95 * d, "bad": 0.05 * d},
+            objective=0.0,
+        )
+        if raises:
+            with pytest.raises(RuntimeError, match="violates its polytope by 5.000e-02"):
+                extract_policy(sol, inst)
+        else:
+            pol = extract_policy(sol, inst)
+            np.testing.assert_allclose(pol.actions["s"], [0.9, 0.1], atol=1e-9)
+
 
 class TestTangentCuts:
     def make(self, bound=0.2):
@@ -417,6 +517,15 @@ class TestTangentCuts:
         # exact optimum: minimize (a2-0.5)^2*2 s.t. a2 <= 0.2 -> a2 = 0.2
         exact = -((0.2 - 0.5) ** 2 + (0.8 - 0.5) ** 2)
         assert sol.bound >= exact - 1e-9
+
+    @pytest.mark.parametrize("cuts", [-3, 0, 2.5, True, "4"])
+    def test_malformed_cut_count_rejected(self, cuts):
+        for inst in (self.make(), l1_instance()):
+            for call in (build_occupancy_lp, solve_occupancy):
+                with pytest.raises(ValueError, match="tangent_cuts must be None or an integer >= 1"):
+                    call(inst, cuts)
+        with pytest.raises(ValueError, match="tangent_cuts"):
+            solve(self.make(), "convex", tangent_cuts=cuts)
 
     def test_more_cuts_tighten_the_bound(self):
         inst = self.make()
