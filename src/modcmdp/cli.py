@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -83,9 +84,12 @@ def _default_timeout():
     if not v:
         return None
     try:
-        return float(v)
+        seconds = float(v)
     except ValueError:
-        raise ValueError(f"MODCMDP_TIMEOUT must be a number of seconds, got {v!r}") from None
+        seconds = math.nan
+    if math.isnan(seconds):
+        raise ValueError(f"MODCMDP_TIMEOUT must be a number of seconds, got {v!r}")
+    return seconds
 
 
 def cmd_solve(args) -> int:

@@ -67,7 +67,14 @@ def build_envelope(
 
 def envelope_value(fc: FiniteCmdp, state: str, a) -> tuple[float, np.ndarray]:
     """Envelope value and maximizing weights at one action. The value is
-    never below the source reward; equality holds at the vertices."""
+    never below the source reward; equality holds at the vertices.
+
+    Only the vertices on the action's face can carry weight: where the
+    action sits at the vertices' least (largest) entry of a coordinate,
+    any mixture with a vertex off that extreme would move the mean off
+    it. :func:`modcmdp.vertices.hull_envelope` therefore solves its LP
+    over those vertices alone, and reads a vertex's own reward with no
+    LP when the action is that vertex."""
     try:
         return hull_envelope(fc.vertices[state], fc.rewards[state], a)
     except DecompositionError:

@@ -427,11 +427,13 @@ def run_benchmark(
     """Time each method over the state counts (or, when ``q_values`` is
     given, over cap values at the config's state count). Failures are
     recorded per cell — "timeout", "infeasible", "unsupported" or
-    "error", with the exception's type and message — never raised.
+    "error", with the exception's type and message — never raised. An
+    unknown method or a NaN ``timeout`` raises ValueError before any cell.
     """
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+    deadline_after(timeout)  # raises on a NaN budget
     cells: list[tuple[int, float]] = (
         [(cfg.n_states, q) for q in q_values]
         if q_values is not None

@@ -33,6 +33,7 @@ presses against.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -405,8 +406,13 @@ def solve_once(problem: LpProblem, time_limit: Optional[float] = None) -> LpSolu
 
 
 def deadline_after(time_limit: Optional[float]) -> Optional[float]:
-    """The ``time.monotonic()`` reading ``time_limit`` seconds on, or None."""
-    return None if time_limit is None else time.monotonic() + time_limit
+    """The ``time.monotonic()`` reading ``time_limit`` seconds on, or None.
+    A NaN budget raises ValueError: its deadline would never pass."""
+    if time_limit is None:
+        return None
+    if math.isnan(time_limit):
+        raise ValueError(f"time budget must be a number of seconds, got {time_limit!r}")
+    return time.monotonic() + time_limit
 
 
 def time_left(deadline: Optional[float]) -> Optional[float]:

@@ -32,12 +32,21 @@ def _readonly(a) -> np.ndarray:
 
 
 class _Fields:
-    """Checks on the fields of an immutable dataclass, worked out once."""
+    """Checks on the fields of an immutable dataclass, and their content
+    key, worked out once."""
 
     @cached_property
     def nonfinite(self) -> tuple[str, ...]:
         """The names of the fields that hold a NaN or an infinity."""
         return tuple(f.name for f in fields(self) if not np.isfinite(getattr(self, f.name)).all())
+
+    @cached_property
+    def key(self) -> tuple:
+        """Content key: the class name, then the bytes of each field as a
+        float array. Equal keys mean equal fields, so two rewards of one
+        key give every action the same value, bit for bit."""
+        return (type(self).__name__,) + tuple(
+            np.asarray(getattr(self, f.name), dtype=float).tobytes() for f in fields(self))
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,10 @@ from .occupancy import UNREACHABLE_TOL, FlowRows, raise_for_status
 DEDUP_TOL = 1e-7
 # Feasibility slack accepted when filtering candidate basis solutions.
 VERTEX_FEAS_TOL = 1e-9
+# A hull query within this of the generators' extreme in a coordinate is
+# at that extreme (hull_envelope); far inside lp.FEAS_TOL, so restricting
+# to the face moves a solution's rows by much less than the LP may.
+FACE_TOL = 1e-12
 # Exhaustive enumeration refuses beyond this dimension.
 MAX_EXHAUSTIVE_DIM = 25
 
@@ -75,19 +79,47 @@ class VertexSet:
 
 def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     """Drop every point within ``tol`` (L-infinity) of an earlier kept
-    one; the first of each cluster wins."""
+    one; the first of each cluster wins.
+
+    Two points within ``tol`` project onto a fixed w within ``|w|_1 tol``
+    of each other, so the close pairs are the pairs inside that window of
+    the sorted projections whose exact L-infinity distance is at most
+    ``tol``. A point with no earlier close neighbour is kept; the rest
+    are settled in order, each kept unless an earlier kept point is close.
+    The weights w_k = 1 / (k + pi) satisfy no rational linear relation,
+    so points on a lattice or a face (all summing to one, say) rarely
+    share a projection."""
     # a repeat of an earlier point always goes, so only first occurrences
-    # (in their order) reach the tolerance loop
-    _, first = np.unique(points, axis=0, return_index=True)
-    points = points[np.sort(first)]
-    kept = np.empty_like(points, dtype=float)
-    m = 0
-    for p in points:
-        if m and np.min(np.max(np.abs(kept[:m] - p), axis=1)) <= tol:
-            continue
-        kept[m] = p
-        m += 1
-    return kept[:m].copy()
+    # (in their order) reach the tolerance test: the first row of each run
+    # of equal rows in a stable lexicographic sort
+    points = np.asarray(points, dtype=float)
+    lex = np.lexsort(points.T[::-1])
+    rows = points[lex]
+    first = np.ones(lex.size, dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    points = points[np.sort(lex[first])]
+    m, n = points.shape
+    w = 1.0 / (np.arange(n) + np.pi)
+    proj = points @ w
+    # the window also covers the rounding of the projections
+    scale = max(1.0, float(np.abs(points).max(initial=0.0)))
+    window = w.sum() * (tol + 1e-12 * scale)
+    order = np.argsort(proj, kind="stable")
+    sorted_proj = proj[order]
+    count = np.searchsorted(sorted_proj, sorted_proj + window, side="right") - np.arange(m) - 1
+    lead = np.repeat(np.arange(m), count)
+    offset = np.arange(lead.size) - np.repeat(np.cumsum(count) - count, count)
+    a, b = order[lead], order[lead + 1 + offset]
+    close = np.max(np.abs(points[a] - points[b]), axis=1) <= tol
+    earlier, later = np.minimum(a[close], b[close]), np.maximum(a[close], b[close])
+    keep = np.ones(m, dtype=bool)
+    if later.size:
+        by_later = np.lexsort((earlier, later))
+        earlier, later = earlier[by_later], later[by_later]
+        cut = np.flatnonzero(np.diff(later)) + 1
+        for j, before in zip(later[np.concatenate([[0], cut])], np.split(earlier, cut)):
+            keep[j] = not keep[before].any()
+    return points[keep]
 
 
 def _exhaustive(
@@ -295,7 +327,10 @@ class FiniteCmdp:
     holds the source reward at each vertex. For a convex reward these
     vertex rewards generate its concave envelope, so this is also the
     envelope model (:func:`modcmdp.envelope.build_envelope`). The instance
-    must be valid and the vertices checked, as :func:`build_finite_cmdp` does."""
+    must be valid and the vertices checked, as :func:`build_finite_cmdp` does.
+
+    States that share one vertex array and a reward of one content key
+    (``key``) share one rewards array, scored once."""
 
     instance: CmdpInstance
     vertices: dict[str, np.ndarray]
@@ -303,12 +338,17 @@ class FiniteCmdp:
 
     def __init__(self, instance: CmdpInstance, vertices):
         vertices = {s: np.asarray(v, dtype=float) for s, v in vertices.items()}
+        scored: dict[tuple, np.ndarray] = {}
+        rewards = {}
+        for s in instance.states.nonterminal():
+            reward = instance.rewards[s]
+            pair = (id(vertices[s]), reward.key)
+            if pair not in scored:
+                scored[pair] = reward.value(vertices[s])
+            rewards[s] = scored[pair]
         object.__setattr__(self, "instance", instance)
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "rewards", {
-            s: instance.rewards[s].value(vertices[s])
-            for s in instance.states.nonterminal()
-        })
+        object.__setattr__(self, "rewards", rewards)
 
 
 def build_finite_cmdp(instance: CmdpInstance, vertex_set: VertexSet) -> FiniteCmdp:
@@ -615,36 +655,91 @@ def mix_to_point(policy: RandomizedPolicy) -> DeterministicPolicy:
     )
 
 
+def _on_face(points: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Mask of the generators on the query's face: for each coordinate
+    where ``query`` lies within ``FACE_TOL`` of the generators' minimum
+    (maximum), only the generators within ``FACE_TOL`` of that minimum
+    (maximum) stay. Coordinates where the query is at neither extreme
+    keep every generator."""
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    off = (((np.abs(query - lo) <= FACE_TOL) & (points > lo + FACE_TOL))
+           | ((np.abs(query - hi) <= FACE_TOL) & (points < hi - FACE_TOL)))
+    return ~off.any(axis=1)
+
+
+def _hull_lp(points: np.ndarray, values: np.ndarray, query: np.ndarray):
+    """(value, weights) of the hull LP over ``points``, or None when
+    :func:`lp.solve_once` finds no optimum (the query is outside)."""
+    nv = points.shape[0]
+    a_eq = np.vstack([points.T, np.ones((1, nv))])
+    sol = lpmod.solve_once(lpmod.LpProblem(c=values, a_eq=a_eq, b_eq=np.append(query, 1.0)))
+    # the hull LP is bounded, so a non-optimal status means the query is
+    # outside the hull, and that needs no phase-1 certificate
+    if sol.status != "optimal":
+        return None
+    return float(sol.objective), np.clip(sol.x, 0.0, None)
+
+
 def hull_envelope(points, values, query) -> tuple[float, np.ndarray]:
     """Envelope of arbitrary generators: the largest convex combination of
     ``values`` whose combination of ``points`` equals ``query``. Returns
     (value, weight vector); raises DecompositionError outside the hull.
 
+    The query's face decides which generators can carry weight. Where the
+    query equals the generators' minimum in some coordinate, every
+    combination that reproduces it puts all its weight on generators at
+    that minimum, since the others would lift the coordinate's mean above
+    it; the same holds at a maximum. So the generators within
+    ``FACE_TOL`` of every extreme the query sits at (:func:`_on_face`)
+    carry all the weight, and restricting the LP to them loses no
+    solution: its optimum is the whole LP's. One generator on the face
+    is the answer with no LP at all, once it reproduces the query within
+    the primal bound of :func:`lp.check_optimal` (``FEAS_TOL`` times the
+    largest of 1 and the query's entries). Several go to the LP over
+    their columns alone, whose weights are scattered back to full length.
+    A face that does not reproduce the query, or whose LP is infeasible,
+    is not trusted to reject it: the LP over every generator is solved
+    before DecompositionError is raised, so the reduction rejects no
+    query the whole LP accepts.
+
     The LP (one row per coordinate and a convexity row, one column per
-    point) goes to :func:`lp.solve_once`, which runs the simplex without
-    HiGHS's presolve, in the one HiGHS model its thread keeps for such
-    LPs: at this size presolve, or making a model, costs about as much as
-    the simplex run, and callers solve one such LP per action they convert.
+    generator) goes to :func:`lp.solve_once`, which runs the simplex
+    without HiGHS's presolve, in the one HiGHS model its thread keeps for
+    such LPs: at this size presolve, or making a model, costs about as
+    much as the simplex run, and callers solve one such LP per action
+    they convert.
     """
     pts = np.asarray(points, dtype=float)
+    vals = np.asarray(values, dtype=float)
     q = np.asarray(query, dtype=float)
-    nv = pts.shape[0]
-    a_eq = np.vstack([pts.T, np.ones((1, nv))])
-    b_eq = np.concatenate([q, [1.0]])
-    problem = lpmod.LpProblem(c=values, a_eq=a_eq, b_eq=b_eq)
-    # the hull LP is bounded, so a non-optimal status means the query is
-    # outside the hull, and that needs no phase-1 certificate
-    sol = lpmod.solve_once(problem)
-    if sol.status != "optimal":
+    if (pts.ndim != 2 or pts.shape[0] == 0 or q.shape != pts.shape[1:]
+            or vals.shape != pts.shape[:1]):
+        raise ValueError(f"generators of shape {pts.shape}, values of shape "
+                         f"{vals.shape} and a query of shape {q.shape} do not match")
+    face = np.flatnonzero(_on_face(pts, q))
+    weights = np.zeros(pts.shape[0])
+    if face.size == 1:
+        i = face[0]
+        if np.abs(pts[i] - q).max() <= lpmod.FEAS_TOL * max(1.0, float(np.abs(q).max())):
+            weights[i] = 1.0
+            return float(vals[i]), weights
+    elif 1 < face.size < pts.shape[0]:
+        found = _hull_lp(pts[face], vals[face], q)
+        if found is not None:
+            weights[face] = found[1]
+            return found[0], weights
+    found = _hull_lp(pts, vals, q)
+    if found is None:
         raise DecompositionError("query point is outside the generator hull")
-    return float(sol.objective), np.clip(sol.x, 0.0, None)
+    return found
 
 
 def point_to_mix(a, vertices) -> list[tuple[float, np.ndarray]]:
     """Express ``a`` as a convex combination of the given vertices: the
-    hull envelope of zero values. Returns (weight, vertex) pairs with at
-    most dim(a) nonzero weights; raises DecompositionError outside the
-    hull.
+    hull envelope of zero values, so the LP of :func:`hull_envelope` runs
+    over the vertices of ``a``'s face alone, and not at all when ``a`` is
+    one of them. Returns (weight, vertex) pairs with at most dim(a)
+    nonzero weights; raises DecompositionError outside the hull.
     """
     verts = np.asarray(vertices, dtype=float)
     _, lam = hull_envelope(verts, np.zeros(verts.shape[0]), a)

@@ -20,10 +20,12 @@ polytope's own rows imply: every -e_k is in the pool.
 ``slice_finite_lp_columns`` is ``FiniteLp.columns`` as it was before it
 gathered each row block's entries in one pass: the vertex columns from
 triplets, the d columns sliced out of ``d_eq`` and ``d_in``, stacked and
-put back in order. ``fresh_hull_envelope`` is ``hull_envelope`` as it
-was before every hull LP of a thread shared one HiGHS model: each solve
-makes a new model and sets its options. The package must reproduce all
-four outputs byte for byte.
+put back in order. ``fresh_hull_envelope`` is the hull LP as
+``hull_envelope`` solved it before every hull LP of a thread shared one
+HiGHS model: each solve makes a new model and sets its options.
+``fresh_face_envelope`` restricts that LP to the query's face, found by
+the loop ``loop_face``, as ``hull_envelope`` now does. The package must
+reproduce all of these outputs byte for byte.
 
 ``frozen_greedy`` is ``greedy_baseline`` as it was before each period
 became one LP over its layer's actions: per period a whole sub-instance
@@ -69,7 +71,7 @@ from modcmdp import (
 )
 from modcmdp import lp as lpmod
 from modcmdp.lp import LpProblem, solve_lp
-from modcmdp.vertices import DEDUP_TOL, VERTEX_FEAS_TOL
+from modcmdp.vertices import DEDUP_TOL, FACE_TOL, VERTEX_FEAS_TOL
 
 
 def extend_polytope(poly):
@@ -681,6 +683,53 @@ def fresh_hull_envelope(points, values, query):
     if sol.status != "optimal":
         return None
     return float(sol.objective), np.clip(sol.x, 0.0, None)
+
+
+def loop_face(points, query, tol=FACE_TOL):
+    """Indices of the generators on the query's face, one generator and
+    one coordinate at a time: where the query lies within ``tol`` of the
+    coordinate's smallest (largest) generator entry, a generator stays
+    only if its entry lies within ``tol`` of that one."""
+    pts = np.asarray(points, dtype=float)
+    q = np.asarray(query, dtype=float)
+    face = []
+    for i in range(pts.shape[0]):
+        on = True
+        for k in range(pts.shape[1]):
+            lo, hi = min(pts[:, k]), max(pts[:, k])
+            if abs(q[k] - lo) <= tol and pts[i, k] > lo + tol:
+                on = False
+            if abs(q[k] - hi) <= tol and pts[i, k] < hi - tol:
+                on = False
+        if on:
+            face.append(i)
+    return face
+
+
+def fresh_face_envelope(points, values, query):
+    """``hull_envelope`` on its query's face, worked out apart: the face by
+    ``loop_face``; one generator on it is the answer when it reproduces
+    the query within ``lp.FEAS_TOL`` times the largest of 1 and the
+    query's entries; several go to the hull LP of ``fresh_hull_envelope``
+    over their columns, its weights put back at full length; anything
+    else, or an infeasible face LP, to that LP over every generator.
+    Returns (value, weights), or None when the query is outside."""
+    pts = np.asarray(points, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    q = np.asarray(query, dtype=float)
+    face = loop_face(pts, q)
+    weights = np.zeros(pts.shape[0])
+    if len(face) == 1:
+        i = face[0]
+        if max(abs(pts[i] - q)) <= lpmod.FEAS_TOL * max(1.0, max(abs(q))):
+            weights[i] = 1.0
+            return float(vals[i]), weights
+    elif 1 < len(face) < pts.shape[0]:
+        found = fresh_hull_envelope(pts[face], vals[face], q)
+        if found is not None:
+            weights[face] = found[1]
+            return found[0], weights
+    return fresh_hull_envelope(pts, vals, q)
 
 
 def frozen_greedy(instance):

@@ -246,6 +246,23 @@ class TestCli:
         monkeypatch.setenv("MODCMDP_TIMEOUT", "30")
         assert self.run_cli("generate", "loan", "--out", prob) == 0
 
+    def test_nan_timeout_is_an_error(self, tmp_path, capsys, monkeypatch):
+        prob = tmp_path / "loan.json"
+        assert self.run_cli("generate", "loan", "--states", 4, "--out", prob) == 0
+        capsys.readouterr()
+        out = tmp_path / "s.json"
+        for command in (("solve", prob, "--method", "convex"),
+                        ("benchmark", "--states", 4, "--methods", "convex")):
+            assert self.run_cli(*command, "--timeout", "nan", "--out", out) == 1
+            assert capsys.readouterr().err == (
+                "error: time budget must be a number of seconds, got nan\n")
+            assert not out.exists()
+        monkeypatch.setenv("MODCMDP_TIMEOUT", "nan")
+        assert self.run_cli("solve", prob, "--method", "convex", "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: MODCMDP_TIMEOUT must be a number of seconds, got 'nan'\n")
+        assert not out.exists()
+
     def test_envelope_method_on_quadratic(self, tmp_path):
         d = small_problem_dict()
         d["states"]["s"]["reward"] = {"type": "quadratic", "convex": True}

@@ -37,6 +37,27 @@ def random_feasible_problem(rng, with_upper=False):
     )
 
 
+class TestBudgets:
+    def test_nan_budget_raises(self, rng):
+        assert lpmod.deadline_after(None) is None
+        with pytest.raises(ValueError, match="got nan"):
+            lpmod.deadline_after(float("nan"))
+        with pytest.raises(ValueError, match="got nan"):
+            solve_lp(random_feasible_problem(rng), time_limit=float("nan"))
+
+    def test_nan_budget_raises_in_every_method(self):
+        from modcmdp import METHODS, run_benchmark, solve
+
+        for method in METHODS:
+            quad = method in ("envelope", "naive-linear")
+            inst = generate_loan_instance(
+                LoanConfig(n_states=4, reward_kind="quad_convex" if quad else "l1"))
+            with pytest.raises(ValueError, match="got nan"):
+                solve(inst, method, time_limit=float("nan"))
+        with pytest.raises(ValueError, match="got nan"):
+            run_benchmark([4], ["convex"], timeout=float("nan"))
+
+
 class TestSolveBasics:
     def test_single_bound(self):
         sol = solve_lp(LpProblem(c=[1.0], a_in=[[1.0]], b_in=[3.0]))

@@ -168,6 +168,21 @@ def random_general_polytope(rng, n):
     return ActionPolytope(base, H, H @ base + rng.uniform(0.0, 0.3, size=H.shape[0]))
 
 
+class TestRewardKeys:
+    def test_key_is_the_content(self):
+        c, w = [0.25, 0.75], [1.0, 2.0]
+        for make in (lambda c: AffineReward(c, 0.5), lambda c: WeightedL1Reward(c, w),
+                     lambda c: QuadraticDeviationReward(c, True, w)):
+            a, b = make(c), make(list(c))
+            assert a is not b and a.key == b.key
+            assert make([0.75, 0.25]).key != a.key
+        # the class is part of the key, and so is every field
+        assert WeightedL1Reward(c, w).key != QuadraticDeviationReward(c, False, w).key
+        assert (QuadraticDeviationReward(c, False, w).key
+                != QuadraticDeviationReward(c, True, w).key)
+        assert AffineReward(c, 0.0).key != AffineReward(c, -0.0).key
+
+
 class TestBatches:
     def test_reward_value_of_a_batch_is_the_value_of_each_row(self, rng):
         for _ in range(25):

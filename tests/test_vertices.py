@@ -9,11 +9,14 @@ import pytest
 from scipy.optimize import linprog
 
 from helpers import (
+    _loop_dedup,
     brute_force_mixture_value,
     certify_extreme,
+    fresh_face_envelope,
     fresh_hull_envelope,
     full_pool_vertices,
     loop_box_simplex_vertices,
+    loop_face,
     loop_finite_lp,
     random_instance,
     single_lp_finite,
@@ -22,6 +25,7 @@ from helpers import (
 )
 
 import modcmdp.lp as lpmod
+import modcmdp.vertices as vmod
 from modcmdp import (
     ActionPolytope,
     AffineReward,
@@ -56,6 +60,7 @@ from modcmdp.vertices import (
     DEDUP_TOL,
     FiniteLp,
     VertexSet,
+    _dedup,
     _top_per_state,
     box_simplex_vertices,
     check_vertex_set,
@@ -266,6 +271,47 @@ class TestEnumerate:
             merged += loop_box_simplex_vertices(lo, up, dedup_tol=0.0).shape[0] > want.shape[0]
         assert merged >= 30
 
+    def test_dedup_matches_the_loop_oracle(self, rng):
+        # clusters of points spread by 1e-9 to 1e-6 around random centers,
+        # some repeated exactly or rounded to 7 decimals
+        chained = 0
+        for _ in range(300):
+            m, n = int(rng.integers(0, 200)), int(rng.integers(1, 8))
+            centers = rng.random((max(1, m // 5), n))
+            spread = rng.normal(scale=10 ** rng.uniform(-9, -6), size=(m, n))
+            moved = spread * (rng.random((m, 1)) < 0.7)
+            pts = centers[rng.integers(0, centers.shape[0], m)] + moved
+            if rng.random() < 0.3:
+                pts = np.round(pts, 7)
+            want = _loop_dedup(pts, DEDUP_TOL)
+            assert_same_bytes(_dedup(pts, DEDUP_TOL), want)
+            # a chain: some point close only to dropped ones is kept, so
+            # keeping the points with no earlier close one would differ
+            distinct = pts[np.sort(np.unique(pts, axis=0, return_index=True)[1])]
+            near = np.abs(distinct[:, None] - distinct[None]).max(axis=2) <= DEDUP_TOL
+            chained += want.shape[0] != np.sum(~np.tril(near, -1).any(axis=1))
+        assert chained >= 30
+
+    def test_dedup_of_the_sweep_candidates(self, monkeypatch):
+        # every candidate array that exhaustive enumeration dedups on the
+        # affine loans n=4..7 and the L1 loans n=5, 6 with kink planes
+        seen = []
+
+        def checked(points, tol):
+            got = _dedup(points, tol)
+            assert_same_bytes(got, _loop_dedup(points, tol))
+            seen.append(points.shape[0] - got.shape[0])
+            return got
+
+        monkeypatch.setattr(vmod, "_dedup", checked)
+        for n in (4, 5, 6, 7):
+            inst = generate_loan_instance(LoanConfig(n_states=n, reward_kind="affine"))
+            enumerate_for_instance(inst)
+        for n in (5, 6):
+            inst = generate_loan_instance(LoanConfig(n_states=n, reward_kind="l1"))
+            enumerate_for_instance(inst, kink_planes=True)
+        assert len(seen) >= 20 and sum(seen) > 0
+
     def test_box_simplex_direct(self):
         v = box_simplex_vertices([0.0, 0.0], [1.0, 1.0])
         assert as_set(v) == [(0.0, 1.0), (1.0, 0.0)]
@@ -329,6 +375,42 @@ class TestExhaustivePool:
 
 
 class TestFiniteCmdp:
+    def test_shared_arrays_are_scored_once(self, monkeypatch):
+        inst = generate_loan_instance(LoanConfig(n_states=8, reward_kind="quad_convex"))
+        vs = enumerate_for_instance(inst, method="auto")
+        want = {s: inst.rewards[s].value(vs.vertices[s]) for s in vs.vertices}
+        scored = []
+        value = QuadraticDeviationReward.value
+
+        def counted(self, a):
+            scored.append(id(a))
+            return value(self, a)
+
+        monkeypatch.setattr(QuadraticDeviationReward, "value", counted)
+        fc = build_finite_cmdp(inst, vs)
+        arrays = {id(v) for v in vs.vertices.values()}
+        assert len(scored) == len(arrays) < len(want)
+        for s, r in want.items():
+            assert_same_bytes(fc.rewards[s], r)
+
+    def test_states_with_other_rewards_are_scored_apart(self):
+        # one vertex array, two states: equal rewards share a score,
+        # a different offset (even -0.0 against 0.0) does not
+        poly = box_polytope([0.5, 0.5], 0.4)
+        verts = enumerate_vertices(poly)
+        space = LayeredStateSpace([["a"], ["b", "c"], ["x", "y"]])
+        for other, shared in ((AffineReward([1.0, -2.0], 0.0), True),
+                              (AffineReward([1.0, -2.0], -0.0), False),
+                              (AffineReward([1.0, -2.0], 0.5), False)):
+            inst = CmdpInstance(space, dict.fromkeys("abc", poly),
+                                {"a": AffineReward([1.0, -2.0], 0.0), "b": other,
+                                 "c": AffineReward([1.0, -2.0], 0.0)}, [1.0], [])
+            fc = build_finite_cmdp(inst, VertexSet(dict.fromkeys("abc", verts)))
+            assert fc.rewards["a"] is fc.rewards["c"]
+            assert (fc.rewards["b"] is fc.rewards["a"]) == shared
+            for s in "abc":
+                assert_same_bytes(fc.rewards[s], inst.rewards[s].value(verts))
+
     def test_l1_vertex_rewards(self):
         inst = l1_instance()
         vs = enumerate_for_instance(inst)
@@ -885,6 +967,112 @@ class TestHullAgainstLinprog:
         np.testing.assert_allclose(sol.x, [0.6, 0.4], rtol=0.0, atol=1e-12)
 
 
+class TestHullFace:
+    """hull_envelope restricted to the query's face: near-face queries,
+    repeated and non-extreme generators, and the LPs it runs."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+        solve_highs = lpmod._solve_highs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_highs(*args, **kwargs)
+
+        monkeypatch.setattr(lpmod, "_solve_highs", counted)
+        return calls
+
+    def test_near_face_queries_match_the_oracle(self, rng):
+        sizes = {"one": 0, "some": 0, "all": 0}
+        exact = cases = 0
+        for k in range(16):
+            poly = pool_polytope(rng, ("box", "rows", "implying")[k % 3], int(rng.integers(2, 7)))
+            verts = (box_simplex_vertices(*poly.box) if poly.box is not None
+                     else enumerate_vertices(poly))
+            # points inside the hull as generators of their own and, on every
+            # other polytope, each vertex again, moved by far less than FACE_TOL
+            gens = np.vstack([verts, rng.dirichlet(np.ones(verts.shape[0]), size=3) @ verts]
+                             + [verts[::-1] + 1e-14] * (k % 2))
+            center = verts.mean(axis=0)
+            extreme = ((np.abs(verts - verts.min(axis=0)) <= 1e-9)
+                       | (np.abs(verts - verts.max(axis=0)) <= 1e-9))
+            for values in (rng.normal(size=gens.shape[0]), np.zeros(gens.shape[0])):
+                for i in rng.permutation(verts.shape[0])[:2]:
+                    # a vertex, and a point of the face its extremes span
+                    v, ext = verts[i], extreme[i]
+                    face = verts[np.all(np.abs(verts[:, ext] - v[ext]) <= 1e-9, axis=1)]
+                    for start in (v, rng.dirichlet(np.ones(face.shape[0])) @ face):
+                        step = center - start
+                        if not np.abs(step).max():
+                            continue
+                        for delta in (0.0, 1e-12, 1e-10, 1e-8):
+                            q = start + delta * step / np.abs(step).max()
+                            size = len(loop_face(gens, q))
+                            sizes["one" if size == 1 else "all" if size == gens.shape[0]
+                                  else "some"] += 1
+                            status, want = linprog_hull(gens, values, q)
+                            assert status == 0
+                            got, weights = hull_envelope(gens, values, q)
+                            TestHullAgainstLinprog.assert_reproduces(weights, gens, q)
+                            # 1e-8 inside a vertex, the LP over every generator
+                            # may itself miss linprog by more than 1e-9 (its rows
+                            # hold to 1e-9 only); the face may add no more
+                            whole = fresh_hull_envelope(gens, values, q)[0]
+                            scale = 1e-9 * max(1.0, abs(want))
+                            assert abs(got - want) <= abs(whole - want) + scale
+                            exact += abs(got - want) <= scale
+                            cases += 1
+        assert min(sizes.values()) >= 80, sizes
+        assert exact >= 0.8 * cases
+
+    def test_lp_count_by_face(self, monkeypatch):
+        verts = box_simplex_vertices(*box_polytope([0.5, 0.3, 0.2], 0.1).box)
+        calls = self.count_solves(monkeypatch)
+        for v in verts:
+            pairs = point_to_mix(v, verts)
+            assert len(pairs) == 1 and pairs[0][1].tobytes() == v.tobytes()
+        assert len(calls) == 0
+        point_to_mix(verts.mean(axis=0), verts)
+        assert len(calls) == 1
+        # a repeated vertex leaves two generators on the face: one LP over them
+        doubled = np.vstack([verts, verts[:1]])
+        weights = hull_envelope(doubled, np.arange(doubled.shape[0], dtype=float), verts[0])[1]
+        assert len(calls) == 2 and calls[-1][0].nvars == 2
+        assert weights.sum() == pytest.approx(1.0) and weights[1:-1].max() == 0.0
+
+    def test_face_that_misses_the_query_falls_back(self, monkeypatch):
+        # at the minimum of the first coordinate, off the face in the second:
+        # the face LP is infeasible, and only the whole LP may reject
+        verts = np.array([[0.1, 0.9], [0.1, 0.8], [0.5, 0.5], [0.9, 0.1]])
+        calls = self.count_solves(monkeypatch)
+        with pytest.raises(DecompositionError):
+            point_to_mix([0.1, 0.7], verts)
+        assert [c[0].nvars for c in calls] == [2, 4]
+        # one generator on the face that is not the query
+        with pytest.raises(DecompositionError):
+            point_to_mix([0.1, 0.9], verts[1:])
+        assert [c[0].nvars for c in calls[2:]] == [3]
+
+    def test_shapes_must_match(self):
+        # a one-entry query would broadcast against every generator
+        verts = np.array([[0.5, 0.5], [1.0, 0.0]])
+        for points, values, query in ((verts, np.zeros(2), [0.5]),
+                                      (verts, np.zeros(3), [0.5, 0.5]),
+                                      (np.zeros((0, 2)), np.zeros(0), [0.5, 0.5])):
+            with pytest.raises(ValueError, match="do not match"):
+                hull_envelope(points, values, query)
+
+    def test_loan_naive_action_is_accepted(self):
+        inst = generate_loan_instance(LoanConfig(n_states=10, reward_kind="quad_convex"))
+        fc = build_envelope(inst)
+        a = solve(inst, "naive-linear").policy.actions["t3_l6"]
+        value, weights = envelope_value(fc, "t3_l6", a)
+        # the envelope dominates the convex reward
+        assert value >= float(inst.rewards["t3_l6"].value(a)) - 1e-12
+        TestHullAgainstLinprog.assert_reproduces(weights, fc.vertices["t3_l6"], a)
+
+
 class TestSharedHullModel:
     """Every hull LP of a thread runs in one HiGHS model, emptied after
     each solve: no answer may depend on what the model solved before."""
@@ -895,13 +1083,17 @@ class TestSharedHullModel:
         return box_simplex_vertices(*poly.box)
 
     def test_answers_match_fresh_models_byte_for_byte(self):
+        # the oracle solves the same face LP as hull_envelope, on a new model
         rng = np.random.default_rng(29)
         outside = 0
+        faces = {"one": 0, "some": 0, "all": 0}
         for poly, verts in TestHullAgainstLinprog.polytopes(rng):
             values = rng.normal(size=verts.shape[0])
             for q, kind in TestHullAgainstLinprog.queries(rng, poly, verts):
+                size = len(loop_face(verts, q))
+                faces["one" if size == 1 else "all" if size == verts.shape[0] else "some"] += 1
                 for vals in (values, np.zeros(verts.shape[0])):
-                    want = fresh_hull_envelope(verts, vals, q)
+                    want = fresh_face_envelope(verts, vals, q)
                     if want is None:
                         assert kind == "outside"
                         outside += 1
@@ -912,6 +1104,7 @@ class TestSharedHullModel:
                     assert value == want[0]
                     assert weights.tobytes() == want[1].tobytes()
         assert outside >= 100
+        assert min(faces.values()) >= 50, faces
 
     def test_query_after_an_outside_one(self):
         verts = self.box([0.5, 0.3, 0.2], 0.1)
