@@ -33,7 +33,6 @@ from .loans import (
     solve,
     write_benchmark_csv,
 )
-from .model import validate
 from .occupancy import QualityInfeasibleError
 
 EXIT_OK, EXIT_ERROR, EXIT_INFEASIBLE, EXIT_TIMEOUT = 0, 1, 2, 3
@@ -95,10 +94,9 @@ def _default_timeout():
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     instance = fileio.problem_from_json(fileio.load_json(args.problem))
-    bad = validate(instance)
-    if bad:
+    if instance.violations:
         print("problem file failed validation:", file=sys.stderr)
-        for line in bad:
+        for line in instance.violations:
             print("  -", line, file=sys.stderr)
         return EXIT_ERROR
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import lp as lpmod
-from .evaluate import evaluate_validated
+from .evaluate import evaluate_exact
 from .extend import extend_reward
 from .model import (
     AffineReward,
@@ -32,7 +32,7 @@ from .vertices import (
     DecompositionError,
     FiniteCmdp,
     VertexSet,
-    check_vertex_set,
+    build_finite_cmdp,
     enumerate_for_instance,
     hull_envelope,
     solve_finite,
@@ -47,8 +47,8 @@ def build_envelope(
     """The envelope model of an instance with convex (quadratic or affine)
     rewards: the finite-action reduction whose actions are the polytope
     vertices, each scored by the convex reward there. Vertices are
-    enumerated unless ``vertex_set`` is given, which must pass
-    :func:`modcmdp.vertices.check_vertex_set`; enumeration stops at
+    enumerated unless ``vertex_set`` is given, which
+    :func:`modcmdp.vertices.build_finite_cmdp` checks; enumeration stops at
     ``deadline`` (a ``time.monotonic()`` reading)."""
     require_valid(instance)
     for s in instance.states.nonterminal():
@@ -58,10 +58,9 @@ def build_envelope(
                 "convex quadratic (or affine) rewards — use the occupancy "
                 "solver for concave rewards"
             )
-    if vertex_set is None:
-        vertex_set = enumerate_for_instance(instance, method="auto", deadline=deadline)
-    else:
-        check_vertex_set(instance, vertex_set)
+    if vertex_set is not None:
+        return build_finite_cmdp(instance, vertex_set)
+    vertex_set = enumerate_for_instance(instance, method="auto", deadline=deadline)
     return FiniteCmdp(instance, vertex_set.vertices)
 
 
@@ -143,10 +142,10 @@ def naive_linear_baseline(
     base_policy = DeterministicPolicy(
         {s: instance.polytopes[s].base for s in instance.states.nonterminal()}
     )
-    base_lin = evaluate_validated(lin_instance, base_policy)
+    base_lin = evaluate_exact(lin_instance, base_policy)
     if base_lin.feasible and base_lin.value >= sol.objective - 1e-9 * max(
         1.0, abs(sol.objective)
     ):
         policy = base_policy
-    true_report = evaluate_validated(instance, policy)
+    true_report = evaluate_exact(instance, policy)
     return true_report.value, policy

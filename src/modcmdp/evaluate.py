@@ -66,13 +66,6 @@ def evaluate_exact(instance: CmdpInstance, policy: Policy) -> EvaluationReport:
     """Exact visit masses by forward recursion and the exact return;
     raises ValueError on an invalid instance or policy."""
     require_valid(instance)
-    return evaluate_validated(instance, policy)
-
-
-def evaluate_validated(instance: CmdpInstance, policy: Policy) -> EvaluationReport:
-    """:func:`evaluate_exact` of an instance already validated, for the
-    solvers that evaluate the instance they were given: the policy is
-    checked, the instance is not validated again."""
     _check_policy(instance, policy)
     space = instance.states
     visit: dict[str, float] = {}

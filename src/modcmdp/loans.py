@@ -25,15 +25,14 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import lp as lpmod
 from .envelope import build_envelope, naive_linear_baseline
-from .evaluate import evaluate_validated
+from .evaluate import evaluate_exact
 from .lp import deadline_after, time_left
 from .model import (
     AffineReward,
@@ -53,6 +52,8 @@ from .occupancy import (
     extract_policy,
     raise_for_status,
     solve_occupancy,
+    split_action_lp,
+    split_actions,
 )
 from .vertices import FiniteCmdp, enumerate_for_instance, solve_finite
 
@@ -68,19 +69,6 @@ _LOAN_REWARDS = {
     "naive-linear": ("quad_convex", "affine"),
 }
 METHODS = tuple(_LOAN_REWARDS)
-
-CSV_FIELDS = (
-    "method",
-    "n_states",
-    "horizon",
-    "epsilon",
-    "q",
-    "objective",
-    "wall_ms",
-    "status",
-    "vertices_total",
-    "error",
-)
 
 
 @dataclass(frozen=True)
@@ -194,60 +182,6 @@ def _base_to_go(instance: CmdpInstance, member: list[np.ndarray]):
     return V, M
 
 
-def _period_lp(instance, states, dist, value, mass, rhs) -> lpmod.LpProblem:
-    """One greedy period as an LP over the actions of ``states``, which
-    share one next layer: maximise sum_s dist_s (r_s(a_s) + a_s . value)
-    subject to sum_s dist_s (a_s . mass_i) <= rhs_i per row ``i`` of
-    ``mass``, each a_s in its polytope.
-
-    Each action is split around its L1 center, a = c + p - m with p, m >=
-    0, so r_s(a) = -w . (p + m) (the absolute-value LP of Bertsimas &
-    Tsitsiklis 1997, section 1.3); state g owns the columns p, then m, from
-    2 n g on. One equality row per state keeps sum(p - m) = 1 - sum(c). A
-    box polytope becomes column bounds; any other adds its rows H (p - m)
-    <= h - H c and a row -(p - m)_k <= c_k for each coordinate whose sign
-    its rows do not imply."""
-    k, n = len(states), value.size
-    center = np.array([instance.rewards[s].center for s in states])
-    weights = np.array([instance.rewards[s].weights for s in states])
-    c = (dist[:, None] * np.hstack([value - weights, -value - weights])).ravel()
-    split = np.repeat([1.0, -1.0], n)  # a - c = split @ (p, m)
-    a_eq = sp.csc_matrix((np.tile(split, k), (np.repeat(np.arange(k), 2 * n),
-                                               np.arange(2 * k * n))), shape=(k, 2 * k * n))
-    b_eq = 1.0 - center.sum(axis=1)
-    caps = dist[:, None] * np.tile(mass, 2)[:, None, :] * split
-    caps = caps.reshape(rhs.size, 2 * k * n)
-    b_in = [rhs - mass @ (center.T @ dist)]
-    bounds = np.zeros((2, k, 2, n))
-    bounds[1] = np.inf
-    rows, cols, vals = [], [], []
-    row = 0
-    for g, s in enumerate(states):
-        poly, cg = instance.polytopes[s], center[g]
-        if poly.box is not None:
-            lo, hi = poly.box
-            bounds[:, g] = [[lo - cg, cg - hi], [hi - cg, cg - lo]]
-            continue
-        free = np.flatnonzero(~poly.implied_nonnegative)
-        H = np.vstack([poly.H, -np.eye(n)[free]])
-        r, j = np.nonzero(H)
-        rows += [row + r] * 2
-        cols += [2 * n * g + j, 2 * n * g + n + j]
-        vals += [H[r, j], -H[r, j]]
-        b_in.append(np.concatenate([poly.h, np.zeros(free.size)]) - H @ cg)
-        row += H.shape[0]
-    none = np.zeros(0, int)
-    polys = sp.csc_matrix(
-        (np.concatenate([np.zeros(0)] + vals),
-         (np.concatenate([none] + rows), np.concatenate([none] + cols))),
-        shape=(row, 2 * k * n),
-    )
-    a_in = sp.vstack([sp.csc_matrix(caps), polys], format="csc")
-    bounds = np.maximum(bounds, 0.0).reshape(2, -1)
-    return lpmod.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=np.concatenate(b_in),
-                           lower=bounds[0], upper=bounds[1])
-
-
 def greedy_baseline(
     instance: CmdpInstance, time_limit=None
 ) -> tuple[float, DeterministicPolicy]:
@@ -258,7 +192,8 @@ def greedy_baseline(
     With the later periods frozen, the future is linear in this period's
     actions: one backward recursion under the base policy gives each
     state's value-to-go V and, per cap, its capped mass-to-go M. Period t
-    is then one LP over its layer's actions (:func:`_period_lp`):
+    is then one LP over its layer's actions, each split around its L1
+    center (:func:`modcmdp.occupancy.split_action_lp`):
     maximise sum_s dist_s (r_s(a_s) + a_s . V_{t+1}) subject to
     sum_s dist_s (a_s . M_{t+1,i}) <= bound_i - accrued_i for each cap
     with states after period t, where dist is the committed visit mass
@@ -314,7 +249,10 @@ def greedy_baseline(
         caps = last > t
         mass = M[t + 1][caps]
         rhs = left[caps] - mass @ (actions[~live].T @ dist[~live])
-        problem = _period_lp(instance, states, dist[live], V[t + 1], mass, rhs)
+        center = np.array([instance.rewards[s].center for s in states])
+        weights = np.array([instance.rewards[s].weights for s in states])
+        problem = split_action_lp([instance.polytopes[s] for s in states], center, weights,
+                                  dist[live], V[t + 1], mass, rhs)
         sol = lpmod.solve_lp(problem, time_limit=time_left(deadline))
         try:
             raise_for_status(problem, sol, f"greedy period {t + 1} LP")
@@ -324,15 +262,12 @@ def greedy_baseline(
                 certificate=exc.certificate,
                 excess=exc.excess,
             ) from exc
-        p, m = sol.x.reshape(len(states), 2, -1).transpose(1, 0, 2)
-        center = np.array([instance.rewards[s].center for s in states])
-        a = np.clip(center + p - m, 0.0, None)
-        actions[live] = a / a.sum(axis=1, keepdims=True)
+        actions[live] = split_actions(sol.x, center)
         committed.update(zip(layer, actions))
         dist = dist @ actions
 
     full = DeterministicPolicy(committed)
-    report = evaluate_validated(instance, full)
+    report = evaluate_exact(instance, full)
     return report.value, full
 
 
@@ -395,7 +330,7 @@ def solve(
             fc = FiniteCmdp(instance, vs.vertices)
         objective, policy = solve_finite(fc, time_limit=time_left(deadline))
         vertices = sum(v.shape[0] for v in fc.vertices.values())
-    visit = evaluate_validated(instance, policy).visit_mass
+    visit = evaluate_exact(instance, policy).visit_mass
     return SolveResult(objective, policy, visit, vertices=vertices)
 
 
@@ -415,6 +350,9 @@ class BenchmarkRecord:
     status: str
     vertices_total: int
     error: str = ""
+
+
+CSV_FIELDS = tuple(f.name for f in fields(BenchmarkRecord))
 
 
 def run_benchmark(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -33,7 +34,11 @@ def _readonly(a) -> np.ndarray:
 
 class _Fields:
     """Checks on the fields of an immutable dataclass, and their content
-    key, worked out once."""
+    key, worked out once. Its ``__init__`` takes the fields in order, so
+    a pickled or copied one is rebuilt through it with read-only arrays."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @cached_property
     def nonfinite(self) -> tuple[str, ...]:
@@ -299,8 +304,9 @@ class CmdpInstance:
 
     Construction is permissive about value-level invariants so that
     :func:`validate` can report them; solvers refuse instances whose
-    validation report is nonempty. All fields are immutable after
-    construction and safe to share across threads.
+    :attr:`violations` are nonempty. All fields are immutable after
+    construction (``polytopes`` and ``rewards`` are read-only mappings)
+    and safe to share across threads, so the verdict is decided once.
     """
 
     states: LayeredStateSpace
@@ -311,10 +317,20 @@ class CmdpInstance:
 
     def __init__(self, states, polytopes, rewards, alpha, constraints=()):
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "polytopes", dict(polytopes))
-        object.__setattr__(self, "rewards", dict(rewards))
+        object.__setattr__(self, "polytopes", MappingProxyType(dict(polytopes)))
+        object.__setattr__(self, "rewards", MappingProxyType(dict(rewards)))
         object.__setattr__(self, "alpha", _readonly(alpha))
         object.__setattr__(self, "constraints", tuple(constraints))
+
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled; the copy decides its own verdict
+        return type(self), (self.states, dict(self.polytopes), dict(self.rewards),
+                            self.alpha, self.constraints)
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """The messages of :func:`validate`, worked out on first use."""
+        return tuple(validate(self))
 
     def next_layer_size(self, state: str) -> int:
         t = self.states.layer_of(state)
@@ -322,10 +338,9 @@ class CmdpInstance:
 
 
 def require_valid(instance: CmdpInstance) -> None:
-    """Raise ValueError naming every violation :func:`validate` finds."""
-    bad = validate(instance)
-    if bad:
-        raise ValueError("invalid instance: " + "; ".join(bad))
+    """Raise ValueError naming every one of the instance's violations."""
+    if instance.violations:
+        raise ValueError("invalid instance: " + "; ".join(instance.violations))
 
 
 def validate(instance: CmdpInstance) -> list[str]:
@@ -443,6 +458,8 @@ class RandomizedPolicy:
             if poly is None:
                 out.append(f"policy stores a mixture for non-decision state {s!r}")
                 continue
+            if not all(np.isfinite(w) for w, _ in pairs):
+                out.append(f"mixture weights at {s!r} are not all finite")
             wsum = sum(w for w, _ in pairs)
             if abs(wsum - 1.0) > MIX_TOL:
                 out.append(f"mixture weights at {s!r} sum to {wsum:.12g}")

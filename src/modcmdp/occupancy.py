@@ -19,7 +19,9 @@ Introduction to Linear Optimization, 1997, section 1.3). The split is
 substituted into the flow and polytope rows, so each coordinate costs two
 columns and no rows. u >= 0 then needs a row -(center * d + p - m) <= 0,
 which is added only where the polytope rows do not already imply it
-(``ActionPolytope.implied_nonnegative``). The solver rebuilds u from p, m and d.
+(``ActionPolytope.implied_nonnegative``). The solver rebuilds u from p, m
+and d. :func:`split_action_lp` writes the split for one action per state:
+the greedy baseline's period LP and :func:`extract_policy`'s repair.
 
 The constraint matrices are assembled from index arrays: edges are
 numbered layer-major, and each edge has its own column, plus on a
@@ -38,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lp as lpmod
-from .evaluate import cap_masses, evaluate_validated
+from .evaluate import cap_masses, evaluate_exact
 from .model import (
     FEAS_TOL,
     AffineReward,
@@ -435,25 +437,74 @@ def solve_occupancy(
         # the extracted policy's achieved return as the objective
         tmp = OccupancySolution(edge, visit, objective=float(sol.objective))
         policy = extract_policy(tmp, instance)
-        report = evaluate_validated(instance, policy)
+        report = evaluate_exact(instance, policy)
         return OccupancySolution(
             edge, visit, objective=report.value, bound=float(sol.objective)
         )
     return OccupancySolution(edge, visit, objective=float(sol.objective))
 
 
+def split_action_lp(
+    polys, centers, weights, dist, value=None, mass=None, rhs=None
+) -> lpmod.LpProblem:
+    """The LP over one action a_g in each polytope ``polys[g]``, all over
+    one next layer, split around its center as in the occupancy LP: a_g =
+    centers[g] + p_g - m_g with p_g, m_g >= 0, the columns p then m from
+    2 n g on. It maximises sum_g dist_g (a_g . value - weights[g] . (p_g
+    + m_g)), up to a constant, subject to sum_g dist_g (a_g . mass_i) <=
+    rhs_i per row ``i`` of ``mass`` (``value`` 0 and no rows by default).
+    One equality row per action keeps sum(p - m) = 1 - sum(c). A box
+    becomes column bounds; any other polytope adds its rows H (p - m) <=
+    h - H c and -(p - m)_k <= c_k where its rows do not imply a_k >= 0."""
+    k, n = centers.shape
+    value = np.zeros(n) if value is None else value
+    mass = np.zeros((0, n)) if mass is None else mass
+    rhs = np.zeros(0) if rhs is None else rhs
+    c = (dist[:, None] * np.hstack([value - weights, -value - weights])).ravel()
+    split = np.repeat([1.0, -1.0], n)  # a - c = split @ (p, m)
+    a_eq = sp.csc_matrix((np.tile(split, k), (np.repeat(np.arange(k), 2 * n),
+                                               np.arange(2 * k * n))), shape=(k, 2 * k * n))
+    b_eq = 1.0 - centers.sum(axis=1)
+    caps = dist[:, None] * np.tile(mass, 2)[:, None, :] * split
+    caps = caps.reshape(rhs.size, 2 * k * n)
+    b_in = [rhs - mass @ (centers.T @ dist)]
+    bounds = np.zeros((2, k, 2, n))
+    bounds[1] = np.inf
+    parts = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]  # polytope rows
+    row = 0
+    for g, (poly, cg) in enumerate(zip(polys, centers)):
+        if poly.box is not None:
+            lo, hi = poly.box
+            bounds[:, g] = [[lo - cg, cg - hi], [hi - cg, cg - lo]]
+            continue
+        free = np.flatnonzero(~poly.implied_nonnegative)
+        H = np.vstack([poly.H, -np.eye(n)[free]])
+        r, j = np.nonzero(H)
+        parts += [(row + r, 2 * n * g + j, H[r, j]), (row + r, 2 * n * g + n + j, -H[r, j])]
+        b_in.append(np.concatenate([poly.h, np.zeros(free.size)]) - H @ cg)
+        row += H.shape[0]
+    a_in = sp.vstack([sp.csc_matrix(caps), _matrix(parts, row, 2 * k * n)], format="csc")
+    bounds = np.maximum(bounds, 0.0).reshape(2, -1)
+    return lpmod.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, a_in=a_in, b_in=np.concatenate(b_in),
+                           lower=bounds[0], upper=bounds[1])
+
+
+def split_actions(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The actions c + p - m of a :func:`split_action_lp` solution ``x``,
+    one row per row of ``centers``, clipped at 0 and renormalised."""
+    p, m = x.reshape(len(centers), 2, -1).transpose(1, 0, 2)
+    a = np.clip(centers + p - m, 0.0, None)
+    return a / a.sum(axis=1, keepdims=True)
+
+
 def _nearest_action(poly, a: np.ndarray) -> np.ndarray:
-    """The action of ``poly`` nearest ``a`` in L1 norm: a + p - m with
-    p, m >= 0 and the least sum(p + m), as one small LP."""
-    step = np.hstack([np.eye(poly.dim), -np.eye(poly.dim)])  # p - m
-    sol = lpmod.solve_once(lpmod.LpProblem(
-        c=-np.ones(2 * poly.dim), a_eq=step.sum(axis=0, keepdims=True), b_eq=[1.0 - a.sum()],
-        a_in=np.vstack([poly.H @ step, -step]), b_in=np.concatenate([poly.h - poly.H @ a, a]),
-    ))
+    """The action of ``poly`` nearest ``a`` in L1 norm: the split LP of
+    the one action centred at ``a`` with unit weights."""
+    a = a[None]
+    sol = lpmod.solve_once(split_action_lp([poly], a, np.ones_like(a), np.ones(1)))
     if sol.status != "optimal":
         raise RuntimeError(f"nearest-action LP {sol.status} — formulation bug")
-    out = np.clip(a + step @ sol.x, 0.0, None)
-    return out / out.sum()
+    return split_actions(sol.x, a)[0]
 
 
 def extract_policy(

@@ -326,8 +326,9 @@ class FiniteCmdp:
     vertex array, which double as transition vectors, and ``rewards``
     holds the source reward at each vertex. For a convex reward these
     vertex rewards generate its concave envelope, so this is also the
-    envelope model (:func:`modcmdp.envelope.build_envelope`). The instance
-    must be valid and the vertices checked, as :func:`build_finite_cmdp` does.
+    envelope model (:func:`modcmdp.envelope.build_envelope`). An invalid
+    instance raises ValueError; the vertices must lie in their polytopes,
+    as :func:`build_finite_cmdp` checks.
 
     States that share one vertex array and a reward of one content key
     (``key``) share one rewards array, scored once."""
@@ -337,6 +338,7 @@ class FiniteCmdp:
     rewards: dict[str, np.ndarray]
 
     def __init__(self, instance: CmdpInstance, vertices):
+        require_valid(instance)
         vertices = {s: np.asarray(v, dtype=float) for s, v in vertices.items()}
         scored: dict[tuple, np.ndarray] = {}
         rewards = {}

@@ -5,6 +5,7 @@ from helpers import random_instance
 
 import modcmdp.model as model
 from modcmdp import (
+    METHODS,
     ActionPolytope,
     CmdpInstance,
     DeterministicPolicy,
@@ -23,7 +24,8 @@ from modcmdp import (
     solve,
     solve_occupancy,
 )
-from modcmdp.evaluate import evaluate_validated
+from modcmdp.cli import main
+from modcmdp.fileio import dump_json, problem_to_json
 
 
 def chain_instance():
@@ -232,14 +234,52 @@ class TestValidation:
         seen = self.count_validate(monkeypatch)
         report = evaluate_exact(inst, policy)
         assert seen == [inst]
-        again = evaluate_validated(inst, policy)
+        again = evaluate_exact(inst, policy)
         assert (again.visit_mass, again.value) == (report.visit_mass, report.value)
         assert len(seen) == 1
         broken = CmdpInstance(inst.states, inst.polytopes, inst.rewards, [0.5, 0.4], [])
         with pytest.raises(ValueError, match="alpha"):
             evaluate_exact(broken, policy)
 
-    def test_evaluate_validated_checks_the_policy(self):
-        inst, _ = chain_instance()
+    def test_evaluate_exact_checks_the_policy(self):
+        # the instance's verdict is cached; the policy is still checked
+        inst, policy = chain_instance()
+        evaluate_exact(inst, policy)
         with pytest.raises(ValueError, match="infeasible policy"):
-            evaluate_validated(inst, DeterministicPolicy({"a": [2.0, -1.0]}))
+            evaluate_exact(inst, DeterministicPolicy({"a": [2.0, -1.0]}))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_second_call_validates_nothing(self, monkeypatch, method):
+        kind = "quad_convex" if method in ("envelope", "naive-linear") else "l1"
+        inst = generate_loan_instance(LoanConfig(n_states=5, q_default=0.5, reward_kind=kind))
+        first = solve(inst, method)
+        seen = self.count_validate(monkeypatch)
+        again = solve(inst, method)
+        evaluate_exact(inst, again.policy)
+        simulate(inst, again.policy, 100)
+        assert again.objective == first.objective
+        # naive-linear builds a fresh linearized instance on every call
+        assert inst not in seen
+        assert len(seen) == (method == "naive-linear")
+
+    def test_cli_solve_validates_once(self, monkeypatch, tmp_path):
+        prob = tmp_path / "p.json"
+        dump_json(problem_to_json(generate_loan_instance(LoanConfig(n_states=4, q_default=0.7))),
+                  prob)
+        seen = self.count_validate(monkeypatch)
+        assert main(["solve", str(prob), "--method", "convex", "--out",
+                     str(tmp_path / "s.json")]) == 0
+        assert len(seen) == 1
+
+    def test_an_invalid_instance_raises_on_every_call(self, monkeypatch):
+        inst = generate_loan_instance(LoanConfig(n_states=4, reward_kind="affine"))
+        broken = CmdpInstance(inst.states, inst.polytopes, inst.rewards,
+                              [0.5] + [0.0] * 3, inst.constraints)
+        base = DeterministicPolicy({s: p.base for s, p in inst.polytopes.items()})
+        seen = self.count_validate(monkeypatch)
+        calls = [lambda m=m: solve(broken, m) for m in METHODS]
+        calls += [lambda: evaluate_exact(broken, base), lambda: simulate(broken, base, 10)]
+        for call in calls * 2:
+            with pytest.raises(ValueError, match="invalid instance: alpha sums to 0.5"):
+                call()
+        assert seen == [broken]

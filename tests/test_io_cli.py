@@ -328,6 +328,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("schema error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity"])
+    def test_non_finite_mixture_weight_is_an_error(self, tmp_path, capsys, weight):
+        # json reads NaN and Infinity; abs(nan - 1) > tol is False
+        prob, pol = tmp_path / "p.json", tmp_path / "pol.json"
+        dump_json(small_problem_dict(), prob)
+        pol.write_text('{"type": "randomized", "mixtures": {"s": [[%s, [0.5, 0.5]]]}}' % weight)
+        out = tmp_path / "r.json"
+        assert self.run_cli("evaluate", prob, pol, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "mixture weights at 's' are not all finite" in err
+        assert not out.exists()
+
     def test_generate_affine_loan_then_solve(self, tmp_path):
         prob, out = tmp_path / "loan.json", tmp_path / "s.json"
         assert self.run_cli("generate", "loan", "--states", 4, "--reward", "affine",

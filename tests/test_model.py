@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +14,15 @@ from modcmdp import (
     CmdpInstance,
     DeterministicPolicy,
     LayeredStateSpace,
+    LoanConfig,
     QualityConstraint,
     QuadraticDeviationReward,
     RandomizedPolicy,
     WeightedL1Reward,
     box_polytope,
     enumerate_vertices,
+    generate_loan_instance,
+    solve,
     validate,
 )
 from modcmdp.model import FEAS_TOL
@@ -317,6 +323,47 @@ class TestValidate:
             [QualityConstraint({"bad"}, change.get("bound", 0.2))],
         )
         assert validate(bad) == [message]
+
+
+class TestFrozenInstance:
+    """An instance cannot change after construction, so its verdict is
+    decided once; a pickled or copied one is rebuilt and decides its own."""
+
+    def test_mappings_are_read_only(self):
+        polytopes = {"s": box_polytope([0.5, 0.5], 0.4)}
+        inst = CmdpInstance(LayeredStateSpace([["s"], ["ok", "bad"]]), polytopes,
+                            {"s": WeightedL1Reward([0.5, 0.5])}, [1.0])
+        with pytest.raises(TypeError):
+            inst.polytopes["s"] = box_polytope([0.5, 0.5], 0.1)
+        with pytest.raises(TypeError):
+            inst.rewards["s"] = AffineReward([0.0, 0.0])
+        polytopes.clear()  # the instance keeps its own copy
+        assert inst.violations == () and set(inst.polytopes) == {"s"}
+
+    def test_violations_name_every_message(self):
+        inst = tiny_instance()
+        bad = CmdpInstance(inst.states, inst.polytopes, inst.rewards, inst.alpha,
+                           [QualityConstraint({"nope"}, -0.5)])
+        assert bad.violations == tuple(validate(bad))
+        assert len(bad.violations) == 2
+
+    # the objectives of the original loans, pinned
+    @pytest.mark.parametrize("kind, method, q, objective", [
+        ("l1", "convex", 0.02, -1.2282808974775676),
+        ("quad_convex", "envelope", 0.04, 1.9560360295522905),
+    ])
+    @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_solve_alike(self, kind, method, q, objective, clone):
+        inst = generate_loan_instance(LoanConfig(n_states=5, q_default=q, reward_kind=kind))
+        assert inst.violations == ()
+        twin = clone(inst)
+        assert "violations" not in vars(twin)
+        assert not twin.polytopes["t1_l1"].base.flags.writeable
+        with pytest.raises(TypeError):
+            twin.rewards["t1_l1"] = None
+        assert solve(twin, method).objective == pytest.approx(objective, abs=1e-9)
+        assert solve(inst, method).objective == pytest.approx(objective, abs=1e-9)
 
 
 class TestPolicies:
