@@ -20,7 +20,6 @@ from .model import (
     validate,
 )
 from .lp import LpProblem, LpSolution, export_lp, farkas_gap, solve_lp
-from .extend import ExtendedReward, extend_reward
 from .occupancy import (
     OccupancySolution,
     QualityInfeasibleError,
@@ -71,7 +70,6 @@ __all__ = [
     "DecompositionError",
     "DeterministicPolicy",
     "EvaluationReport",
-    "ExtendedReward",
     "FiniteCmdp",
     "LayeredStateSpace",
     "LoanConfig",
@@ -97,7 +95,6 @@ __all__ = [
     "envelope_value",
     "evaluate_exact",
     "export_lp",
-    "extend_reward",
     "extract_policy",
     "farkas_gap",
     "generate_loan_instance",

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import lp as lpmod
 from .evaluate import evaluate_exact
-from .extend import extend_reward
 from .model import (
     AffineReward,
     CmdpInstance,
@@ -52,7 +51,7 @@ def build_envelope(
     ``deadline`` (a ``time.monotonic()`` reading)."""
     require_valid(instance)
     for s in instance.states.nonterminal():
-        if not extend_reward(instance.rewards[s]).convex:
+        if not instance.rewards[s].convex:
             raise ValueError(
                 f"reward at {s!r} is not convex; the envelope solver handles "
                 "convex quadratic (or affine) rewards — use the occupancy "
@@ -117,13 +116,10 @@ def naive_linear_baseline(
     lin_rewards = {}
     for s in instance.states.nonterminal():
         rew = instance.rewards[s]
-        b = instance.polytopes[s].base
         if isinstance(rew, AffineReward):
             lin_rewards[s] = rew
         elif isinstance(rew, QuadraticDeviationReward):
-            grad = rew.gradient(b)
-            offset = rew.value(b) - float(grad @ b)
-            lin_rewards[s] = AffineReward(grad, offset)
+            lin_rewards[s] = rew.tangent(instance.polytopes[s].base)
         else:
             raise ValueError(
                 f"reward at {s!r} is not quadratic or affine; the linear "

@@ -113,6 +113,10 @@ def base_rows(n: int) -> np.ndarray:
         else:
             stay = 0.1
             improve = 1.0 - stay - p_up
+            if abs(improve) <= 1e-12:
+                # level n-1 has p_up = 0.9 exactly: no float residue may
+                # spread over the levels below as tiny or negative mass
+                improve = 0.0
         if min(p_up, stay, improve) < -1e-12:
             raise ValueError(
                 f"level {k}: invalid base row (p_up={p_up:.4f}, "

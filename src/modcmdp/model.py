@@ -7,8 +7,11 @@ state is a probability vector over the next layer, constrained to a
 polytope ``{a in simplex : H a <= h}`` that must contain the base vector.
 Rewards depend on the chosen distribution only, and solution quality is
 bounded through caps on expected visitation mass of selected state sets.
-Rewards and polytopes evaluate one action or a batch of rows. A policy is
-a mixture of actions per state; a deterministic one has a single atom.
+Each reward states whether it is ``concave`` and ``convex``, and a
+quadratic one gives its tangent plane at an action, which the tangent
+cuts and the naive baseline read. Rewards and polytopes evaluate one
+action or a batch of rows. A policy is a mixture of actions per state; a
+deterministic one has a single atom.
 """
 
 from __future__ import annotations
@@ -210,6 +213,7 @@ class AffineReward(_Fields):
 
     e: np.ndarray
     f: float
+    concave = convex = True
 
     def __init__(self, e, f: float = 0.0):
         object.__setattr__(self, "e", _readonly(e))
@@ -229,6 +233,7 @@ class WeightedL1Reward(_Fields):
 
     center: np.ndarray
     weights: np.ndarray
+    concave, convex = True, False
 
     def __init__(self, center, weights=None):
         center = _readonly(center)
@@ -272,11 +277,18 @@ class QuadraticDeviationReward(_Fields):
         q = (dev * dev) @ self.weights
         return q if self.convex else -q
 
-    def gradient(self, a) -> np.ndarray:
-        """Derivative of the reward at ``a``: twice the weighted deviation,
-        negated for the concave sign."""
-        scale = 2.0 if self.convex else -2.0
-        return scale * self.weights * (np.asarray(a, dtype=float) - self.center)
+    @property
+    def concave(self) -> bool:
+        return not self.convex
+
+    def tangent(self, a) -> AffineReward:
+        """The tangent plane at ``a``: slope twice the weighted deviation,
+        negated for the concave sign, through ``(a, value(a))``. For ``a``
+        on the simplex, ``(e + f) . u`` is the lifted reward's tangent
+        plane along the ray of ``a``, by Euler's identity."""
+        a = np.asarray(a, dtype=float)
+        slope = (2.0 if self.convex else -2.0) * self.weights * (a - self.center)
+        return AffineReward(slope, self.value(a) - float(slope @ a))
 
 
 RewardSpec = Union[AffineReward, WeightedL1Reward, QuadraticDeviationReward]

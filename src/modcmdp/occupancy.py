@@ -6,10 +6,15 @@ whose other columns are vertex masses (:class:`modcmdp.vertices.FiniteLp`).
 
 The program maximizes the homogeneously lifted reward of each state's
 outgoing edge-mass vector subject to flow conservation, the initial
-distribution, visitation-mass caps, and the lifted polytope rows. For
-affine and weighted-L1 rewards it is an exact linear program; concave
-quadratic rewards are supported only through an opt-in tangent-cut
-relaxation, and convex quadratic rewards belong to the envelope solver.
+distribution, visitation-mass caps, and the lifted polytope rows. A
+reward r on the simplex lifts to ``d * r(u / d)`` with d = sum(u), and
+the program writes each lift itself: e . u + f d for an affine reward,
+the split below for a weighted-L1 one, and ``H u - h d <= 0`` for the
+polytope rows ``H a <= h``. For affine and weighted-L1 rewards it is an
+exact linear program; concave quadratic rewards are supported only
+through an opt-in tangent-cut relaxation, whose cut at an anchor a is
+the reward's tangent plane e . a + f lifted to (e + f) . u, and convex
+quadratic rewards belong to the envelope solver.
 
 A weighted-L1 state carries no edge-mass columns of its own. Its edge
 masses are split around the lifted center, u = d * center + p - m with
@@ -263,19 +268,18 @@ def _cut_points(poly, n_cuts: int, state_ord: int) -> list[np.ndarray]:
 def _check_rewards(instance: CmdpInstance, tangent_cuts: Optional[int]) -> None:
     for s in instance.states.nonterminal():
         rew = instance.rewards[s]
-        if isinstance(rew, QuadraticDeviationReward):
-            if rew.convex:
-                raise ValueError(
-                    f"reward at {s!r} is convex quadratic; the occupancy LP "
-                    "cannot represent it — use the envelope solver "
-                    "(modcmdp.envelope.solve_with_envelope)"
-                )
-            if not tangent_cuts:
-                raise ValueError(
-                    f"reward at {s!r} is concave quadratic, which is not "
-                    "LP-representable; pass tangent_cuts=K to accept a "
-                    "documented piecewise-linear outer approximation"
-                )
+        if not rew.concave:
+            raise ValueError(
+                f"reward at {s!r} is convex quadratic; the occupancy LP "
+                "cannot represent it — use the envelope solver "
+                "(modcmdp.envelope.solve_with_envelope)"
+            )
+        if isinstance(rew, QuadraticDeviationReward) and not tangent_cuts:
+            raise ValueError(
+                f"reward at {s!r} is concave quadratic, which is not "
+                "LP-representable; pass tangent_cuts=K to accept a "
+                "documented piecewise-linear outer approximation"
+            )
 
 
 def _starts(sizes) -> np.ndarray:
@@ -323,14 +327,12 @@ def build_occupancy_lp(
 
     The cuts touch each lifted reward at the base and K - 1 fixed points,
     so the bound can be trivial and the LP's policy far from optimal (the
-    README's "Tangent cuts": -0.290 and a bound of 0.0 at K = 64 where the
+    README's "Tangent cuts": -0.300 and a bound of 0.0 at K = 64 where the
     optimum is near -2.7e-4). ROADMAP item 3 plans the exact route.
 
     Raises ValueError on invalid instances, unsupported reward kinds or a
     ``tangent_cuts`` that is neither None nor a positive integer.
     """
-    from .extend import extend_reward
-
     integral = isinstance(tangent_cuts, (int, np.integer)) and not isinstance(tangent_cuts, bool)
     if tangent_cuts is not None and not (integral and tangent_cuts >= 1):
         raise ValueError(f"tangent_cuts must be None or an integer >= 1, got {tangent_cuts!r}")
@@ -390,9 +392,8 @@ def build_occupancy_lp(
         row, tcol = extra_row[g], lay.aux_col[flow.states[g]]
         c[tcol] = 1.0
         lower[tcol] = -np.inf
-        ext = extend_reward(rewards[g])
-        anchors = _cut_points(polys[g], tangent_cuts, g)
-        grads = np.array([ext.gradient(p) for p in anchors])
+        planes = [rewards[g].tangent(p / p.sum()) for p in _cut_points(polys[g], tangent_cuts, g)]
+        grads = np.array([t.e + t.f for t in planes])
         k, j = np.indices(grads.shape)
         ineq.append(lay.on_edges(row + k, lay.edge_start[g] + j, -grads))
         ineq.append((row + np.arange(len(grads)), tcol, 1.0))

@@ -40,8 +40,9 @@ or the weighted-L1 split p - m + center * d. The layout's column map
 must write edge entries over the columns as a product with it does, and
 read the same u back.
 
-It also holds the helpers that only tests use: the homogenized polytope
-rows, a randomized concavity check, a visit-mass CSV writer, the
+It also holds the helpers that only tests use: the positively
+homogeneous lift of a reward, the homogenized polytope rows, a
+randomized concavity check, a visit-mass CSV writer, the
 occupancy-solution invariants and per-state vertex counts.
 """
 
@@ -74,6 +75,25 @@ from modcmdp.lp import LpProblem, solve_lp
 from modcmdp.vertices import DEDUP_TOL, FACE_TOL, VERTEX_FEAS_TOL
 
 
+@dataclass(frozen=True)
+class Lift:
+    """The lift of a reward r on the simplex to all nonnegative vectors,
+    ``sum(u) * r(u / sum(u))`` and 0 where ``sum(u) <= 0``: it agrees with
+    r on the simplex, scales linearly along rays and keeps r's curvature.
+    The occupancy LP writes this lift of every reward it supports."""
+
+    spec: object
+
+    @property
+    def concave(self) -> bool:
+        return self.spec.concave
+
+    def value(self, u) -> float:
+        u = np.asarray(u, dtype=float)
+        q = float(u.sum())
+        return 0.0 if q <= 0.0 else q * self.spec.value(u / q)
+
+
 def extend_polytope(poly):
     """Homogenized membership rows: a matrix G with one row per original
     polytope row such that, for sum(a) > 0, ``G @ a <= 0`` iff
@@ -94,7 +114,7 @@ class ConcavityCheck:
 
 
 def check_concavity(ext, dim, samples=200, seed=0, direction="auto"):
-    """Randomized midpoint test of a lifted reward (``extend_reward``) on
+    """Randomized midpoint test of a lifted reward (``Lift``) on
     pairs drawn from [0, 1]^dim minus the origin. ``direction`` picks the
     inequality: "concave", "convex", or "auto" to follow the lift's own
     variant. Returns a failing pair as witness when the test refutes the

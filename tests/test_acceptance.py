@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_force_mixture_value, forward_masses, random_instance
+from helpers import Lift, brute_force_mixture_value, forward_masses, random_instance
 
 import modcmdp.lp as lpmod
 from modcmdp import (
@@ -33,7 +33,6 @@ from modcmdp import (
     enumerate_for_instance,
     evaluate_exact,
     extract_policy,
-    extend_reward,
     generate_loan_instance,
     greedy_baseline,
     hull_envelope,
@@ -233,7 +232,7 @@ def test_criterion_5_extended_function_laws():
         for _ in range(1000):
             d = int(rng.integers(2, 6))
             spec = make(d)
-            ext = extend_reward(spec)
+            ext = Lift(spec)
             assert ext.value(np.zeros(d)) == 0.0
             a = rng.uniform(0, 1, size=d)
             va = ext.value(a)

@@ -1,36 +1,41 @@
+"""The positively homogeneous lift of each reward (``helpers.Lift``), the
+curvature each reward states, the quadratic's tangent plane, and the
+homogenized polytope rows."""
+
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from helpers import check_concavity, extend_polytope, sample_specs
+from helpers import Lift, check_concavity, extend_polytope, sample_specs
 
 from modcmdp import (
     AffineReward,
     QuadraticDeviationReward,
     WeightedL1Reward,
     box_polytope,
-    extend_reward,
 )
 
 
 class TestExtendReward:
     def test_affine_example(self):
-        ext = extend_reward(AffineReward([1.0, 2.0], 3.0))
+        ext = Lift(AffineReward([1.0, 2.0], 3.0))
         assert ext.value([1.0, 1.0]) == pytest.approx(9.0, abs=1e-12)
 
     def test_l1_example(self):
-        ext = extend_reward(WeightedL1Reward([0.5, 0.5], [1.0, 1.0]))
+        ext = Lift(WeightedL1Reward([0.5, 0.5], [1.0, 1.0]))
         # at (1,1) the scaled center is (1,1): zero deviation
         assert ext.value([1.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_everywhere(self, rng):
         for spec in sample_specs(rng, 3):
-            assert extend_reward(spec).value(np.zeros(3)) == 0.0
+            assert Lift(spec).value(np.zeros(3)) == 0.0
 
     def test_simplex_restriction(self, rng):
         for _ in range(25):
             dim = int(rng.integers(2, 7))
             for spec in sample_specs(rng, dim):
-                ext = extend_reward(spec)
+                ext = Lift(spec)
                 a = rng.dirichlet(np.ones(dim))
                 assert ext.value(a) == pytest.approx(spec.value(a), abs=1e-12)
 
@@ -38,7 +43,7 @@ class TestExtendReward:
         for _ in range(25):
             dim = int(rng.integers(2, 7))
             for spec in sample_specs(rng, dim):
-                ext = extend_reward(spec)
+                ext = Lift(spec)
                 a = rng.uniform(0, 1, size=dim)
                 base = ext.value(a)
                 for q in (0.1, 1.0, 2.0, 10.0):
@@ -53,9 +58,10 @@ class TestExtendReward:
                 convex=bool(rng.integers(2)),
                 weights=rng.uniform(0.1, 2, size=dim),
             )
-            ext = extend_reward(spec)
+            ext = Lift(spec)
             a = rng.uniform(0.2, 1.0, size=dim)
-            grad = ext.gradient(a)
+            t = spec.tangent(a / a.sum())
+            grad = t.e + t.f
             h = 1e-6
             for k in range(dim):
                 e = np.zeros(dim)
@@ -64,6 +70,28 @@ class TestExtendReward:
                 assert grad[k] == pytest.approx(fd, abs=1e-5)
             # Euler identity for positively homogeneous functions
             assert grad @ a == pytest.approx(ext.value(a), rel=1e-9)
+            # and the lifted plane supports the lift: a valid cut above a
+            # concave lift, below a convex one, on the whole orthant
+            for v in rng.uniform(0.0, 2.0, size=(20, dim)):
+                gap = grad @ v - ext.value(v)
+                assert (gap <= 1e-9) if spec.convex else (gap >= -1e-9)
+
+
+class TestCurvature:
+    def test_flags(self):
+        assert AffineReward([1.0, 2.0], 3.0).concave
+        assert AffineReward([1.0, 2.0], 3.0).convex
+        l1 = WeightedL1Reward([0.5, 0.5])
+        assert l1.concave and not l1.convex
+        for convex in (False, True):
+            q = QuadraticDeviationReward([0.5, 0.5], convex=convex)
+            assert (q.concave, q.convex) == (not convex, convex)
+
+    def test_flags_are_not_fields(self):
+        # the content key and pickling go by the dataclass fields
+        assert [f.name for f in fields(AffineReward)] == ["e", "f"]
+        assert [f.name for f in fields(WeightedL1Reward)] == ["center", "weights"]
+        assert [f.name for f in fields(QuadraticDeviationReward)] == ["center", "convex", "weights"]
 
 
 class TestExtendPolytope:
@@ -115,16 +143,16 @@ class TestExtendPolytope:
 
 class TestCheckConcavity:
     def test_affine_is_both(self):
-        ext = extend_reward(AffineReward([1.0, -2.0], 0.5))
+        ext = Lift(AffineReward([1.0, -2.0], 0.5))
         assert check_concavity(ext, dim=2, samples=300)
         assert check_concavity(ext, dim=2, samples=300, direction="convex")
 
     def test_l1_is_concave(self):
-        ext = extend_reward(WeightedL1Reward([0.3, 0.7], [1.0, 2.0]))
+        ext = Lift(WeightedL1Reward([0.3, 0.7], [1.0, 2.0]))
         assert check_concavity(ext, dim=2, samples=500)
 
     def test_convex_quadratic_fails_concavity_with_witness(self):
-        ext = extend_reward(
+        ext = Lift(
             QuadraticDeviationReward([0.5, 0.5], convex=True)
         )
         res = check_concavity(ext, dim=2, samples=500, direction="concave")
@@ -135,13 +163,13 @@ class TestCheckConcavity:
         assert mid < avg - 1e-9
 
     def test_quadratic_variants_pass_their_own_direction(self):
-        conc = extend_reward(QuadraticDeviationReward([0.5, 0.5], convex=False))
-        conv = extend_reward(QuadraticDeviationReward([0.5, 0.5], convex=True))
+        conc = Lift(QuadraticDeviationReward([0.5, 0.5], convex=False))
+        conv = Lift(QuadraticDeviationReward([0.5, 0.5], convex=True))
         assert check_concavity(conc, dim=2, samples=500)
         assert check_concavity(conv, dim=2, samples=500)
 
     def test_parameter_validation(self):
-        ext = extend_reward(AffineReward([1.0, 1.0], 0.0))
+        ext = Lift(AffineReward([1.0, 1.0], 0.0))
         with pytest.raises(ValueError):
             check_concavity(ext, dim=1)
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Import hygiene: no module of the package uses another module's
 private (single-underscore) name, whether imported by name or read as
-an attribute of the imported module."""
+an attribute of the imported module; every exported name resolves, once;
+and every module is imported from the package or its console script."""
 
 import ast
 import os
@@ -69,3 +70,43 @@ def test_importing_the_package_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# ``perfbench/spans.py`` imports ``modcmdp.extend`` by name when it
+# instruments the package; the module holds nothing else
+IMPORTED_BY_NAME_ONLY = {"extend"}
+
+
+def relative_imports(source: str) -> set[str]:
+    """The package modules a module's relative imports name: ``x`` of
+    ``from .x import y`` and ``a`` of ``from . import a``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_export_resolves_once():
+    names = modcmdp.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(modcmdp, n)] == []
+
+
+def test_every_module_is_imported():
+    # the roots: the package and its console script (modcmdp.cli:main)
+    files = {p.stem: p for p in PACKAGE.glob("*.py")}
+    seen, todo = set(), ["__init__", "cli"]
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in files:
+            continue
+        seen.add(name)
+        todo.extend(relative_imports(files[name].read_text()))
+    assert sorted(set(files) - seen) == sorted(IMPORTED_BY_NAME_ONLY)
+    for name in IMPORTED_BY_NAME_ONLY:
+        body = ast.parse(files[name].read_text()).body
+        assert len(body) == 1 and isinstance(body[0].value, ast.Constant), name

@@ -14,6 +14,7 @@ from modcmdp import (
     LayeredStateSpace,
     QualityConstraint,
     QualityInfeasibleError,
+    QuadraticDeviationReward,
     WeightedL1Reward,
     box_polytope,
     evaluate_exact,
@@ -49,6 +50,14 @@ class TestGenerator:
             rows = base_rows(n)
             np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
             assert rows.min() >= 0.0
+
+    def test_rows_carry_no_float_residue(self):
+        # level n-1's improving mass is 0 in exact arithmetic; its float
+        # residue once came out as entries like -7.9e-18 (n=16) or 1e-17
+        for n in range(3, 401):
+            rows = base_rows(n)
+            assert rows.min() >= 0.0, n
+            assert not ((rows > 0) & (rows < 1e-12)).any(), n
 
     def test_monotone_hazard(self):
         for n in (4, 9, 25):
@@ -210,6 +219,66 @@ class TestSolve:
         result = solve(tight, "convex")
         assert result.objective == pytest.approx(-6.596066e-04, rel=1e-6)
         assert evaluate_exact(tight, result.policy).feasible
+
+
+def base_mass(inst) -> float:
+    """The base policy's mass on the loan's single cap."""
+    base = DeterministicPolicy({s: inst.polytopes[s].base for s in inst.states.nonterminal()})
+    return float(evaluate_exact(inst, base).constraint_masses[0])
+
+
+def with_cap(inst, q):
+    cap = QualityConstraint(inst.constraints[0].states, q)
+    return CmdpInstance(inst.states, inst.polytopes, inst.rewards, inst.alpha, [cap])
+
+
+def concave_loan(n=10, q=0.0409):
+    """The L1 loan with every reward replaced by the concave quadratic
+    around the same center (README, "Tangent cuts")."""
+    inst = generate_loan_instance(LoanConfig(n_states=n, q_default=q))
+    rewards = {s: QuadraticDeviationReward(r.center) for s, r in inst.rewards.items()}
+    return CmdpInstance(inst.states, inst.polytopes, rewards, inst.alpha, inst.constraints)
+
+
+def _policy_cells():
+    cells = [(f"l1-n{n}-q{q}-{m}", LoanConfig(n_states=n, q_default=q), m)
+             for n in (6, 8) for q in (0.002, 0.01, 0.04)
+             for m in ("convex", "extreme", "extreme-restricted")]
+    cells += [(f"affine-n{n}-{m}", LoanConfig(n_states=n, reward_kind="affine"), m)
+              for n in (4, 6) for m in METHODS if m != "greedy"]
+    cells += [(f"quad-convex-n10-{m}", LoanConfig(n_states=10, reward_kind="quad_convex"), m)
+              for m in ("envelope", "naive-linear")]
+    cells.append(("l1-n20-q0.01-greedy", LoanConfig(n_states=20, q_default=0.01), "greedy"))
+    return [pytest.param(cfg, m, id=name) for name, cfg, m in cells]
+
+
+class TestAnalyticGates:
+    """Gates that need no second solver (ROADMAP item 2)."""
+
+    @pytest.mark.parametrize("n", [20, 50, 100])
+    def test_l1_value_is_closed_form_above_the_bend(self, n):
+        # moving one unit of mass off the capped default level in the last
+        # transition costs 2 (one unit leaves a coordinate, one enters
+        # another), so down to half the base mass m the value is -2 (m - q)
+        inst = generate_loan_instance(LoanConfig(n_states=n))
+        m = base_mass(inst)
+        for q in (m, 0.5 * m):
+            got = solve(with_cap(inst, q), "convex").objective
+            assert abs(got - (-2.0 * max(0.0, m - q))) <= 1e-12, (q, got)
+
+    @pytest.mark.parametrize("cfg, method", _policy_cells())
+    def test_objective_is_the_policy_value(self, cfg, method):
+        inst = generate_loan_instance(cfg)
+        result = solve(inst, method)
+        value = evaluate_exact(inst, result.policy).value
+        assert abs(value - result.objective) <= 1e-9 * max(1.0, abs(result.objective))
+
+    def test_tangent_cut_objective_is_the_policy_value(self):
+        inst = concave_loan()
+        result = solve(inst, "convex", tangent_cuts=4)
+        value = evaluate_exact(inst, result.policy).value
+        assert abs(value - result.objective) <= 1e-9 * max(1.0, abs(result.objective))
+        assert result.objective <= result.bound
 
 
 class TestBenchmark:
