@@ -80,7 +80,7 @@ class Lift:
     """The lift of a reward r on the simplex to all nonnegative vectors,
     ``sum(u) * r(u / sum(u))`` and 0 where ``sum(u) <= 0``: it agrees with
     r on the simplex, scales linearly along rays and keeps r's curvature.
-    The occupancy LP writes this lift of every reward it supports."""
+    The occupancy LP writes this lift of affine and weighted-L1 rewards."""
 
     spec: object
 
