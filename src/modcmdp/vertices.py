@@ -19,10 +19,16 @@ re-solves warm as columns arrive, and proves the master's answer optimal
 Vertex enumeration is exhaustive basis enumeration by default: pick n-1
 active rows among the polytope rows and the sign rows the polytope's rows
 do not imply, solve together with the simplex equality, keep feasible
-solutions, dedup. Its combinatorial cost is intentional (the benchmark
-exhibits the blowup); box-shaped polytopes (``ActionPolytope.box``)
-additionally get a structured enumerator, which writes all vertex rows
-at once and scales to the dimensions the envelope solver needs.
+solutions, dedup. Two parallel rows make a basis singular, so the n-1
+rows come from n-1 distinct classes of parallel rows: on a box, whose
+rows (and kink planes) are all multiples of some e_k, n 2^(n-1) bases
+(n 3^(n-1) with kink planes) where any n-1 rows would make C(2n, n-1)
+(C(3n, n-1)). The vertex arrays are, byte for byte, those a solve of
+every choice of n-1 rows gives. Its combinatorial cost is intentional
+(the benchmark exhibits the blowup); box-shaped polytopes
+(``ActionPolytope.box``) additionally get a structured enumerator, which
+writes all vertex rows at once and scales to the dimensions the envelope
+solver needs.
 """
 
 from __future__ import annotations
@@ -122,6 +128,22 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     return points[keep]
 
 
+def _row_classes(rows: np.ndarray) -> list[list[int]]:
+    """Indices of ``rows`` in classes of parallel rows, each class in row
+    order and the classes in the order of their first rows.
+
+    Each row is divided by its first entry of largest magnitude, and rows
+    that divide to the same floats share a class. Division rounds
+    correctly, so a row and an exact nonzero multiple of it always do.
+    Zero rows share one class."""
+    lead = rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)]
+    lead[lead == 0] = 1.0
+    classes: dict = {}
+    for i, u in enumerate((rows / lead[:, None]).tolist()):
+        classes.setdefault(tuple(u), []).append(i)
+    return list(classes.values())
+
+
 def _exhaustive(
     poly: ActionPolytope,
     extra_planes: list[tuple[int, float]] | None,
@@ -138,18 +160,30 @@ def _exhaustive(
     # only repeat bases: the polytope row -c a_k <= h (c > 0, h <= 0) takes
     # the place of -a_k <= 0 in a basis that comes earlier in combination
     # order, and gives the same point (h = 0) or rules a_k = 0 out (h < 0).
+    # Rows that are exact nonzero multiples of one another form a class (a
+    # box's u_k and l_k rows and the kink plane a_k = c_k lie along e_k).
     eye = np.eye(n)
     free = ~poly.implied_nonnegative
     planes = extra_planes or []
-    pool = np.vstack([poly.H, -eye[free]] + [eye[k : k + 1] for k, _ in planes])
+    pool = np.vstack([poly.H, -eye[free], eye[[k for k, _ in planes]]])
     pool_rhs = np.concatenate([poly.h, np.zeros(int(free.sum())), [v for _, v in planes]])
 
-    found = []
-    combos = itertools.combinations(range(pool.shape[0]), n - 1)
-    while chunk := list(itertools.islice(combos, _BATCH)):
+    # a basis holding two rows of one class is singular, so only the bases
+    # that take their n-1 rows from n-1 distinct classes are built (on a
+    # box with kink planes n 3^(n-1) of the C(3n, n-1) choices), class
+    # combination by class combination, each basis's rows in increasing
+    # order, at most _BATCH at a time
+    classes = _row_classes(pool)
+    bases = itertools.chain.from_iterable(
+        itertools.product(*(classes[c] for c in combo))
+        for combo in itertools.combinations(range(len(classes)), n - 1)
+    )
+    found, found_rows = [], []
+    while chunk := list(itertools.islice(bases, _BATCH)):
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("vertex enumeration exceeded its time budget")
         idx = np.array(chunk)
+        idx.sort(axis=1)
         m = np.empty((len(chunk), n, n))
         m[:, 0, :] = 1.0
         m[:, 1:, :] = pool[idx]
@@ -160,15 +194,22 @@ def _exhaustive(
         good = np.abs(dets) > 1e-10
         if not np.any(good):
             continue
-        sols = np.linalg.solve(m[good], r[good][..., None])[..., 0]
-        resid = np.max(np.abs(m[good] @ sols[..., None] - r[good][..., None]), axis=(1, 2))
-        cand = sols[resid <= 1e-7]
+        m, r = m[good], r[good][..., None]
+        sols = np.linalg.solve(m, r)[..., 0]
+        resid = np.max(np.abs(m @ sols[..., None] - r), axis=(1, 2))
+        solved = resid <= 1e-7
+        cand = sols[solved]
         feas = poly.contains(cand, VERTEX_FEAS_TOL)
         if np.any(feas):
             found.append(cand[feas])
+            found_rows.append(idx[good][solved][feas])
     if not found:
         return np.zeros((0, n))
-    return _dedup(np.vstack(found), DEDUP_TOL)
+    # back in the combination order of the basis rows, the order a walk
+    # over every choice of n-1 pool rows meets them, so _dedup keeps the
+    # same first point of each cluster
+    rows = np.concatenate(found_rows)
+    return _dedup(np.concatenate(found)[np.lexsort(rows.T[::-1])], DEDUP_TOL)
 
 
 def box_simplex_vertices(lower, upper) -> np.ndarray:

@@ -16,7 +16,9 @@ solved by ``linprog`` in ``test_lp_engine.py``.
 wrote its vertex rows in one pass: a Python loop per vertex and numpy's
 row-wise ``unique``. ``full_pool_vertices`` is the exhaustive enumerator
 as it was before its active-row pool left out the sign rows that the
-polytope's own rows imply: every -e_k is in the pool.
+polytope's own rows imply, and before it built only the bases whose rows
+are pairwise non-parallel: every -e_k is in the pool, and every choice
+of n - 1 pool rows is solved.
 ``slice_finite_lp_columns`` is ``FiniteLp.columns`` as it was before it
 gathered each row block's entries in one pass: the vertex columns from
 triplets, the d columns sliced out of ``d_eq`` and ``d_in``, stacked and
@@ -632,7 +634,10 @@ def full_pool_vertices(poly, extra_planes=None):
     every sign row -e_k . a <= 0 and the kink planes a_k = value of
     ``extra_planes``: each choice of n - 1 pool rows, in combination order,
     is solved with the simplex equality, and the feasible solutions are
-    deduplicated within ``DEDUP_TOL``, first occurrences kept."""
+    deduplicated within ``DEDUP_TOL``, first occurrences kept. Choices
+    that hold two parallel rows (a box's upper, lower and sign rows and
+    kink plane on one coordinate, say) are built too, and fail the
+    determinant test."""
     n = poly.dim
     if n == 1:
         a = np.ones(1)

@@ -373,6 +373,102 @@ class TestExhaustivePool:
             assert_same_bytes(enumerate_vertices(poly, extra_planes=planes), want)
         assert implied > 400
 
+    def test_l1_kink_boxes_at_seven_states_match_the_full_pool(self):
+        inst = generate_loan_instance(LoanConfig(n_states=7, reward_kind="l1"))
+        vs = enumerate_for_instance(inst, kink_planes=True)
+        want = {}
+        for s in inst.states.nonterminal():
+            poly = inst.polytopes[s]
+            planes = [(k, float(c)) for k, c in enumerate(inst.rewards[s].center)]
+            key = (poly.key, repr(planes))
+            if key not in want:
+                want[key] = full_pool_vertices(poly, planes)
+            assert_same_bytes(vs.vertices[s], want[key])
+        assert len(want) == 7
+
+    @pytest.mark.parametrize("grid", [True, False])
+    def test_parallel_rows_match_the_full_pool(self, grid):
+        # rows r, -r and 2.5 r around the base: r and -r always share a
+        # class, and on the 1/64 grid 2.5 r is an exact multiple of r too
+        rng = np.random.default_rng(11)
+        for i in range(60):
+            n = int(rng.integers(3, 7))
+            base = rng.dirichlet(np.ones(n))
+            r = rng.normal(size=(int(rng.integers(1, 3)), n))
+            if grid:
+                r = np.round(r * 64) / 64
+            H = np.vstack([r, -r, 2.5 * r, rng.normal(size=(int(rng.integers(0, 3)), n))])
+            H = H[rng.permutation(H.shape[0])]
+            h = H @ base + rng.uniform(0.0, 0.3, size=H.shape[0])
+            if i % 3 == 0:
+                # a 2.5 r row on the hyperplane of its r row
+                j = np.flatnonzero((H == 2.5 * r[0]).all(axis=1))[0]
+                h[j] = 2.5 * (r[0] @ base + 0.1)
+                h[np.flatnonzero((H == r[0]).all(axis=1))[0]] = r[0] @ base + 0.1
+            poly = ActionPolytope(base, H, h)
+            planes = None
+            if i % 2:
+                planes = [(k, float(c)) for k, c in enumerate(rng.dirichlet(np.ones(n)))]
+            sizes = [len(c) for c in vmod._row_classes(H)]
+            assert sum(size >= (3 if grid else 2) for size in sizes) == len(r)
+            want = full_pool_vertices(poly, planes)
+            assert want.shape[0] > 0
+            assert_same_bytes(enumerate_vertices(poly, extra_planes=planes), want)
+
+    def test_near_parallel_rows_stay_apart(self):
+        # q is r with each entry moved by about 1e-6 of itself, and both
+        # rows are tight at one point, so a basis holding both can give a
+        # vertex: the two rows must not share a class
+        rng = np.random.default_rng(5)
+        on_both = 0
+        for _ in range(40):
+            n = int(rng.integers(3, 6))
+            base = rng.dirichlet(np.ones(n))
+            r = rng.normal(size=n)
+            q = r * (1.0 + 1e-6 * rng.normal(size=n))
+            d = rng.normal(size=n)
+            d -= d.mean()
+            d *= np.sign(r @ d)
+            p = base + 0.1 / (r @ d) * d
+            H = np.vstack([r, q, rng.normal(size=(2, n))])
+            h = np.concatenate([[r @ p, q @ p], H[2:] @ base + 0.2])
+            assert len(vmod._row_classes(H)) == 4
+            poly = ActionPolytope(base, H, h)
+            want = full_pool_vertices(poly)
+            assert_same_bytes(enumerate_vertices(poly), want)
+            on_both += int(np.sum((np.abs(want @ H[:2].T - h[:2]) <= 1e-9).all(axis=1)))
+        assert on_both > 0
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_kink_box_solves_one_basis_per_class_choice(self, n, monkeypatch):
+        # u_k, l_k and the kink c_k lie on one class per coordinate, so the
+        # bases are n choices of n - 1 coordinates times 3 rows for each,
+        # all nonsingular, against C(3n, n - 1) choices of pool rows
+        built, solved = [], []
+        det, solve_ = np.linalg.det, np.linalg.solve
+        monkeypatch.setattr(np.linalg, "det", lambda m: built.append(len(m)) or det(m))
+        monkeypatch.setattr(np.linalg, "solve", lambda m, r: solved.append(len(m)) or solve_(m, r))
+        poly = box_polytope(np.full(n, 1.0 / n), 0.5 / n)
+        planes = [(k, 0.9 / n) for k in range(n)]
+        got = enumerate_vertices(poly, extra_planes=planes)
+        assert sum(built) == sum(solved) == n * 3 ** (n - 1)
+        monkeypatch.undo()
+        assert_same_bytes(got, full_pool_vertices(poly, planes))
+
+    def test_deadline_stops_before_every_basis_is_built(self, monkeypatch):
+        # a dim-25 box with kink planes has 25 * 3^24 bases, far past any
+        # budget; a spent deadline stops at the first chunk
+        built = []
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda m: built.append(len(m)) or det(m))
+        poly = box_polytope(np.full(25, 0.04), 0.02)
+        planes = [(k, 0.05) for k in range(25)]
+        t0 = time.perf_counter()
+        with pytest.raises(TimeoutError, match="time budget"):
+            enumerate_vertices(poly, extra_planes=planes, deadline=time.monotonic())
+        assert time.perf_counter() - t0 < 5.0
+        assert built == []
+
 
 class TestFiniteCmdp:
     def test_shared_arrays_are_scored_once(self, monkeypatch):
