@@ -160,12 +160,12 @@ def _exhaustive(
     # only repeat bases: the polytope row -c a_k <= h (c > 0, h <= 0) takes
     # the place of -a_k <= 0 in a basis that comes earlier in combination
     # order, and gives the same point (h = 0) or rules a_k = 0 out (h < 0).
-    # Rows that are exact nonzero multiples of one another form a class (a
-    # box's u_k and l_k rows and the kink plane a_k = c_k lie along e_k).
+    # Parallel rows form one class (a box's u_k and l_k rows and the kink
+    # plane a_k = c_k all lie along e_k).
     eye = np.eye(n)
     free = ~poly.implied_nonnegative
     planes = extra_planes or []
-    pool = np.vstack([poly.H, -eye[free], eye[[k for k, _ in planes]]])
+    pool = np.concatenate([poly.H, -eye[free], eye[[k for k, _ in planes]]])
     pool_rhs = np.concatenate([poly.h, np.zeros(int(free.sum())), [v for _, v in planes]])
 
     # a basis holding two rows of one class is singular, so only the bases
@@ -178,16 +178,17 @@ def _exhaustive(
         itertools.product(*(classes[c] for c in combo))
         for combo in itertools.combinations(range(len(classes)), n - 1)
     )
+    flat = itertools.chain.from_iterable(bases)  # n-1 row indices per basis
     found, found_rows = [], []
-    while chunk := list(itertools.islice(bases, _BATCH)):
+    while (idx := np.fromiter(itertools.islice(flat, _BATCH * (n - 1)), np.intp)).size:
         if deadline is not None and time.monotonic() > deadline:
             raise TimeoutError("vertex enumeration exceeded its time budget")
-        idx = np.array(chunk)
+        idx = idx.reshape(-1, n - 1)
         idx.sort(axis=1)
-        m = np.empty((len(chunk), n, n))
+        m = np.empty((len(idx), n, n))
         m[:, 0, :] = 1.0
         m[:, 1:, :] = pool[idx]
-        r = np.empty((len(chunk), n))
+        r = np.empty((len(idx), n))
         r[:, 0] = 1.0
         r[:, 1:] = pool_rhs[idx]
         dets = np.linalg.det(m)
