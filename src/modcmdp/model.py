@@ -17,7 +17,7 @@ deterministic one has a single atom.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -33,6 +33,13 @@ def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+@cache
+def _box_rows(n: int) -> np.ndarray:
+    """The rows ``[I; -I]`` of an ``n``-coordinate box: one read-only
+    array per ``n``, which every box of that dimension holds."""
+    return _readonly(np.vstack([np.eye(n), -np.eye(n)]))
 
 
 class _Fields:
@@ -115,8 +122,9 @@ class ActionPolytope(_Fields):
     base distribution ``base`` over the next layer.
 
     ``H`` may have zero rows, in which case the feasible set is the whole
-    simplex. What its rows imply (:attr:`box`, :attr:`implied_nonnegative`)
-    is worked out once, on first use.
+    simplex. An ``H`` bit for bit equal to ``[I; -I]`` becomes the one
+    copy that every box of its dimension holds. What the rows imply (:attr:`box`,
+    :attr:`implied_nonnegative`) and the content key are worked out once, on first use.
     """
 
     base: np.ndarray
@@ -133,8 +141,11 @@ class ActionPolytope(_Fields):
         H = H.reshape(-1, n) if H.size else np.zeros((0, n))
         if H.shape[0] != h.size:
             raise ValueError("H and h row counts differ")
+        # compared as bits, so that the swap changes no byte of H
+        rows = _box_rows(n) if H.shape == (2 * n, n) else None
+        box = rows is not None and np.array_equal(H.view(np.int64), rows.view(np.int64))
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "H", _readonly(H))
+        object.__setattr__(self, "H", rows if box else _readonly(H))
         object.__setattr__(self, "h", _readonly(h))
 
     @property
@@ -145,8 +156,8 @@ class ActionPolytope(_Fields):
     def box(self) -> tuple[np.ndarray, np.ndarray] | None:
         """``(lower, upper)``, lower clipped at 0, when the rows are exactly
         ``[I; -I]``; None otherwise."""
-        n, eye = self.dim, np.eye(self.dim)
-        if not np.array_equal(self.H, np.vstack([eye, -eye])):
+        n = self.dim
+        if not np.array_equal(self.H, _box_rows(n)):
             return None
         return _readonly(np.clip(-self.h[n:], 0.0, None)), self.h[:n]
 
@@ -162,7 +173,7 @@ class ActionPolytope(_Fields):
         out.setflags(write=False)
         return out
 
-    @property
+    @cached_property
     def key(self) -> tuple:
         """Content key: H's shape (joined bytes of two dimensions can
         coincide), then the bytes of base, H and h."""
@@ -191,7 +202,8 @@ class ActionPolytope(_Fields):
 
 def box_polytope(base, epsilon: float) -> ActionPolytope:
     """Polytope of distributions within ``epsilon`` of ``base`` in each
-    coordinate, lower bounds clipped at 0.
+    coordinate, lower bounds clipped at 0. Its ``H`` is the one read-only
+    ``[I; -I]`` that every box of its dimension holds; ``h`` is its own.
 
     With ``epsilon >= 1`` the feasible set equals the whole simplex.
     """
@@ -200,11 +212,8 @@ def box_polytope(base, epsilon: float) -> ActionPolytope:
     base = np.asarray(base, dtype=float)
     if base.min(initial=0.0) < -NORM_TOL or abs(base.sum() - 1.0) > NORM_TOL:
         raise ValueError("base must be a probability vector")
-    n = base.size
-    eye = np.eye(n)
-    H = np.vstack([eye, -eye])
     h = np.concatenate([base + epsilon, -np.clip(base - epsilon, 0.0, None)])
-    return ActionPolytope(base, H, h)
+    return ActionPolytope(base, _box_rows(base.size), h)
 
 
 @dataclass(frozen=True)

@@ -295,27 +295,19 @@ def _ranges(starts, sizes) -> np.ndarray:
     return np.repeat(np.asarray(starts, dtype=int), sizes) + within
 
 
-# Entries of H matrices gathered per pass of _add_polytope_rows (8 MB of
-# floats): every box of a horizon-6 loan of up to 47 levels in one pass,
-# and no copy of all the boxes at once at 100 levels (80 MB).
-_H_CHUNK = 1 << 20
-
-
 def _add_polytope_rows(parts: list, lay: _Layout, polys, row_start) -> None:
     """Add the nonzero entries of each ``polys[g].H``, row r and column j,
     at row ``row_start[g] + r`` on the edge mass ``lay.edge_start[g] + j``,
-    gathering the matrices of many states per pass."""
-    sizes = np.array([p.H.size for p in polys], dtype=int)
-    cuts = np.searchsorted(np.cumsum(sizes), np.arange(_H_CHUNK, sizes.sum(), _H_CHUNK))
-    bounds = np.unique(np.concatenate([[0], cuts, [len(polys)]]))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        flat = np.concatenate([p.H.ravel() for p in polys[lo:hi]])
-        at = np.flatnonzero(flat)
-        offset = _starts(sizes[lo:hi])
-        g = np.searchsorted(offset, at, side="right") - 1
-        dim = np.array([p.dim for p in polys[lo:hi]])
-        r, j = np.divmod(at - offset[g], dim[g])
-        parts.append(lay.on_edges(row_start[lo + g] + r, lay.edge_start[lo + g] + j, flat[at]))
+    reading the nonzeros of each distinct ``H`` object once for its states."""
+    holders: dict[int, tuple] = {}
+    for g, p in enumerate(polys):
+        holders.setdefault(id(p.H), (p.H, []))[1].append(g)
+    triplets = []
+    for H, gs in holders.values():
+        r, j = np.nonzero(H)
+        gs = np.array(gs)[:, None]
+        triplets.append(np.broadcast_arrays(row_start[gs] + r, lay.edge_start[gs] + j, H[r, j]))
+    parts.append(lay.on_edges(*(np.concatenate([a.ravel() for a in t]) for t in zip(*triplets))))
 
 
 def build_occupancy_lp(
@@ -328,7 +320,7 @@ def build_occupancy_lp(
     The cuts touch each lifted reward at the base and K - 1 fixed points,
     so the bound can be trivial and the LP's policy far from optimal (the
     README's "Tangent cuts": -0.300 and a bound of 0.0 at K = 64 where the
-    optimum is near -2.7e-4). ROADMAP item 3 plans the exact route.
+    optimum is near -2.7e-4). ROADMAP item 4 plans the exact route.
 
     Raises ValueError on invalid instances, unsupported reward kinds or a
     ``tangent_cuts`` that is neither None nor a positive integer.
@@ -415,7 +407,9 @@ def solve_occupancy(
 
     With ``tangent_cuts=K``, ``objective`` is the true return of the
     policy read from :func:`build_occupancy_lp`'s relaxation and ``bound``
-    its LP value; neither need be tight.
+    its LP value; neither need be tight. Without cuts, ``objective`` is
+    the LP value with each weighted-L1 edge counted at -w |p - m|, the
+    true L1 reward of its mass, in place of the LP's -w (p + m).
 
     Raises QualityInfeasibleError when the visitation caps are jointly
     unsatisfiable, and RuntimeError on an unbounded program (impossible
@@ -442,7 +436,14 @@ def solve_occupancy(
         return OccupancySolution(
             edge, visit, objective=report.value, bound=float(sol.objective)
         )
-    return OccupancySolution(edge, visit, objective=float(sol.objective))
+    # a weighted-L1 edge earns -w |p - m|, the true reward of its mass and
+    # the extracted action's; the LP's -w (p + m) overstates it by 2 w |x|
+    # for a split column x left below 0 within the solver's tolerance
+    x = sol.x.copy()
+    e = np.flatnonzero(lay.m_off)
+    p, m = lay.edge_col[e], lay.edge_col[e] + lay.m_off[e]
+    x[p], x[m] = abs(x[p] - x[m]), 0.0
+    return OccupancySolution(edge, visit, objective=float(problem.c @ x))
 
 
 def split_action_lp(

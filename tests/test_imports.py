@@ -72,6 +72,20 @@ def test_importing_the_package_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_no_module_loads_the_highs_binding_at_import():
+    """Every module of the package imports without ``scipy.optimize`` or
+    its HiGHS binding: they load with the first LP, so that the import,
+    and the benchmark's set-up time, do not pay for them."""
+    names = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    code = ("import importlib, sys\n"
+            f"for name in {names!r}: importlib.import_module('modcmdp.' + name)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 # ``perfbench/spans.py`` imports ``modcmdp.extend`` by name when it
 # instruments the package; the module holds nothing else
 IMPORTED_BY_NAME_ONLY = {"extend"}

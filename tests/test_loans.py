@@ -1,10 +1,17 @@
+import ast
 import csv
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import frozen_greedy, random_instance
+
+import modcmdp
 
 from modcmdp import (
     METHODS,
@@ -26,7 +33,7 @@ from modcmdp import (
     validate,
     write_benchmark_csv,
 )
-from modcmdp.loans import CSV_FIELDS, LoanConfig, base_rows
+from modcmdp.loans import CSV_FIELDS, LoanConfig, base_rows, state_name
 
 
 class TestGenerator:
@@ -81,6 +88,17 @@ class TestGenerator:
         for kind in ("l1", "quad_convex", "affine"):
             inst = generate_loan_instance(LoanConfig(n_states=4, reward_kind=kind))
             assert validate(inst) == []
+
+    @pytest.mark.parametrize("kind", ["l1", "quad_convex", "affine"])
+    def test_one_box_and_one_reward_per_level(self, kind):
+        n = 50
+        inst = generate_loan_instance(LoanConfig(n_states=n, reward_kind=kind))
+        for field in (inst.polytopes, inst.rewards):
+            assert len({id(x) for x in field.values()}) == n
+            for t in range(2, inst.states.horizon):
+                for k in range(1, n + 1):
+                    assert field[state_name(t, k)] is field[state_name(1, k)]
+        assert len({id(p.H) for p in inst.polytopes.values()}) == 1
 
 
 def adversarial_gap_instance():
@@ -326,6 +344,18 @@ class TestBenchmark:
         with open(out) as f:
             rows = list(csv.DictReader(f))
         assert rows[0]["error"] == records[0].error
+
+    def test_first_cell_holds_no_one_time_import(self):
+        # in a fresh process the first LP imports HiGHS (about 0.27 s),
+        # which once made the first cell about 50 times the others
+        code = ("from modcmdp import LoanConfig, run_benchmark\n"
+                "cfg = LoanConfig(reward_kind='affine', q_default=0.9)\n"
+                "print([r.wall_ms for r in run_benchmark([4, 5, 6], ['convex'], cfg)])")
+        env = {**os.environ, "PYTHONPATH": str(Path(modcmdp.__file__).parent.parent)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        first, *later = ast.literal_eval(out.stdout.strip())
+        assert first <= 5 * float(np.median(later)), (first, later)
 
     def test_greedy_cell(self):
         cfg = LoanConfig(n_states=4, q_default=0.7, reward_kind="l1")

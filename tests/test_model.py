@@ -25,6 +25,7 @@ from modcmdp import (
     solve,
     validate,
 )
+from modcmdp.fileio import problem_from_json, problem_to_json
 from modcmdp.model import FEAS_TOL
 from modcmdp.vertices import VERTEX_FEAS_TOL
 
@@ -366,6 +367,58 @@ class TestFrozenInstance:
             twin.rewards["t1_l1"] = None
         assert solve(twin, method).objective == pytest.approx(objective, abs=1e-9)
         assert solve(inst, method).objective == pytest.approx(objective, abs=1e-9)
+
+
+class TestSharedBoxRows:
+    """Every box of one dimension holds one read-only ``[I; -I]``, however
+    it was made: by ``box_polytope``, from explicit rows, by a pickle or
+    copy, or from a problem file."""
+
+    @staticmethod
+    def block(n):
+        return box_polytope(np.full(n, 1.0 / n), 0.1).H
+
+    def test_boxes_of_one_dimension_share_their_rows(self, rng):
+        for n in (2, 3, 7):
+            block = self.block(n)
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 2.0
+            base = rng.dirichlet(np.ones(n))
+            eye = np.eye(n)
+            polys = [box_polytope(base, 0.3), box_polytope(rng.dirichlet(np.ones(n)), 0.05),
+                     ActionPolytope(base, np.vstack([eye, -eye]), np.ones(2 * n)),
+                     ActionPolytope(base, np.vstack([eye, -eye]).tolist(), np.ones(2 * n)),
+                     ActionPolytope(base, np.vstack([eye, -eye]).ravel(), np.ones(2 * n))]
+            assert all(p.H is block for p in polys)
+            assert self.block(n + 1) is not block
+
+    def test_only_bit_equal_rows_are_swapped(self):
+        # +0.0 where the block holds -0.0: equal in value, not in bits
+        H = np.vstack([np.eye(2), -np.eye(2) + 0.0])
+        poly = ActionPolytope([0.5, 0.5], H, [0.9, 0.9, -0.1, -0.1])
+        assert poly.H is not self.block(2)
+        assert poly.H.tobytes() == H.tobytes() and not poly.H.flags.writeable
+        assert poly.box is not None  # still a box by value
+        assert ActionPolytope([0.5, 0.5], 2 * H, np.ones(4)).H is not self.block(2)
+
+    def test_key_is_worked_out_once(self):
+        poly = box_polytope([0.5, 0.5], 0.1)
+        assert poly.key is poly.key
+
+    @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_of_an_instance_share_the_rows(self, clone):
+        inst = generate_loan_instance(LoanConfig(n_states=6))
+        twin = clone(inst)
+        assert {id(p.H) for p in twin.polytopes.values()} == {id(self.block(6))}
+        assert twin.polytopes["t1_l1"] is not inst.polytopes["t1_l1"]
+
+    def test_problem_files_share_the_rows(self):
+        inst = generate_loan_instance(LoanConfig(n_states=6))
+        twin = problem_from_json(problem_to_json(inst))
+        assert {id(p.H) for p in twin.polytopes.values()} == {id(self.block(6))}
+        assert problem_to_json(twin) == problem_to_json(inst)
 
 
 class TestPolicies:

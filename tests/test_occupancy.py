@@ -329,6 +329,101 @@ class TestSharedSkeleton:
         assert spanning >= 5
 
 
+class TestSharedPolytopes:
+    """States that hold one polytope object give the LP that per-state
+    copies of it give, byte for byte: the rows of each distinct H are
+    read once, and each state's entries keep their order."""
+
+    @staticmethod
+    def assert_same_lp(a, b):
+        pa, pb = build_occupancy_lp(a), build_occupancy_lp(b)
+        for name in ("c", "b_eq", "b_in", "lower", "upper"):
+            x, y = getattr(pa, name), getattr(pb, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        for x, y in ((pa.a_eq, pb.a_eq), (pa.a_in, pb.a_in)):
+            assert x.shape == y.shape
+            for name in ("data", "indices", "indptr"):
+                u, v = getattr(x, name), getattr(y, name)
+                assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), name
+
+    @staticmethod
+    def with_polytopes(inst, polytopes):
+        return CmdpInstance(inst.states, polytopes, inst.rewards, inst.alpha, inst.constraints)
+
+    def test_l1_loan_against_boxes_with_rows_of_their_own(self, monkeypatch):
+        import modcmdp.model as model
+
+        inst = generate_loan_instance(LoanConfig(n_states=12, q_default=0.002))
+        assert len({id(p) for p in inst.polytopes.values()}) == 12
+        with monkeypatch.context() as m:  # a fresh [I; -I] for every box
+            fresh = model._box_rows.__wrapped__
+            m.setattr(model, "_box_rows", fresh)
+            copies = {s: ActionPolytope(p.base, p.H, p.h) for s, p in inst.polytopes.items()}
+        assert len({id(p.H) for p in copies.values()}) == len(copies)
+        self.assert_same_lp(inst, self.with_polytopes(inst, copies))
+
+    def test_general_polytopes_shared_across_a_layer(self, rng):
+        # two polytopes per layer, held by alternate states, so the states
+        # of one H are not consecutive
+        for k in range(20):
+            inst = random_instance(rng, max_states=5, max_horizon=5,
+                                   reward=("l1", "affine")[k % 2], constraint_chance=1.0)
+            shared, copies = {}, {}
+            for t, layer in enumerate(inst.states.layers[:-1]):
+                n = len(inst.states.layers[t + 1])
+                polys = []
+                for _ in range(2):
+                    base = rng.dirichlet(np.ones(n))
+                    H = rng.normal(size=(int(rng.integers(1, 2 * n + 1)), n))
+                    H[rng.random(H.shape) < 0.3] = 0.0
+                    polys.append(ActionPolytope(base, H, H @ base + rng.uniform(0.0, 0.3, len(H))))
+                for i, s in enumerate(layer):
+                    poly = polys[i % 2]
+                    shared[s] = poly
+                    copies[s] = ActionPolytope(poly.base, poly.H.copy(), poly.h)
+            assert len({id(p.H) for p in copies.values()}) == len(copies)
+            self.assert_same_lp(self.with_polytopes(inst, shared),
+                                self.with_polytopes(inst, copies))
+
+
+class TestL1Objective:
+    """The reported objective counts each weighted-L1 edge at its true
+    reward -w |u - d center|, which is what the extracted policy earns,
+    not at the LP's -w (p + m)."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_loan_instance(LoanConfig(n_states=6, q_default=0.002)),
+        lambda: l1_instance(0.2),
+    ], ids=["loan", "tiny"])
+    def test_split_columns_below_zero_do_not_count(self, make, monkeypatch):
+        import modcmdp.lp as lpmod
+
+        real = lpmod.solve_lp
+
+        def lowered(problem, *args, **kwargs):
+            # both split columns of one L1 edge 1e-10 lower: u and every
+            # row are unchanged, the LP's -w (p + m) rises by 2 w 1e-10
+            sol = real(problem, *args, **kwargs)
+            lay = problem.layout
+            e = np.flatnonzero(lay.m_off)[0]
+            sol.x = sol.x.copy()
+            sol.x[[lay.edge_col[e], lay.edge_col[e] + lay.m_off[e]]] -= 1e-10
+            sol.objective = float(problem.c @ sol.x)
+            return sol
+
+        inst = make()
+        monkeypatch.setattr(lpmod, "solve_lp", lowered)
+        sol = solve_occupancy(inst)
+        space = inst.states
+        true = sum(
+            -w * abs(sol.edge_mass[(s, s2)] - sol.visit_mass[s] * c)
+            for layer, nxt in zip(space.layers, space.layers[1:]) for s in layer
+            for s2, c, w in zip(nxt, inst.rewards[s].center, inst.rewards[s].weights))
+        assert abs(sol.objective - true) <= 1e-15
+        value = evaluate_exact(inst, extract_policy(sol, inst)).value
+        assert abs(sol.objective - value) <= 1e-12
+
+
 class TestSignRows:
     """L1 states whose polytope rows do not imply u >= 0 get explicit
     nonnegativity rows. Here a cheap deviation at s1 would push its mass
