@@ -1,9 +1,10 @@
 """Linear programs: one HiGHS model per problem (:class:`Master`), which
-column generation grows and re-solves warm and :func:`solve_lp` solves
-once; :func:`export_lp` writes the same model as MPS with HiGHS's writer.
-The small hull LPs of :func:`solve_once` instead share one HiGHS model
-per thread, made on the thread's first such solve and emptied after
-every one.
+column generation (:func:`generate_columns`, the loop of the occupancy
+and finite-action routes) grows, with columns and rows of their own,
+and re-solves warm, and :func:`solve_lp` solves once; :func:`export_lp`
+writes the same model as MPS with HiGHS's writer. The small hull LPs of
+:func:`solve_once` instead share one HiGHS model per thread, made on the
+thread's first such solve and emptied after every one.
 
 Every LP goes to HiGHS (Huangfu & Hall 2018, "Parallelizing the dual
 revised simplex method") through scipy's vendored bindings, solved by the
@@ -49,6 +50,9 @@ FEAS_TOL = 1e-8
 DUAL_TOL = 1e-7
 
 DEFAULT_MAXITER = 1_000_000
+# Column generation (generate_columns): the most columns one pricing round
+# adds per state, unless the caller sets its own.
+COLUMNS_PER_STATE = 10
 
 
 class LpError(ValueError):
@@ -468,11 +472,26 @@ def solve_lp(
     return sol
 
 
+def _triplets(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (row, column, value) triplets of the nonzero entries of ``a``."""
+    a = sp.coo_matrix(a)
+    return a.row.astype(np.int64), a.col.astype(np.int64), a.data
+
+
+def _from_triplets(parts, n_rows: int, n_cols: int) -> sp.csc_matrix:
+    """The matrix whose entries are the triplets of ``parts``, summed."""
+    rows, cols, vals = (np.concatenate(a) for a in zip(*parts))
+    return sp.csc_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
+
+
 class Master:
     """The restricted master of delayed column generation: one LP held in
-    one HiGHS model while columns are added to it, each solve starting
-    from the basis the previous one left (the revised simplex's basis
-    reuse, Dantzig & Wolfe 1960).
+    one HiGHS model while columns, and inequality rows of their own, are
+    added to it, each solve starting from the basis the previous one left
+    (the revised simplex's basis reuse, Dantzig & Wolfe 1960); the loop
+    is :func:`generate_columns`. ``lp`` is the LP the model holds, read
+    from its entries when a solve needs it, and every solve is checked
+    against it.
 
     :meth:`solve` returns the optimum of the columns so far, checked by
     :func:`check_optimal`, or, when they cannot meet the rows, an
@@ -482,7 +501,9 @@ class Master:
     column (the elastic columns), and costs them alone, so its value is
     the smallest total row violation of the columns so far and its duals
     price new columns against that violation (Farkas pricing). Columns
-    added during phase 1 enter at cost 0. Once phase 1 meets every row,
+    added during phase 1 enter at cost 0, and rows added with them get
+    elastic columns too, so that phase 1 stays the whole LP's, restricted
+    to the columns so far. Once phase 1 meets every row,
     the elastic columns are fixed at 0, the costs restored, and the model
     re-solved; a problem HiGHS found infeasible or unbounded is then
     reported unbounded.
@@ -493,60 +514,115 @@ class Master:
 
     def __init__(self, problem: LpProblem):
         self.cost = problem.c  # the caller's costs, restored by phase 2
-        # the LP the model holds, elastic columns and phase costs included;
-        # every change builds a new one, so ``problem`` stays as it is
-        self.lp = problem
         self.elastic = np.zeros(0, dtype=np.int32)  # their model columns
         self.phase1 = False
         self.highs = _load_highs(problem)
+        # what the model holds, elastic columns and phase costs included:
+        # from the first change on, its matrices are (row, column, value)
+        # triplets, read into ``lp`` when a solve needs it; no change
+        # touches ``problem``
+        self._c, self._lower, self._upper = problem.c, problem.lower, problem.upper
+        self._b_eq, self._b_in = problem.b_eq, problem.b_in
+        self._eq = self._in = None
+        self._lp = problem
 
-    def add_columns(self, c, a_eq, a_in) -> None:
+    @property
+    def lp(self) -> LpProblem:
+        """The LP the model holds, elastic columns and phase costs
+        included."""
+        if self._lp is None:
+            n = self._c.size
+            self._lp = LpProblem(
+                c=self._c, a_eq=_from_triplets(self._eq, self._b_eq.size, n), b_eq=self._b_eq,
+                a_in=_from_triplets(self._in, self._b_in.size, n), b_in=self._b_in,
+                lower=self._lower, upper=self._upper,
+            )
+        return self._lp
+
+    def _change(self) -> None:
+        """Let ``lp`` be read again at the next solve."""
+        if self._eq is None:
+            self._eq, self._in = [_triplets(self._lp.a_eq)], [_triplets(self._lp.a_in)]
+        self._lp = None
+
+    def add_columns(self, c, a_eq, a_in, rows=None) -> None:
         """Append columns with costs ``c`` and rows ``a_eq``, ``a_in`` (one
-        matrix column per entry of ``c``), bounded below by 0."""
-        new = LpProblem(c=c, a_eq=sp.csc_matrix(a_eq), b_eq=self.lp.b_eq,
-                        a_in=sp.csc_matrix(a_in), b_in=self.lp.b_in)
-        self.cost = np.concatenate([self.cost, new.c])
-        cost = np.zeros(new.nvars) if self.phase1 else new.c
-        self._append(cost, new.a_eq, new.a_in, new.upper)
+        matrix column per entry of ``c``), bounded below by 0.
 
-    def _append(self, c, a_eq, a_in, upper) -> None:
-        a = sp.vstack([a_eq, a_in], format="csc")
-        lower = np.zeros(c.size)
+        ``rows``, when given, is a pair ``(a, b)`` of new inequality rows
+        ``a x <= b`` over the columns held so far, added first, so that
+        ``a_in`` covers the old inequality rows and then these. During
+        phase 1 each new row gets an elastic column of its own."""
+        if rows is not None:
+            self._add_rows(*rows)
+        c = np.asarray(c, dtype=float).ravel()
+        m_eq, m_in = self._b_eq.size, self._b_in.size
+        eq, ineq = sp.coo_matrix(a_eq), sp.coo_matrix(a_in)
+        if eq.shape != (m_eq, c.size) or ineq.shape != (m_in, c.size):
+            raise LpError(f"new columns are {eq.shape} and {ineq.shape}, expected "
+                          f"({m_eq}, {c.size}) and ({m_in}, {c.size})")
+        self.cost = np.concatenate([self.cost, c])
+        self._append(np.zeros(c.size) if self.phase1 else c,
+                     np.concatenate([eq.row, m_eq + ineq.row]).astype(np.int64),
+                     np.concatenate([eq.col, ineq.col]).astype(np.int64),
+                     np.concatenate([eq.data, ineq.data]))
+
+    def _add_rows(self, a, b) -> None:
+        b = np.asarray(b, dtype=float).ravel()
+        k, n, m_in = b.size, self._c.size, self._b_in.size
+        row, col, val = _triplets(a)
+        # the caller's columns sit among the elastic ones in the model
+        col = np.flatnonzero(self._own())[col]
+        a = sp.csr_matrix((val, (row, col)), shape=(k, n))
+        self._change()
+        _check_highs(self.highs.addRows(
+            k, np.full(k, -np.inf), b, a.nnz, a.indptr[:-1].astype(np.int32),
+            a.indices.astype(np.int32), a.data,
+        ), "add the rows")
+        self._in.append((m_in + row, col, val))
+        self._b_in = np.concatenate([self._b_in, b])
+        if self.phase1:
+            at = np.arange(k)
+            self._append(-np.ones(k), self._b_eq.size + m_in + at, at, -np.ones(k))
+            self.elastic = np.concatenate([self.elastic, np.arange(n, n + k, dtype=np.int32)])
+
+    def _append(self, c, rows, cols, vals) -> None:
+        """Add columns with model costs ``c``, in [0, inf), whose entries
+        are the triplets (``rows`` of the stacked [eq; in] rows, ``cols``
+        counted from the first new column, ``vals``)."""
+        m_eq, n, k = self._b_eq.size, self._c.size, c.size
+        a = sp.csc_matrix((vals, (rows, cols)), shape=(m_eq + self._b_in.size, k))
         _check_highs(self.highs.addCols(
-            c.size, -c, lower, upper, a.nnz, a.indptr[:-1].astype(np.int32),
+            k, -c, np.zeros(k), np.full(k, np.inf), a.nnz, a.indptr[:-1].astype(np.int32),
             a.indices.astype(np.int32), a.data,
         ), "add the columns")
-        p = self.lp
-        self.lp = LpProblem(
-            c=np.concatenate([p.c, c]),
-            a_eq=sp.hstack([p.a_eq, a_eq], format="csc"), b_eq=p.b_eq,
-            a_in=sp.hstack([p.a_in, a_in], format="csc"), b_in=p.b_in,
-            lower=np.concatenate([p.lower, lower]),
-            upper=np.concatenate([p.upper, upper]),
-        )
+        self._change()
+        on_eq = rows < m_eq
+        self._eq.append((rows[on_eq], n + cols[on_eq], vals[on_eq]))
+        self._in.append((rows[~on_eq] - m_eq, n + cols[~on_eq], vals[~on_eq]))
+        self._c = np.concatenate([self._c, c])
+        self._lower = np.concatenate([self._lower, np.zeros(k)])
+        self._upper = np.concatenate([self._upper, np.full(k, np.inf)])
 
     def _set_costs(self, c) -> None:
         n = c.size
         _check_highs(self.highs.changeColsCost(n, np.arange(n, dtype=np.int32), -c),
                      "change the costs")
-        self.lp.c = c
+        self._change()
+        self._c = c
 
     def _own(self) -> np.ndarray:
-        own = np.ones(self.lp.nvars, dtype=bool)
+        own = np.ones(self._c.size, dtype=bool)
         own[self.elastic] = False
         return own
 
     def _begin_phase1(self) -> None:
-        m_eq, m_in = self.lp.b_eq.size, self.lp.b_in.size
-        i_eq, i_in = sp.identity(m_eq, format="csc"), sp.identity(m_in, format="csc")
-        k = 2 * m_eq + m_in
-        n = self.lp.nvars
-        self._append(
-            -np.ones(k),
-            sp.hstack([i_eq, -i_eq, sp.csc_matrix((m_eq, m_in))], format="csc"),
-            sp.hstack([sp.csc_matrix((m_in, 2 * m_eq)), -i_in], format="csc"),
-            np.full(k, np.inf),
-        )
+        m_eq, m_in = self._b_eq.size, self._b_in.size
+        n, k = self._c.size, 2 * m_eq + m_in
+        # a surplus and a slack column per equality row, a slack per inequality row
+        rows = np.concatenate([np.arange(m_eq), np.arange(m_eq + m_in)])
+        self._append(-np.ones(k), rows, np.arange(k),
+                     np.concatenate([np.ones(m_eq), -np.ones(m_eq + m_in)]))
         self._set_costs(np.concatenate([np.zeros(n), -np.ones(k)]))
         self.elastic = np.arange(n, n + k, dtype=np.int32)
         self.phase1 = True
@@ -555,8 +631,10 @@ class Master:
         k = self.elastic.size
         _check_highs(self.highs.changeColsBounds(k, self.elastic, np.zeros(k),
                                                  np.zeros(k)), "fix the elastic columns")
-        self.lp.upper[self.elastic] = 0.0
-        c = np.zeros(self.lp.nvars)
+        self._change()
+        self._upper = self._upper.copy()
+        self._upper[self.elastic] = 0.0
+        c = np.zeros(self._c.size)
         c[self._own()] = self.cost
         self._set_costs(c)
         self.phase1 = False
@@ -611,6 +689,92 @@ class Master:
             own = self._own()
             sol.x, sol.reduced_costs = sol.x[own], sol.reduced_costs[own]
         return sol
+
+
+def top_per_state(score, mask, col_start, k: int) -> np.ndarray:
+    """Indices of the (at most) ``k`` highest scores per state among the
+    columns where ``mask`` holds, state by state, best first; ties keep
+    column order. State ``g`` owns columns ``col_start[g]`` to
+    ``col_start[g + 1] - 1``."""
+    if not mask.any():
+        return np.zeros(0, dtype=np.int64)
+    keep = mask.copy()
+    # A state with more than k candidates keeps those above its k-th
+    # highest score and the first of those tied with it, in column order;
+    # the states of one block size are done at once, one per row.
+    size = np.diff(col_start)
+    # (counted by prefix sums: a state may own no columns)
+    count = np.diff(np.concatenate([[0], np.cumsum(mask, dtype=np.int64)])[col_start])
+    crowded = np.flatnonzero(count > k)
+    for nv in np.unique(size[crowded]):
+        at = col_start[crowded[size[crowded] == nv], None] + np.arange(nv)
+        s = np.where(mask[at], score[at], -np.inf)
+        kth = np.partition(s, nv - k, axis=1)[:, nv - k, None]
+        above, tied = s > kth, s == kth
+        room = k - above.sum(axis=1, keepdims=True)
+        keep[at] = above | (tied & (np.cumsum(tied, axis=1) <= room))
+    idx = np.flatnonzero(keep)
+    state = np.searchsorted(col_start, idx, side="right") - 1
+    # one stable sort by state, then score: equal scores keep column order
+    return idx[np.lexsort((-score[idx], state))]
+
+
+def entering(sol: LpSolution, cost, price, col_start, held, scale: float,
+             per_state: int) -> np.ndarray:
+    """One pricing round of :func:`generate_columns`: the candidate
+    columns outside the master that enter it, per state up to
+    ``per_state`` of them, best first.
+
+    Candidate j costs ``cost[j]`` and has ``price(y_eq, y_in)[j] == a_j @
+    y`` at row multipliers y; rows the master lacks have multiplier 0.
+    ``held`` marks the candidates the master holds. At an optimal master,
+    j enters when its reduced cost ``cost[j] - a_j @ y`` exceeds
+    ``DUAL_TOL * scale``; at an infeasible one, when it breaks the
+    Farkas certificate, ``-a_j @ y > DUAL_TOL`` (Farkas pricing)."""
+    if sol.status == "optimal":
+        score = cost - price(sol.dual_eq, sol.dual_in)
+        tol = DUAL_TOL * scale
+    else:
+        score = -price(sol.certificate["eq"], sol.certificate["in"])
+        tol = DUAL_TOL
+    return top_per_state(score, (score > tol) & ~held, col_start, per_state)
+
+
+def generate_columns(master: Master, cost, price, col_start, write, held, deadline,
+                     per_state: int = COLUMNS_PER_STATE) -> tuple[LpSolution, np.ndarray]:
+    """Delayed column generation (Dantzig & Wolfe 1960): solve ``master``,
+    price the candidate columns it lacks (:func:`entering`), add those
+    that enter, up to ``per_state`` per state, with
+    ``master.add_columns(*write(j))``, and repeat until none enters or
+    the master is neither optimal nor infeasible. Returns the last
+    solution and the candidates added, in the order added.
+
+    Candidates are numbered by state, state ``g`` owning ``col_start[g]``
+    to ``col_start[g + 1] - 1``, and ``held`` (updated in place) marks
+    those in the master. Each candidate lies in [0, inf) and the master's
+    other columns are the whole LP's rest, so the whole LP's solution is
+    the master's with every other candidate at 0. When nothing enters at
+    an optimal master, that solution is the whole LP's optimum: the
+    master's solve passed :func:`check_optimal`, and every candidate
+    outside has a reduced cost of at most ``DUAL_TOL`` times the whole
+    LP's cost scale, the one condition the whole LP's check adds for a
+    column at 0. When nothing enters at an infeasible master, no column
+    breaks its certificate, which certifies the whole LP with its margin.
+    ``deadline`` (:func:`deadline_after`) covers every round."""
+    scale = max(1.0, float(np.abs(master.cost).max(initial=0.0)),
+                float(np.abs(cost).max(initial=0.0)))
+    added = [np.zeros(0, dtype=np.int64)]
+    while True:
+        sol = master.solve(time_limit=time_left(deadline))
+        if sol.status not in ("optimal", "infeasible"):
+            break
+        new = entering(sol, cost, price, col_start, held, scale, per_state)
+        if new.size == 0:
+            break
+        held[new] = True
+        added.append(new)
+        master.add_columns(*write(new))
+    return sol, np.concatenate(added)
 
 
 def export_lp(problem: LpProblem, path) -> None:

@@ -22,11 +22,16 @@ p, m >= 0, and the reward -w . |u - d * center| becomes the linear
 objective -w . (p + m) (the absolute-value LP of Bertsimas & Tsitsiklis,
 Introduction to Linear Optimization, 1997, section 1.3). The split is
 substituted into the flow and polytope rows, so each coordinate costs two
-columns and no rows. u >= 0 then needs a row -(center * d + p - m) <= 0,
-which is added only where the polytope rows do not already imply it
-(``ActionPolytope.implied_nonnegative``). The solver rebuilds u from p, m
-and d. :func:`split_action_lp` writes the split for one action per state:
-the greedy baseline's period LP and :func:`extract_policy`'s repair.
+columns and no rows of its own. u >= 0 then needs a row -(center * d + p
+- m) <= 0, which is added only where the polytope rows do not already
+imply it (``ActionPolytope.implied_nonnegative``). A row with one nonzero
+that the center meets is written on p or m alone (:func:`build_occupancy_lp`),
+so on a box each split column has exactly one inequality row, and
+:func:`solve_occupancy` brings a split column into its restricted master
+together with that row, by delayed column generation. The solver rebuilds
+u from p, m and d. :func:`split_action_lp` writes the split for one action
+per state: the greedy baseline's period LP and :func:`extract_policy`'s
+repair.
 
 The constraint matrices are assembled from index arrays: edges are
 numbered layer-major, and each edge has its own column, plus on a
@@ -59,6 +64,18 @@ from .model import (
 # Visit mass below which a state counts as unreachable and the policy
 # falls back to the base action.
 UNREACHABLE_TOL = 1e-9
+# solve_occupancy solves the whole LP at once when it has at most this
+# many lazy columns, and by column generation above. A round of column
+# generation costs about 1 ms of model upkeep even on the smallest LPs; on
+# L1 loans it began to pay between 1,440 lazy columns (n=12: 9.7 ms against
+# 9.5 ms for the whole LP) and 2,250 (n=15: 2.9 ms against 11.4 ms), best
+# of 5 on a 2-core host.
+LAZY_COLUMNS_MIN = 2_000
+# solve_occupancy adds at most this many lazy columns per state and round.
+# Over 18 L1 loan cells at n=20..100 (2-core host), one per state took
+# 1.81 s in all, two 1.98 s and three 2.55 s; COLUMNS_PER_STATE (10) took
+# 1.53 s at n=100 and q = m/2 alone, where one per state took 0.31 s.
+SPLIT_COLUMNS_PER_ROUND = 1
 
 
 class QualityInfeasibleError(RuntimeError):
@@ -118,11 +135,17 @@ class OccupancySolution:
         return cap_masses(instance, self.visit_mass)
 
 
-def _matrix(parts, n_rows: int, n_cols: int) -> sp.csc_matrix:
+def _flat(parts) -> tuple[np.ndarray, ...]:
     """The (rows, columns, values) triplets of ``parts``, each broadcast
-    together, summed into a matrix; entries that sum to 0 are dropped."""
+    together, laid end to end."""
     flat = ([a.ravel() for a in np.broadcast_arrays(*part)] for part in parts)
-    rows, cols, vals = (np.concatenate(a) for a in zip(*flat))
+    return tuple(np.concatenate(a) for a in zip(*flat))
+
+
+def _matrix(parts, n_rows: int, n_cols: int) -> sp.csc_matrix:
+    """The triplets of ``parts`` (:func:`_flat`) summed into a matrix;
+    entries that sum to 0 are dropped."""
+    rows, cols, vals = _flat(parts)
     out = sp.csc_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
     out.eliminate_zeros()
     return out
@@ -295,36 +318,52 @@ def _ranges(starts, sizes) -> np.ndarray:
     return np.repeat(np.asarray(starts, dtype=int), sizes) + within
 
 
-def _add_polytope_rows(parts: list, lay: _Layout, polys, row_start) -> None:
-    """Add the nonzero entries of each ``polys[g].H``, row r and column j,
-    at row ``row_start[g] + r`` on the edge mass ``lay.edge_start[g] + j``,
-    reading the nonzeros of each distinct ``H`` object once for its states."""
+def _polytope_entries(lay: _Layout, polys, row_start) -> tuple[np.ndarray, ...]:
+    """The nonzero entries of each ``polys[g].H``, row r and column j, as
+    (row ``row_start[g] + r``, edge mass ``lay.edge_start[g] + j``,
+    value, whether row r has no other nonzero), reading the nonzeros of
+    each distinct ``H`` object once for its states."""
     holders: dict[int, tuple] = {}
     for g, p in enumerate(polys):
         holders.setdefault(id(p.H), (p.H, []))[1].append(g)
-    triplets = []
+    entries = []
     for H, gs in holders.values():
         r, j = np.nonzero(H)
+        single = np.bincount(r, minlength=len(H))[r] == 1
         gs = np.array(gs)[:, None]
-        triplets.append(np.broadcast_arrays(row_start[gs] + r, lay.edge_start[gs] + j, H[r, j]))
-    parts.append(lay.on_edges(*(np.concatenate([a.ravel() for a in t]) for t in zip(*triplets))))
+        entries.append(np.broadcast_arrays(row_start[gs] + r, lay.edge_start[gs] + j,
+                                           H[r, j], single))
+    return tuple(np.concatenate([a.ravel() for a in e]) for e in zip(*entries))
 
 
-def build_occupancy_lp(
-    instance: CmdpInstance, tangent_cuts: Optional[int] = None
-) -> OccupancyLp:
-    """Assemble the occupancy LP for an instance with affine or weighted-L1
-    rewards (or, with ``tangent_cuts=K``, concave quadratic rewards under a
-    K-cut outer approximation whose objective is an upper bound only).
+@dataclass(frozen=True)
+class _Assembly:
+    """The occupancy LP of one instance as triplets, before they become
+    matrices: ``eq`` and ``ineq`` are (rows, columns, values), summed where
+    they repeat. ``tight`` lists the tight rows, each written on one split
+    column (:func:`build_occupancy_lp`): its row, edge, the entry alpha of
+    its polytope or sign row on that edge, and its right-hand side h."""
 
-    The cuts touch each lifted reward at the base and K - 1 fixed points,
-    so the bound can be trivial and the LP's policy far from optimal (the
-    README's "Tangent cuts": -0.300 and a bound of 0.0 at K = 64 where the
-    optimum is near -2.7e-4). ROADMAP item 4 plans the exact route.
+    flow: FlowRows
+    layout: _Layout
+    c: np.ndarray
+    lower: np.ndarray
+    b_in: np.ndarray
+    eq: tuple
+    ineq: tuple
+    tight: tuple
 
-    Raises ValueError on invalid instances, unsupported reward kinds or a
-    ``tangent_cuts`` that is neither None nor a positive integer.
-    """
+    def whole(self) -> OccupancyLp:
+        n = self.c.size
+        return OccupancyLp(
+            c=self.c, a_eq=_matrix([self.eq], self.flow.b_eq.size, n), b_eq=self.flow.b_eq,
+            a_in=_matrix([self.ineq], self.b_in.size, n), b_in=self.b_in, lower=self.lower,
+            layout=self.layout,
+        )
+
+
+def _assemble(instance: CmdpInstance, tangent_cuts: Optional[int]) -> _Assembly:
+    """The triplets of :func:`build_occupancy_lp`; raises as it does."""
     integral = isinstance(tangent_cuts, (int, np.integer)) and not isinstance(tangent_cuts, bool)
     if tangent_cuts is not None and not (integral and tangent_cuts >= 1):
         raise ValueError(f"tangent_cuts must be None or an integer >= 1, got {tangent_cuts!r}")
@@ -339,9 +378,8 @@ def build_occupancy_lp(
     # edge e of state src leaves it for its (e - edge_start[src])-th successor
     e, src = np.arange(lay.edge_src.size), lay.edge_src
     rows, d, vals = flow.d_eq
-    a_eq = _matrix([(rows, lay.d_col[d], vals), lay.on_edges(flow.out_row[src], e, 1.0),
-                    lay.on_edges(flow.in_start[src] + e - lay.edge_start[src], e, 1.0)],
-                   flow.b_eq.size, n)
+    eq = _flat([(rows, lay.d_col[d], vals), lay.on_edges(flow.out_row[src], e, 1.0),
+                lay.on_edges(flow.in_start[src] + e - lay.edge_start[src], e, 1.0)])
     rows, d, vals = flow.d_in
     ineq = [(rows, lay.d_col[d], vals)]  # (rows, columns, values) triplets
     # the lifted polytope rows H u - h d <= 0 of every state come first,
@@ -350,10 +388,9 @@ def build_occupancy_lp(
     rewards = [instance.rewards[s] for s in flow.states]
     states = np.arange(len(polys))
     poly_row = flow.b_in.size + _starts([p.h.size for p in polys])
-    _add_polytope_rows(ineq, lay, polys, poly_row)
+    h = np.concatenate([np.zeros(0)] + [p.h for p in polys])
     ineq.append((np.arange(poly_row[0], poly_row[-1]),
-                 lay.d_col[np.repeat(states, np.diff(poly_row))],
-                 -np.concatenate([np.zeros(0)] + [p.h for p in polys])))
+                 lay.d_col[np.repeat(states, np.diff(poly_row))], -h))
 
     # an affine state's e on its u columns and f on its d column; a
     # weighted-L1 state's -w on its p and m columns
@@ -378,8 +415,23 @@ def build_occupancy_lp(
     cut = of_kind(QuadraticDeviationReward)
     extra[cut] = tangent_cuts or 0
     extra_row = poly_row[-1] + _starts(extra)
+
+    # each single-entry row alpha u_k <= h d of a weighted-L1 state that its
+    # center meets (alpha c_k <= h), polytope or sign row, is tight: it
+    # goes on p_k alone when alpha > 0 and on m_k alone when alpha < 0
+    rows, edges, vals, single = _polytope_entries(lay, polys, poly_row)
     sign_edge = _ranges(lay.edge_start[l1], dim)[free]
-    ineq.append(lay.on_edges(_ranges(extra_row[l1], extra[l1]), sign_edge, -1.0))
+    ones = np.ones(sign_edge.size)
+    rows, edges, vals, rhs, single = (np.concatenate(a) for a in zip(
+        (rows, edges, vals, h[rows - poly_row[0]], single),
+        (_ranges(extra_row[l1], extra[l1]), sign_edge, -ones, 0 * ones, ones > 0)))
+    tight = single & (lay.m_off[edges] > 0) & (vals * lay.center[edges] <= rhs)
+    ineq.append(lay.on_edges(rows[~tight], edges[~tight], vals[~tight]))
+    rows, edges, vals, rhs = rows[tight], edges[tight], vals[tight], rhs[tight]
+    ineq.append((rows, lay.edge_col[edges] + np.where(vals < 0, lay.m_off[edges], 0),
+                 np.abs(vals)))
+    ineq.append((rows, lay.d_col[lay.edge_src[edges]], lay.center[edges] * vals))
+
     for g in cut:
         row, tcol = extra_row[g], lay.aux_col[flow.states[g]]
         c[tcol] = 1.0
@@ -389,13 +441,117 @@ def build_occupancy_lp(
         k, j = np.indices(grads.shape)
         ineq.append(lay.on_edges(row + k, lay.edge_start[g] + j, -grads))
         ineq.append((row + np.arange(len(grads)), tcol, 1.0))
-    row = int(extra_row[-1])
+    b_in = np.concatenate([flow.b_in, np.zeros(int(extra_row[-1]) - flow.b_in.size)])
+    return _Assembly(flow, lay, c, lower, b_in, eq, _flat(ineq), (rows, edges, vals, rhs))
 
-    b_in = np.concatenate([flow.b_in, np.zeros(row - flow.b_in.size)])
-    a_in = _matrix(ineq, row, n)
-    return OccupancyLp(
-        c=c, a_eq=a_eq, b_eq=flow.b_eq, a_in=a_in, b_in=b_in, lower=lower, layout=lay
-    )
+
+def build_occupancy_lp(
+    instance: CmdpInstance, tangent_cuts: Optional[int] = None
+) -> OccupancyLp:
+    """Assemble the whole occupancy LP for an instance with affine or
+    weighted-L1 rewards (or, with ``tangent_cuts=K``, concave quadratic
+    rewards under a K-cut outer approximation whose objective is an upper
+    bound only). :func:`solve_occupancy` solves it by column generation;
+    this is the LP that route must reach, and the one ``export_lp``
+    writes.
+
+    A single-entry row alpha u_k <= h d of a weighted-L1 state, from its
+    polytope or a sign row, whose center meets it (alpha c_k <= h) is
+    written tight, on one split column: alpha p_k + (alpha c_k - h) d <= 0
+    for alpha > 0, |alpha| m_k + (alpha c_k - h) d <= 0 for alpha < 0.
+    This leaves the LP's value alone: the weights are nonnegative, so some
+    optimum never has p_k and m_k both positive, and there the tight row
+    is the row it replaces, or (with the other column positive) holds
+    since d >= 0. On a box every split column then has one inequality
+    row of its own.
+
+    The cuts touch each lifted reward at the base and K - 1 fixed points,
+    so the bound can be trivial and the LP's policy far from optimal (the
+    README's "Tangent cuts": -0.300 and a bound of 0.0 at K = 64 where the
+    optimum is near -2.7e-4). ROADMAP item 4 plans the exact route.
+
+    Raises ValueError on invalid instances, unsupported reward kinds or a
+    ``tangent_cuts`` that is neither None nor a positive integer.
+    """
+    return _assemble(instance, tangent_cuts).whole()
+
+
+def _lazy_columns(asm: _Assembly) -> tuple[np.ndarray, ...]:
+    """The lazy columns of an assembly, split columns whose one inequality
+    entry is a tight row of their own, in column order and so state by
+    state: (column, its tight row, edge, alpha, h) as in ``asm.tight``."""
+    lay = asm.layout
+    rows, edges, alpha, rhs = asm.tight
+    col = lay.edge_col[edges] + np.where(alpha < 0, lay.m_off[edges], 0)
+    lazy = np.flatnonzero(np.bincount(asm.ineq[1], minlength=asm.c.size)[col] == 1)
+    lazy = lazy[np.argsort(col[lazy])]
+    return col[lazy], rows[lazy], edges[lazy], alpha[lazy], rhs[lazy]
+
+
+def _generate(asm: _Assembly, lazy, deadline) -> np.ndarray:
+    """The whole LP's optimal column values by column generation over the
+    ``lazy`` columns (:func:`_lazy_columns`); raises as
+    :func:`raise_for_status` does, a certificate covering the whole LP."""
+    lay, flow = asm.layout, asm.flow
+    n, m_in = asm.c.size, asm.b_in.size
+    col, row, edges, alpha, rhs = lazy
+    keep_col = np.ones(n, dtype=bool)
+    keep_col[col] = False
+    keep_row = np.ones(m_in, dtype=bool)
+    keep_row[row] = False
+    col_at = np.cumsum(keep_col) - 1  # master column of each kept column
+    n_cols, n_rows = int(keep_col.sum()), int(keep_row.sum())
+
+    # a lazy column is p (+1) or m (-1) of its edge mass u, which has a 1
+    # on its state's outgoing row and on its successor's incoming row
+    sign = np.sign(alpha)
+    g = lay.edge_src[edges]
+    flow_rows = np.stack([flow.out_row[g], flow.in_start[g] + edges - lay.edge_start[g]])
+    cost = asm.c[col]
+    d_at = col_at[lay.d_col[g]]
+    d_val = lay.center[edges] * alpha - rhs  # its tight row's d entry, as summed whole
+
+    r, j, v = asm.eq
+    k = keep_col[j]
+    a_eq = _matrix([(r[k], col_at[j[k]], v[k])], flow.b_eq.size, n_cols)
+    r, j, v = asm.ineq
+    k = keep_row[r]
+    a_in = _matrix([((np.cumsum(keep_row) - 1)[r[k]], col_at[j[k]], v[k])], n_rows, n_cols)
+    master = lpmod.Master(lpmod.LpProblem(
+        c=asm.c[keep_col], a_eq=a_eq, b_eq=flow.b_eq, a_in=a_in, b_in=asm.b_in[keep_row],
+        lower=asm.lower[keep_col]))
+    held = np.zeros(col.size, dtype=bool)
+
+    def price(y_eq, y_in):
+        return sign * y_eq[flow_rows].sum(axis=0)
+
+    def write(j):
+        # each column added so far brought one row
+        k, at, before = j.size, np.arange(j.size), int(held.sum()) - j.size
+        m = n_rows + before
+        a_eq = sp.csc_matrix((np.tile(sign[j], 2), (flow_rows[:, j].ravel(), np.tile(at, 2))),
+                             shape=(flow.b_eq.size, k))
+        a_in = sp.csc_matrix((np.abs(alpha[j]), (m + at, at)), shape=(m + k, k))
+        own = sp.csr_matrix((d_val[j], (at, d_at[j])), shape=(k, n_cols + before))
+        own.eliminate_zeros()
+        return cost[j], a_eq, a_in, (own, np.zeros(k))
+
+    sol, added = lpmod.generate_columns(master, cost, price, np.searchsorted(col, lay.col_start),
+                                        write, held, deadline, SPLIT_COLUMNS_PER_ROUND)
+    cols = np.concatenate([np.flatnonzero(keep_col), col[added]])
+    problem = None
+    if sol.status == "infeasible":
+        # the certificate over the whole LP's rows and columns
+        problem = asm.whole()
+        y_in, up = np.zeros(m_in), np.zeros(n)
+        y_in[np.concatenate([np.flatnonzero(keep_row), row[added]])] = sol.certificate["in"]
+        up[cols] = sol.certificate["up"]
+        sol = lpmod.LpSolution("infeasible", message=sol.message,
+                               certificate={"eq": sol.certificate["eq"], "in": y_in, "up": up})
+    raise_for_status(problem, sol, "occupancy LP")
+    x = np.zeros(n)
+    x[cols] = sol.x
+    return x
 
 
 def solve_occupancy(
@@ -405,6 +561,24 @@ def solve_occupancy(
 ) -> OccupancySolution:
     """Solve the occupancy program and return the optimal masses.
 
+    The LP is that of :func:`build_occupancy_lp`. Its lazy columns are the
+    split columns whose one inequality entry is a tight row of their own
+    (on a box, every split column). With more than ``LAZY_COLUMNS_MIN`` of
+    them it is solved by delayed column generation
+    (:func:`lp.generate_columns`); otherwise whole, by :func:`lp.solve_lp`.
+    The first restricted master (:class:`lp.Master`) holds every column
+    and row but the lazy columns and their rows; with every lazy column at
+    0 each state sits at its center, so each point of a master is one of
+    the whole LP. Each round prices the lazy columns against the flow and
+    cap duals, from the layout (their own rows, not yet in the master,
+    have multiplier 0), and adds per state up to
+    ``SPLIT_COLUMNS_PER_ROUND`` of those that enter, each with its tight
+    row. A master that cannot meet the caps runs phase 1 and prices
+    against its Farkas certificate. When nothing enters, the master's
+    solution with every other lazy column at 0 is the whole LP's optimum,
+    or its certificate, padded with zeros, certifies the whole LP.
+    ``time_limit`` runs from entry and covers every round.
+
     With ``tangent_cuts=K``, ``objective`` is the true return of the
     policy read from :func:`build_occupancy_lp`'s relaxation and ``bound``
     its LP value; neither need be tight. Without cuts, ``objective`` is
@@ -412,38 +586,43 @@ def solve_occupancy(
     true L1 reward of its mass, in place of the LP's -w (p + m).
 
     Raises QualityInfeasibleError when the visitation caps are jointly
-    unsatisfiable, and RuntimeError on an unbounded program (impossible
-    for valid instances; indicates a formulation bug).
+    unsatisfiable, TimeoutError when the time runs out, and RuntimeError on
+    an unbounded program (impossible for valid instances; indicates a
+    formulation bug).
     """
-    problem = build_occupancy_lp(instance, tangent_cuts)
-    sol = lpmod.solve_lp(problem, time_limit=time_limit)
-    raise_for_status(problem, sol, "occupancy LP")
+    deadline = lpmod.deadline_after(time_limit)
+    asm = _assemble(instance, tangent_cuts)
+    lazy = _lazy_columns(asm)
+    if lazy[0].size > LAZY_COLUMNS_MIN:
+        x = _generate(asm, lazy, deadline)
+    else:
+        problem = asm.whole()
+        sol = lpmod.solve_lp(problem, time_limit=lpmod.time_left(deadline))
+        raise_for_status(problem, sol, "occupancy LP")
+        x = sol.x
 
-    lay = problem.layout
+    lay = asm.layout
     space = instance.states
-    u = np.maximum(lay.edge_mass(sol.x), 0.0)
+    u = np.maximum(lay.edge_mass(x), 0.0)
     keys = [(s, s2) for layer, nxt in zip(space.layers, space.layers[1:])
             for s in layer for s2 in nxt]
     edge = dict(zip(keys, u.tolist()))
-    visit = dict(zip(space.all_states(), np.maximum(sol.x[lay.d_col], 0.0).tolist()))
+    visit = dict(zip(space.all_states(), np.maximum(x[lay.d_col], 0.0).tolist()))
 
     if tangent_cuts:
         # the LP objective only bounds the true (quadratic) return; report
         # the extracted policy's achieved return as the objective
-        tmp = OccupancySolution(edge, visit, objective=float(sol.objective))
-        policy = extract_policy(tmp, instance)
+        bound = float(asm.c @ x)
+        policy = extract_policy(OccupancySolution(edge, visit, objective=bound), instance)
         report = evaluate_exact(instance, policy)
-        return OccupancySolution(
-            edge, visit, objective=report.value, bound=float(sol.objective)
-        )
+        return OccupancySolution(edge, visit, objective=report.value, bound=bound)
     # a weighted-L1 edge earns -w |p - m|, the true reward of its mass and
     # the extracted action's; the LP's -w (p + m) overstates it by 2 w |x|
     # for a split column x left below 0 within the solver's tolerance
-    x = sol.x.copy()
     e = np.flatnonzero(lay.m_off)
     p, m = lay.edge_col[e], lay.edge_col[e] + lay.m_off[e]
     x[p], x[m] = abs(x[p] - x[m]), 0.0
-    return OccupancySolution(edge, visit, objective=float(problem.c @ x))
+    return OccupancySolution(edge, visit, objective=float(asm.c @ x))
 
 
 def split_action_lp(

@@ -41,6 +41,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lp as lpmod
+from .lp import COLUMNS_PER_STATE
+from .lp import top_per_state as _top_per_state  # its name here before it moved to lp
 from .model import (
     FEAS_TOL,
     ActionPolytope,
@@ -64,9 +66,6 @@ FACE_TOL = 1e-12
 MAX_EXHAUSTIVE_DIM = 25
 
 _BATCH = 1 << 15
-# Column generation in solve_finite: vertex columns per state in the first
-# restricted master, and the most added per state in one pricing round.
-COLUMNS_PER_STATE = 10
 
 
 class DecompositionError(RuntimeError):
@@ -438,30 +437,6 @@ def _atoms(weights, vertices) -> list[tuple[float, np.ndarray]]:
     return [(float(w), vertices[i]) for w, i in zip(weights, keep)]
 
 
-def _top_per_state(score, mask, col_start, k: int) -> np.ndarray:
-    """Indices of the (at most) ``k`` highest scores per state among the
-    vertex columns where ``mask`` holds, state by state, best first; ties
-    keep column order. State ``g`` owns columns ``col_start[g]`` to
-    ``col_start[g + 1] - 1``."""
-    keep = mask.copy()
-    # A state with more than k candidates keeps those above its k-th
-    # highest score and the first of those tied with it, in column order;
-    # the states of one block size are done at once, one per row.
-    size = np.diff(col_start)
-    crowded = np.flatnonzero(np.add.reduceat(mask, col_start[:-1], dtype=np.int64) > k)
-    for nv in np.unique(size[crowded]):
-        at = col_start[crowded[size[crowded] == nv], None] + np.arange(nv)
-        s = np.where(mask[at], score[at], -np.inf)
-        kth = np.partition(s, nv - k, axis=1)[:, nv - k, None]
-        above, tied = s > kth, s == kth
-        room = k - above.sum(axis=1, keepdims=True)
-        keep[at] = above | (tied & (np.cumsum(tied, axis=1) <= room))
-    idx = np.flatnonzero(keep)
-    state = np.searchsorted(col_start, idx, side="right") - 1
-    # one stable sort by state, then score: equal scores keep column order
-    return idx[np.lexsort((-score[idx], state))]
-
-
 def _csc_entries(m: sp.csc_matrix, cols, at):
     """(row, column, value) triplets of the entries of ``m``'s columns
     ``cols``, those of ``cols[i]`` placed in column ``at[i]``."""
@@ -499,7 +474,6 @@ class FiniteLp:
         self.nvars = self.n_vertex + flow.n_states
         self.cost = np.concatenate([fc.rewards[s] for s in self.states]
                                    + [np.zeros(flow.n_states)])
-        self.cost_scale = max(1.0, float(np.abs(self.cost).max()))
         # the d columns, compressed for slicing and pricing
         self.d_eq, self.d_in = (
             sp.csc_matrix((vals, (rows, d)), shape=(b.size, flow.n_states))
@@ -567,24 +541,6 @@ class FiniteLp:
             to_go[g] += mass.min()
         return out
 
-    def check_optimal(self, cols, sol: lpmod.LpSolution) -> None:
-        """:func:`lp.check_optimal` of the whole LP for ``sol``, a solution
-        over the columns ``cols`` that the rest join at 0; raises LpError.
-
-        A column at 0 adds no residual, no duality-gap term and no
-        complementary-slackness term, so the whole LP's check is the check
-        of the columns ``cols`` plus one condition on every other column:
-        its reduced cost may not exceed ``DUAL_TOL`` times the whole LP's
-        cost scale, since it presses against an infinite upper bound. The
-        check of ``cols`` scales by their own costs, never more than the
-        whole LP's, so it is at least as strict."""
-        lpmod.check_optimal(self.columns(cols), sol)
-        rc = self.cost - self.price(sol.dual_eq, sol.dual_in)
-        rc[cols] = 0.0
-        worst = float(rc.max())
-        if worst > lpmod.DUAL_TOL * self.cost_scale:
-            raise lpmod.LpError(f"reduced cost {worst:.3e} against an infinite bound")
-
     def farkas_gap(self, cert) -> float:
         """:func:`lp.farkas_gap` of the whole LP: every column lies in
         [0, inf), so the margin is -inf when some column has
@@ -602,79 +558,51 @@ def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPoli
     distribution and the visitation caps. Returns the optimal value and
     the randomized vertex policy w(s, i) / d(s).
 
-    The LP is solved by delayed column generation (Dantzig & Wolfe 1960)
-    and never assembled whole. The restricted master holds every d column
-    and, per state, the ``COLUMNS_PER_STATE`` vertices of highest reward
-    and as many that lead to the least capped mass
-    (:meth:`FiniteLp.cap_mass`), so that the first master tends to meet
-    the caps. It lives in one HiGHS
-    model (:class:`lp.Master`): each round adds columns, written from the
-    vertex arrays, and re-solves from the last basis, and every master
-    optimum passes :func:`lp.check_optimal`. Each round prices every
-    vertex column against the master's duals, one product per distinct
-    vertex array, and adds, per state, up to ``COLUMNS_PER_STATE``
-    columns of largest positive reduced cost. A master that cannot meet
-    the caps runs phase 1 in the same model; its duals form a Farkas
-    certificate, and each round adds per state up to as many of the
-    columns that break it most (Farkas pricing) until phase 1 meets every
-    row and the costs return. The loop stops when nothing is added.
-
-    Out-of-master columns sit at 0, so :meth:`FiniteLp.check_optimal`
-    (the master's check plus "every other reduced cost is at most
-    ``DUAL_TOL`` times the whole LP's cost scale") is the whole LP's
-    :func:`lp.check_optimal`, and a certificate that no column breaks
-    (``a_j @ y >= -DUAL_TOL``) is one for the whole LP, its
-    :meth:`FiniteLp.farkas_gap` the whole LP's :func:`lp.farkas_gap`: the
-    smallest total row violation. ``time_limit`` runs from entry and
-    covers the column setup and all rounds.
+    The LP is solved by delayed column generation
+    (:func:`lp.generate_columns`) and never assembled whole. The
+    restricted master holds every d column and, per state, the
+    ``COLUMNS_PER_STATE`` vertices of highest reward and as many that
+    lead to the least capped mass (:meth:`FiniteLp.cap_mass`), so that
+    the first master tends to meet the caps. It lives in one HiGHS model
+    (:class:`lp.Master`): each round prices every vertex column against
+    the master's duals, one product per distinct vertex array, and adds
+    the columns that enter, written from the vertex arrays; a master that
+    cannot meet the caps runs phase 1 and prices against its Farkas
+    certificate. When no column enters, the master's checked optimum is
+    the whole LP's, or its certificate certifies the whole LP, whose
+    :func:`lp.farkas_gap` is :meth:`FiniteLp.farkas_gap`: the smallest
+    total row violation. ``time_limit`` runs from entry and covers the
+    column setup and all rounds.
     """
     deadline = lpmod.deadline_after(time_limit)
     flp = FiniteLp(fc)
     n_u = flp.n_vertex
-    price_tol = lpmod.DUAL_TOL * flp.cost_scale
 
-    in_master = np.zeros(flp.nvars, dtype=bool)
-    in_master[n_u:] = True
+    held = np.zeros(n_u, dtype=bool)
     every = np.ones(n_u, dtype=bool)
-    in_master[_top_per_state(flp.cost, every, flp.col_start, COLUMNS_PER_STATE)] = True
+    held[_top_per_state(flp.cost, every, flp.col_start, COLUMNS_PER_STATE)] = True
     # and those that lead to the least capped mass, where the vertices differ
     mass = flp.cap_mass()
     starts = flp.col_start[:-1]
     varies = np.repeat(np.maximum.reduceat(mass, starts) > np.minimum.reduceat(mass, starts),
                        np.diff(flp.col_start))
-    in_master[_top_per_state(-mass, varies, flp.col_start, COLUMNS_PER_STATE)] = True
-    cols = np.flatnonzero(in_master)
-    master = lpmod.Master(flp.columns(cols))
-    while True:
-        sol = master.solve(time_limit=lpmod.time_left(deadline))
-        if sol.status == "optimal":
-            y_eq, y_in = sol.dual_eq, sol.dual_in
-            score = flp.cost[:n_u] - flp.price(y_eq, y_in)[:n_u]
-            add = score > price_tol
-        elif sol.status == "infeasible":
-            y_eq, y_in = sol.certificate["eq"], sol.certificate["in"]
-            # a column j breaks the certificate when a_j @ y < 0
-            score = -flp.price(y_eq, y_in)[:n_u]
-            add = score > lpmod.DUAL_TOL
-        else:
-            raise_for_status(master.lp, sol, "finite-action LP")
-        new = _top_per_state(score, add & ~in_master[:n_u], flp.col_start,
-                             COLUMNS_PER_STATE)
-        if new.size == 0:
-            break
-        in_master[new] = True
-        cols = np.concatenate([cols, new])
-        p = flp.columns(new)
-        master.add_columns(p.c, p.a_eq, p.a_in)
+    held[_top_per_state(-mass, varies, flp.col_start, COLUMNS_PER_STATE)] = True
+    cols = np.concatenate([np.flatnonzero(held), np.arange(n_u, flp.nvars)])
 
+    def write(j):
+        p = flp.columns(j)
+        return p.c, p.a_eq, p.a_in
+
+    sol, added = lpmod.generate_columns(
+        lpmod.Master(flp.columns(cols)), flp.cost[:n_u],
+        lambda y_eq, y_in: flp.price(y_eq, y_in)[:n_u], flp.col_start, write, held, deadline)
+    cols = np.concatenate([cols, added])
     if sol.status == "infeasible":
         up = np.zeros(flp.nvars)
         up[cols] = sol.certificate["up"]
-        cert = {"eq": y_eq, "in": y_in, "up": up}
-        raise_for_status(flp, lpmod.LpSolution("infeasible", certificate=cert,
-                                               message=sol.message),
-                         "finite-action LP", margin=FiniteLp.farkas_gap)
-    flp.check_optimal(cols, sol)
+        sol = lpmod.LpSolution("infeasible", certificate=dict(sol.certificate, up=up),
+                               message=sol.message)
+    raise_for_status(flp, sol, "finite-action LP", margin=FiniteLp.farkas_gap)
 
     x = np.zeros(flp.nvars)
     x[cols] = sol.x

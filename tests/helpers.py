@@ -4,12 +4,15 @@ The oracles here deliberately avoid the library's solver paths: forward
 recursion is reimplemented locally, and every oracle LP is its own
 formulation (mixtures of whole deterministic policies, per-state
 backward induction, the textbook L1 epigraph), solved through scipy's
-``linprog`` rather than the package's LP layer. The exception is
-``single_lp_finite``, the whole finite-action LP in one checked solve,
-which column generation in ``solve_finite`` must reproduce. Both go
-through ``modcmdp.lp.Master`` and its phase 1, the package's only one:
-the helper's master holds every column from the start, so it checks the
-pricing, not the phase 1. That phase 1 is checked against an elastic LP
+``linprog`` rather than the package's LP layer. The exceptions are
+``single_lp_finite`` and ``single_lp_occupancy``, the whole
+finite-action and occupancy LPs each in one checked solve, which column
+generation in ``solve_finite`` and ``solve_occupancy`` must reproduce.
+``single_lp_occupancy`` solves the occupancy LP as the package wrote it
+before its single-entry weighted-L1 rows went on one split column
+(``split_occupancy_lp``). They go through ``modcmdp.lp.Master`` and its
+phase 1, the package's only one: the helper's master holds every column
+from the start, so it checks the pricing, not the phase 1. That phase 1 is checked against an elastic LP
 solved by ``linprog`` in ``test_lp_engine.py``.
 
 ``loop_box_simplex_vertices`` is the box enumerator as it was before it
@@ -517,6 +520,76 @@ def single_lp_finite(fc):
     test can compare objectives or evaluate a certificate against the
     whole LP."""
     problem = loop_finite_lp(fc)
+    return problem, solve_lp(problem)
+
+
+def split_occupancy_lp(instance):
+    """The occupancy LP of an instance with affine and weighted-L1 rewards
+    as the package wrote it before each single-entry row of a weighted-L1
+    state went on one split column: every polytope row H u - h d <= 0, and
+    a sign row -u_k <= 0 for each k a weighted-L1 state's rows do not
+    imply, all written over the edge masses and carried to the columns by
+    ``lift_matrix``. Columns as in ``build_occupancy_lp``; rows are the
+    flow rows, the caps, every state's polytope rows, then the sign rows."""
+    from modcmdp.occupancy import FlowRows
+
+    flow = FlowRows(instance)
+    lift = lift_matrix(instance)
+    n = lift.shape[1]
+    n_ext = lift.shape[0]  # the columns, then one edge mass each
+    d_col = n - flow.n_states + np.arange(flow.n_states)
+    rewards = [instance.rewards[s] for s in flow.states]
+    polys = [instance.polytopes[s] for s in flow.states]
+    width = flow.succ_width
+    edge_start = np.concatenate([[0], np.cumsum(width)])
+    l1 = np.array([isinstance(r, WeightedL1Reward) for r in rewards])
+    col_start = np.concatenate([[0], np.cumsum(width * np.where(l1, 2, 1))])
+
+    def lifted(triplets, n_rows):
+        rows, cols, vals = (np.concatenate([np.asarray(a, dtype=t) for a in part])
+                            for part, t in zip(zip(*triplets), (np.int64, np.int64, float)))
+        return sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, n_ext)) @ lift
+
+    rows, d, vals = flow.d_eq
+    eq = [(rows, d_col[d], vals)]
+    for g in range(len(polys)):
+        k = np.arange(width[g])
+        edges = n + edge_start[g] + k
+        eq += [(np.full(k.size, flow.out_row[g]), edges, np.ones(k.size)),
+               (flow.in_start[g] + k, edges, np.ones(k.size))]
+    rows, d, vals = flow.d_in
+    ineq = [(rows, d_col[d], vals)]
+    row = flow.b_in.size
+    for g, poly in enumerate(polys):
+        r, j = np.nonzero(poly.H)
+        ineq += [(row + r, n + edge_start[g] + j, poly.H[r, j]),
+                 (row + np.arange(poly.h.size), np.full(poly.h.size, d_col[g]), -poly.h)]
+        row += poly.h.size
+    for g in np.flatnonzero(l1):
+        k = np.flatnonzero(~polys[g].implied_nonnegative)
+        ineq.append((row + np.arange(k.size), n + edge_start[g] + k, -np.ones(k.size)))
+        row += k.size
+
+    c_ext = np.zeros(n_ext)
+    c = np.zeros(n)
+    for g, rew in enumerate(rewards):
+        if isinstance(rew, AffineReward):
+            c_ext[n + edge_start[g] : n + edge_start[g + 1]] = rew.e
+            c_ext[d_col[g]] = rew.f
+        else:
+            c[col_start[g] : col_start[g + 1]] = np.tile(-rew.weights, 2)  # p, then m
+    c = c + lift.T @ c_ext
+    b_in = np.concatenate([flow.b_in, np.zeros(row - flow.b_in.size)])
+    return LpProblem(c=c, a_eq=lifted(eq, flow.b_eq.size), b_eq=flow.b_eq,
+                     a_in=lifted(ineq, row), b_in=b_in)
+
+
+def single_lp_occupancy(instance):
+    """The whole occupancy LP of :func:`split_occupancy_lp`, solved in one
+    ``solve_lp`` call, as ``single_lp_finite`` does for the finite-action
+    LP. Returns (problem, solution); ``solve_occupancy`` must reach its
+    objective, or a certificate with its margin."""
+    problem = split_occupancy_lp(instance)
     return problem, solve_lp(problem)
 
 

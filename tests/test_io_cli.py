@@ -307,6 +307,38 @@ class TestCli:
         records = run_benchmark([4], [method], cfg=cfg, timeout=0)
         assert records[0].status == "timeout"
 
+    def test_deadline_after_the_first_master_times_out(self, tmp_path, monkeypatch):
+        # the package's clock jumps a day once the first master is solved:
+        # the next round must find the budget spent
+        import time
+
+        import modcmdp.lp as lpmod
+
+        class Clock:
+            offset = 0.0
+
+            @staticmethod
+            def monotonic():
+                return time.monotonic() + Clock.offset
+
+        solves = []
+        solve_master = lpmod.Master.solve
+
+        def solve_then_jump(master, *args, **kwargs):
+            sol = solve_master(master, *args, **kwargs)
+            solves.append(sol.status)
+            Clock.offset = 86400.0
+            return sol
+
+        prob = tmp_path / "loan.json"
+        assert self.run_cli("generate", "loan", "--states", 20, "--qbound", 0.002,
+                            "--out", prob) == 0
+        monkeypatch.setattr(lpmod, "time", Clock)
+        monkeypatch.setattr(lpmod.Master, "solve", solve_then_jump)
+        assert self.run_cli("solve", prob, "--method", "convex", "--timeout", 600,
+                            "--out", tmp_path / "s.json") == 3
+        assert solves == ["infeasible"]
+
     def test_schema_error_exit_code(self, tmp_path):
         prob = tmp_path / "p.json"
         d = small_problem_dict()

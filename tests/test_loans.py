@@ -273,7 +273,7 @@ def _policy_cells():
 class TestAnalyticGates:
     """Gates that need no second solver (ROADMAP item 2)."""
 
-    @pytest.mark.parametrize("n", [20, 50, 100])
+    @pytest.mark.parametrize("n", [20, 50, 100, 200])
     def test_l1_value_is_closed_form_above_the_bend(self, n):
         # moving one unit of mass off the capped default level in the last
         # transition costs 2 (one unit leaves a coordinate, one enters

@@ -16,6 +16,7 @@ from modcmdp import (
     farkas_gap,
     generate_loan_instance,
     solve_lp,
+    solve_occupancy,
 )
 
 
@@ -595,6 +596,30 @@ class TestMpsExport:
             want = solve_lp(p).objective
             assert want != 0.0
             assert h.getInfo().objective_function_value == pytest.approx(want, abs=1e-9)
+
+    def test_l1_loan_writes_the_whole_tight_lp(self, tmp_path):
+        # solve_occupancy solves this loan by column generation; the file
+        # holds every column and row, each split column on one row of its own
+        from scipy.optimize._highspy import _core as hs
+
+        inst = generate_loan_instance(LoanConfig(n_states=20, q_default=0.002))
+        p = build_occupancy_lp(inst)
+        split = np.arange(p.layout.d_col[0])
+        a_in = p.a_in.tocsc()[:, split]
+        assert (np.diff(a_in.indptr) == 1).all()
+        assert np.bincount(a_in.indices, minlength=p.b_in.size).max() == 1
+        path = tmp_path / "l1.mps"
+        export_lp(p, path)
+        h = hs._Highs()
+        h.setOptionValue("output_flag", False)
+        assert h.readModel(str(path)) == hs.HighsStatus.kOk
+        kept = sum(int((abs(a.data) >= 1e-9).sum()) for a in (p.a_eq, p.a_in))
+        assert (h.getNumCol(), h.getNumRow(), h.getNumNz()) == (p.nvars, p.nrows, kept)
+        h.run()
+        assert h.getModelStatus() == hs.HighsModelStatus.kOptimal
+        want = solve_occupancy(inst).objective
+        assert want < -1e-3
+        assert h.getInfo().objective_function_value == pytest.approx(want, abs=1e-9)
 
     def test_deterministic_bytes(self, tmp_path, rng):
         p = random_feasible_problem(rng)

@@ -9,7 +9,12 @@ from helpers import (
     loop_occupancy_value,
     occupancy_violations,
     random_instance,
+    single_lp_occupancy,
 )
+from test_loans import base_mass, general_l1_instance, with_cap
+
+import modcmdp.lp as lpmod
+import modcmdp.occupancy as occupancy
 
 from modcmdp import (
     ActionPolytope,
@@ -627,3 +632,151 @@ class TestTangentCuts:
         b4 = solve_occupancy(inst, tangent_cuts=4).bound
         b32 = solve_occupancy(inst, tangent_cuts=32).bound
         assert b32 <= b4 + 1e-9
+
+
+@pytest.fixture
+def by_columns(monkeypatch):
+    """solve_occupancy generates columns whenever it has lazy columns, and
+    each run of lp.generate_columns is recorded with its arguments and
+    outcome."""
+    monkeypatch.setattr(occupancy, "LAZY_COLUMNS_MIN", 0)
+    runs = []
+    loop = lpmod.generate_columns
+
+    def spy(master, cost, price, col_start, write, held, deadline, per_state):
+        sol, added = loop(master, cost, price, col_start, write, held, deadline, per_state)
+        runs.append(dict(cost=cost, price=price, col_start=col_start, held=held,
+                         per_state=per_state, sol=sol, added=added))
+        return sol, added
+
+    monkeypatch.setattr(lpmod, "generate_columns", spy)
+    return runs
+
+
+def assert_matches_single_lp(inst) -> str:
+    """solve_occupancy reaches the objective of the LP as it was written
+    before its tight rows (helpers.single_lp_occupancy), solved whole, to
+    1e-9 relative, and the extracted policy earns it; or it raises with a
+    certificate whose margin on the whole LP is its excess and the
+    reference's phase-1 value. Returns the reference's status."""
+    problem, oracle = single_lp_occupancy(inst)
+    if oracle.status == "infeasible":
+        with pytest.raises(QualityInfeasibleError) as err:
+            solve_occupancy(inst)
+        excess = err.value.excess
+        assert excess == farkas_gap(build_occupancy_lp(inst), err.value.certificate) > 0.0
+        assert excess == pytest.approx(farkas_gap(problem, oracle.certificate), abs=1e-9)
+        return oracle.status
+    assert oracle.status == "optimal"
+    sol = solve_occupancy(inst)
+    assert abs(sol.objective - oracle.objective) <= 1e-9 * max(1.0, abs(oracle.objective))
+    value = evaluate_exact(inst, extract_policy(sol, inst)).value
+    assert abs(value - sol.objective) <= 1e-9 * max(1.0, abs(sol.objective))
+    return oracle.status
+
+
+class TestColumnGeneration:
+    """solve_occupancy prices lazy split columns into a restricted master
+    and must reach the whole LP's optimum, or certify it infeasible."""
+
+    @pytest.mark.parametrize("n", [5, 20, 25, 50])
+    def test_l1_loans_match_single_lp(self, by_columns, n):
+        inst = generate_loan_instance(LoanConfig(n_states=n))
+        m = base_mass(inst)
+        for q in (0.04, 0.5 * m, 0.1 * m):
+            del by_columns[:]
+            assert assert_matches_single_lp(with_cap(inst, q)) == "optimal"
+            (run,), binding = by_columns, q < m
+            assert run["held"].size == 10 * n * n  # every split column of every box
+            assert (run["added"].size > 0) == binding
+
+    def test_random_draws_match_single_lp(self, by_columns, rng):
+        # boxes and general polytopes, one and two caps, zero weights, and
+        # reward centers outside a polytope row
+        seen = dict(infeasible=0, optimal=0, two_caps=0, general=0, zero_weight=0,
+                    off_center=0)
+        for k in range(48):
+            inst = general_l1_instance(rng) if k % 2 else random_instance(rng, reward="l1")
+            rewards = dict(inst.rewards)
+            if k % 3 == 0:
+                for s, r in rewards.items():
+                    rewards[s] = WeightedL1Reward(r.center, r.weights * (rng.random(r.dim) < 0.6))
+            inst = CmdpInstance(inst.states, inst.polytopes, rewards, inst.alpha,
+                                inst.constraints)
+            seen[assert_matches_single_lp(inst)] += 1
+            polys = [(inst.polytopes[s], r) for s, r in rewards.items()]
+            seen["two_caps"] += len(inst.constraints) >= 2
+            seen["general"] += any(p.box is None for p, _ in polys)
+            seen["zero_weight"] += any((r.weights == 0).any() for _, r in polys)
+            seen["off_center"] += any((p.H @ r.center > p.h).any() for p, r in polys)
+        assert min(seen.values()) >= 2, seen
+        assert len(by_columns) >= 40
+
+    def test_infeasible_cap_certifies_the_whole_lp(self, by_columns):
+        # every path passes layer 2, so half its mass is always in excess
+        inst = generate_loan_instance(LoanConfig(n_states=20))
+        cap = QualityConstraint(set(inst.states.layers[2]), 0.5)
+        inst = CmdpInstance(inst.states, inst.polytopes, inst.rewards, inst.alpha, [cap])
+        assert assert_matches_single_lp(inst) == "infeasible"
+        with pytest.raises(QualityInfeasibleError) as err:
+            solve_occupancy(inst)
+        assert err.value.excess == pytest.approx(0.5, abs=1e-9)
+        assert by_columns[-1]["sol"].status == "infeasible"
+
+    def test_phase_one_relaxes_the_rows_it_adds(self, by_columns):
+        # u_bad >= 0.4 written as -0.5 u_bad <= -0.2 d, cap u_bad <= 0.1: the
+        # whole LP's phase 1 gives up 0.15 on that row to move 0.3 of mass
+        # off "bad", a total violation of 0.15, not the cap's 0.3
+        space = LayeredStateSpace([["s"], ["ok", "bad"]])
+        inst = CmdpInstance(space, {"s": ActionPolytope([0.5, 0.5], [[0.0, -0.5]], [-0.2])},
+                            {"s": WeightedL1Reward([0.5, 0.5])}, [1.0],
+                            [QualityConstraint({"bad"}, 0.1)])
+        assert assert_matches_single_lp(inst) == "infeasible"
+        with pytest.raises(QualityInfeasibleError) as err:
+            solve_occupancy(inst)
+        assert err.value.excess == pytest.approx(0.15, abs=1e-12)
+        assert by_columns[-1]["added"].size > 0
+
+    def test_zero_padded_solution_is_the_whole_optimum(self, by_columns):
+        inst = generate_loan_instance(LoanConfig(n_states=20))
+        inst = with_cap(inst, 0.5 * base_mass(inst))
+        solve_occupancy(inst)
+        (run,) = by_columns
+        sol, added = run["sol"], run["added"]
+        col, row = occupancy._lazy_columns(occupancy._assemble(inst, None))[:2]
+        whole = build_occupancy_lp(inst)
+        keep_col = np.ones(whole.nvars, dtype=bool)
+        keep_col[col] = False
+        keep_row = np.ones(whole.b_in.size, dtype=bool)
+        keep_row[row] = False
+        x, y_in = np.zeros(whole.nvars), np.zeros(whole.b_in.size)
+        x[np.concatenate([np.flatnonzero(keep_col), col[added]])] = sol.x
+        y_in[np.concatenate([np.flatnonzero(keep_row), row[added]])] = sol.dual_in
+
+        def padded():
+            rc = whole.c - (whole.a_eq.T @ sol.dual_eq + whole.a_in.T @ y_in)
+            return lpmod.LpSolution("optimal", x=x, objective=sol.objective,
+                                    dual_eq=sol.dual_eq, dual_in=y_in, reduced_costs=rc)
+
+        lpmod.check_optimal(whole, padded())
+        scale = max(1.0, float(np.abs(whole.c).max()))
+        args = (run["cost"], run["price"], run["col_start"], run["held"], scale,
+                run["per_state"])
+        assert lpmod.entering(sol, *args).size == 0
+        # the lazy column outside the master that prices best, made to earn 1
+        out = np.flatnonzero(~run["held"])
+        rc = padded().reduced_costs[col[out]]
+        j = out[np.argmax(rc)]
+        whole.c[col[j]] += 1.0 - rc.max()
+        run["cost"][j] = whole.c[col[j]]
+        with pytest.raises(lpmod.LpError, match="against an infinite bound"):
+            lpmod.check_optimal(whole, padded())
+        assert lpmod.entering(sol, *args).tolist() == [j]
+
+    @pytest.mark.parametrize("make", [
+        lambda: with_cap(generate_loan_instance(LoanConfig(n_states=20)), 0.002),
+        lambda: l1_instance(0.2),
+    ], ids=["columns", "whole"])
+    def test_zero_budget_times_out(self, make):
+        with pytest.raises(TimeoutError):
+            solve_occupancy(make(), time_limit=0)

@@ -119,12 +119,27 @@ def passes(check, *args) -> bool:
     return True
 
 
+def column_generation_verdict(flp, cols, sol):
+    """The verdict lp.generate_columns reaches on solve_finite's master
+    over ``cols`` at ``sol``: the master's lp.check_optimal, then a
+    pricing round (lp.entering) in which no vertex column enters."""
+    lpmod.check_optimal(flp.columns(cols), sol)
+    n_u = flp.n_vertex
+    held = np.zeros(n_u, dtype=bool)
+    held[cols[cols < n_u]] = True
+    scale = max(1.0, float(np.abs(flp.cost).max()))
+    new = lpmod.entering(sol, flp.cost[:n_u], lambda y_eq, y_in: flp.price(y_eq, y_in)[:n_u],
+                         flp.col_start, held, scale, lpmod.COLUMNS_PER_STATE)
+    if new.size:
+        raise lpmod.LpError(f"{new.size} columns enter")
+
+
 def assert_optimal_verdicts_agree(flp, problem, cols, sol):
-    """FiniteLp.check_optimal of a master solution over ``cols`` says what
-    lp.check_optimal of the whole LP ``problem`` says of it, zero-padded,
-    with every reduced cost priced: both accept it, both reject it once
-    the duals are perturbed, and both reject it once a column outside the
-    master costs enough to price out."""
+    """The column-generation verdict on a master solution over ``cols``
+    says what lp.check_optimal of the whole LP ``problem`` says of it,
+    zero-padded, with every reduced cost priced: both accept it, both
+    reject it once the duals are perturbed, and both reject it once a
+    column outside the master costs enough to price out."""
 
     def whole(s):
         x = np.zeros(problem.nvars)
@@ -134,7 +149,7 @@ def assert_optimal_verdicts_agree(flp, problem, cols, sol):
             "optimal", x=x, objective=s.objective, dual_eq=s.dual_eq,
             dual_in=s.dual_in, reduced_costs=rc))
 
-    assert whole(sol) and passes(flp.check_optimal, cols, sol)
+    assert whole(sol) and passes(column_generation_verdict, flp, cols, sol)
     # the first state's outgoing row: every vertex column of that state,
     # and its visit mass, price 0.01 off
     y_eq = sol.dual_eq.copy()
@@ -143,14 +158,14 @@ def assert_optimal_verdicts_agree(flp, problem, cols, sol):
     rc = master.c - (master.a_eq.T @ y_eq + master.a_in.T @ sol.dual_in)
     off = lpmod.LpSolution("optimal", x=sol.x, objective=sol.objective, dual_eq=y_eq,
                            dual_in=sol.dual_in, reduced_costs=rc)
-    assert not whole(off) and not passes(flp.check_optimal, cols, off)
+    assert not whole(off) and not passes(column_generation_verdict, flp, cols, off)
     out = np.setdiff1d(np.arange(flp.n_vertex), cols)
     if out.size:
         # the outside column that prices best gets a reduced cost of 1
         rc = problem.c - (problem.a_eq.T @ sol.dual_eq + problem.a_in.T @ sol.dual_in)
         j = out[np.argmax(rc[out])]
         flp.cost[j] = problem.c[j] = problem.c[j] + 1.0 - rc[j]
-        assert not whole(sol) and not passes(flp.check_optimal, cols, sol)
+        assert not whole(sol) and not passes(column_generation_verdict, flp, cols, sol)
 
 
 def assert_certificate_verdicts_agree(flp, problem, cert):
@@ -723,18 +738,23 @@ class TestColumnGeneration:
             assert_certificate_verdicts_agree(FiniteLp(fc), problem, err.value.certificate)
             return
         seen = []
-        check = FiniteLp.check_optimal
+        loop = lpmod.generate_columns
 
-        def spy(flp, cols, sol):
-            seen.append((flp, cols, sol))
-            check(flp, cols, sol)
+        def spy(master, cost, price, col_start, write, held, *args):
+            # the master's columns: the seeded vertices, every d, then those added
+            first = np.flatnonzero(held)
+            sol, added = loop(master, cost, price, col_start, write, held, *args)
+            seen.append((first, sol, added))
+            return sol, added
 
-        monkeypatch.setattr(FiniteLp, "check_optimal", spy)
+        monkeypatch.setattr(lpmod, "generate_columns", spy)
         obj, pol = solve_finite(fc)
         monkeypatch.undo()
         assert obj == pytest.approx(oracle.objective, abs=1e-9)
         assert evaluate_exact(inst, pol).value == pytest.approx(obj, abs=1e-9)
-        (flp, cols, sol), = seen
+        (first, sol, added), = seen
+        flp = FiniteLp(fc)
+        cols = np.concatenate([first, np.arange(flp.n_vertex, flp.nvars), added])
         assert_optimal_verdicts_agree(flp, problem, cols, sol)
 
     @pytest.mark.parametrize("n", [10, 14, 20])
