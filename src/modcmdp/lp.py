@@ -484,6 +484,16 @@ def _from_triplets(parts, n_rows: int, n_cols: int) -> sp.csc_matrix:
     return sp.csc_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
 
 
+def column_entries(m: sp.csc_matrix, cols, at):
+    """(row, column, value) triplets of the entries of ``m``'s columns
+    ``cols``, those of ``cols[i]`` placed in column ``at[i]``."""
+    start = m.indptr[cols]
+    count = m.indptr[cols + 1] - start
+    # the entries of each column, one column after the other
+    pos = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+    return m.indices[pos], np.repeat(at, count), m.data[pos]
+
+
 class Master:
     """The restricted master of delayed column generation: one LP held in
     one HiGHS model while columns, and inequality rows of their own, are

@@ -26,12 +26,12 @@ columns and no rows of its own. u >= 0 then needs a row -(center * d + p
 - m) <= 0, which is added only where the polytope rows do not already
 imply it (``ActionPolytope.implied_nonnegative``). A row with one nonzero
 that the center meets is written on p or m alone (:func:`build_occupancy_lp`),
-so on a box each split column has exactly one inequality row, and
-:func:`solve_occupancy` brings a split column into its restricted master
-together with that row, by delayed column generation. The solver rebuilds
-u from p, m and d. :func:`split_action_lp` writes the split for one action
-per state: the greedy baseline's period LP and :func:`extract_policy`'s
-repair.
+so on a box each split column has exactly one inequality row.
+:func:`solve_occupancy` finds such columns in the LP's own columns and,
+by delayed column generation, brings each into its restricted master
+together with its row. The solver rebuilds u from p, m and d.
+:func:`split_action_lp` writes the split for one action per state: the
+greedy baseline's period LP and :func:`extract_policy`'s repair.
 
 The constraint matrices are assembled from index arrays: edges are
 numbered layer-major, and each edge has its own column, plus on a
@@ -69,7 +69,11 @@ UNREACHABLE_TOL = 1e-9
 # generation costs about 1 ms of model upkeep even on the smallest LPs; on
 # L1 loans it began to pay between 1,440 lazy columns (n=12: 9.7 ms against
 # 9.5 ms for the whole LP) and 2,250 (n=15: 2.9 ms against 11.4 ms), best
-# of 5 on a 2-core host.
+# of 5 on a 2-core host. Column generation on every LP took perfbench's
+# extreme-sweep L1 solves (n=5 and 6, 250 and 360 lazy columns) from 6.9
+# to 22.4 ms, and from 6.3 to 19.4 ms on a rerun (13 HiGHS runs against
+# 2; medians of 15 interleaved passes). And perfbench's TestSpans wants a
+# two-state instance solved by one lp.solve_lp call in one HiGHS run.
 LAZY_COLUMNS_MIN = 2_000
 # solve_occupancy adds at most this many lazy columns per state and round.
 # Over 18 L1 loan cells at n=20..100 (2-core host), one per state took
@@ -135,17 +139,11 @@ class OccupancySolution:
         return cap_masses(instance, self.visit_mass)
 
 
-def _flat(parts) -> tuple[np.ndarray, ...]:
-    """The (rows, columns, values) triplets of ``parts``, each broadcast
-    together, laid end to end."""
-    flat = ([a.ravel() for a in np.broadcast_arrays(*part)] for part in parts)
-    return tuple(np.concatenate(a) for a in zip(*flat))
-
-
 def _matrix(parts, n_rows: int, n_cols: int) -> sp.csc_matrix:
-    """The triplets of ``parts`` (:func:`_flat`) summed into a matrix;
-    entries that sum to 0 are dropped."""
-    rows, cols, vals = _flat(parts)
+    """The (rows, columns, values) triplets of ``parts``, each broadcast
+    together, summed into a matrix; entries that sum to 0 are dropped."""
+    flat = ([a.ravel() for a in np.broadcast_arrays(*part)] for part in parts)
+    rows, cols, vals = (np.concatenate(a) for a in zip(*flat))
     out = sp.csc_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
     out.eliminate_zeros()
     return out
@@ -336,34 +334,33 @@ def _polytope_entries(lay: _Layout, polys, row_start) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate([a.ravel() for a in e]) for e in zip(*entries))
 
 
-@dataclass(frozen=True)
-class _Assembly:
-    """The occupancy LP of one instance as triplets, before they become
-    matrices: ``eq`` and ``ineq`` are (rows, columns, values), summed where
-    they repeat. ``tight`` lists the tight rows, each written on one split
-    column (:func:`build_occupancy_lp`): its row, edge, the entry alpha of
-    its polytope or sign row on that edge, and its right-hand side h."""
+def build_occupancy_lp(
+    instance: CmdpInstance, tangent_cuts: Optional[int] = None
+) -> OccupancyLp:
+    """Assemble the whole occupancy LP for an instance with affine or
+    weighted-L1 rewards (or, with ``tangent_cuts=K``, concave quadratic
+    rewards under a K-cut outer approximation whose objective is an upper
+    bound only). :func:`solve_occupancy` solves this LP, whole or by
+    column generation over its columns, and ``export_lp`` writes it.
 
-    flow: FlowRows
-    layout: _Layout
-    c: np.ndarray
-    lower: np.ndarray
-    b_in: np.ndarray
-    eq: tuple
-    ineq: tuple
-    tight: tuple
+    A single-entry row alpha u_k <= h d of a weighted-L1 state, from its
+    polytope or a sign row, whose center meets it (alpha c_k <= h) is
+    written tight, on one split column: alpha p_k + (alpha c_k - h) d <= 0
+    for alpha > 0, |alpha| m_k + (alpha c_k - h) d <= 0 for alpha < 0.
+    This leaves the LP's value alone: the weights are nonnegative, so some
+    optimum never has p_k and m_k both positive, and there the tight row
+    is the row it replaces, or (with the other column positive) holds
+    since d >= 0. On a box every split column then has one inequality
+    row of its own.
 
-    def whole(self) -> OccupancyLp:
-        n = self.c.size
-        return OccupancyLp(
-            c=self.c, a_eq=_matrix([self.eq], self.flow.b_eq.size, n), b_eq=self.flow.b_eq,
-            a_in=_matrix([self.ineq], self.b_in.size, n), b_in=self.b_in, lower=self.lower,
-            layout=self.layout,
-        )
+    The cuts touch each lifted reward at the base and K - 1 fixed points,
+    so the bound can be trivial and the LP's policy far from optimal (the
+    README's "Tangent cuts": -0.300 and a bound of 0.0 at K = 64 where the
+    optimum is near -2.7e-4). ROADMAP item 4 plans the exact route.
 
-
-def _assemble(instance: CmdpInstance, tangent_cuts: Optional[int]) -> _Assembly:
-    """The triplets of :func:`build_occupancy_lp`; raises as it does."""
+    Raises ValueError on invalid instances, unsupported reward kinds or a
+    ``tangent_cuts`` that is neither None nor a positive integer.
+    """
     integral = isinstance(tangent_cuts, (int, np.integer)) and not isinstance(tangent_cuts, bool)
     if tangent_cuts is not None and not (integral and tangent_cuts >= 1):
         raise ValueError(f"tangent_cuts must be None or an integer >= 1, got {tangent_cuts!r}")
@@ -378,8 +375,8 @@ def _assemble(instance: CmdpInstance, tangent_cuts: Optional[int]) -> _Assembly:
     # edge e of state src leaves it for its (e - edge_start[src])-th successor
     e, src = np.arange(lay.edge_src.size), lay.edge_src
     rows, d, vals = flow.d_eq
-    eq = _flat([(rows, lay.d_col[d], vals), lay.on_edges(flow.out_row[src], e, 1.0),
-                lay.on_edges(flow.in_start[src] + e - lay.edge_start[src], e, 1.0)])
+    eq = [(rows, lay.d_col[d], vals), lay.on_edges(flow.out_row[src], e, 1.0),
+          lay.on_edges(flow.in_start[src] + e - lay.edge_start[src], e, 1.0)]
     rows, d, vals = flow.d_in
     ineq = [(rows, lay.d_col[d], vals)]  # (rows, columns, values) triplets
     # the lifted polytope rows H u - h d <= 0 of every state come first,
@@ -427,7 +424,7 @@ def _assemble(instance: CmdpInstance, tangent_cuts: Optional[int]) -> _Assembly:
         (_ranges(extra_row[l1], extra[l1]), sign_edge, -ones, 0 * ones, ones > 0)))
     tight = single & (lay.m_off[edges] > 0) & (vals * lay.center[edges] <= rhs)
     ineq.append(lay.on_edges(rows[~tight], edges[~tight], vals[~tight]))
-    rows, edges, vals, rhs = rows[tight], edges[tight], vals[tight], rhs[tight]
+    rows, edges, vals = rows[tight], edges[tight], vals[tight]
     ineq.append((rows, lay.edge_col[edges] + np.where(vals < 0, lay.m_off[edges], 0),
                  np.abs(vals)))
     ineq.append((rows, lay.d_col[lay.edge_src[edges]], lay.center[edges] * vals))
@@ -442,116 +439,83 @@ def _assemble(instance: CmdpInstance, tangent_cuts: Optional[int]) -> _Assembly:
         ineq.append(lay.on_edges(row + k, lay.edge_start[g] + j, -grads))
         ineq.append((row + np.arange(len(grads)), tcol, 1.0))
     b_in = np.concatenate([flow.b_in, np.zeros(int(extra_row[-1]) - flow.b_in.size)])
-    return _Assembly(flow, lay, c, lower, b_in, eq, _flat(ineq), (rows, edges, vals, rhs))
+    return OccupancyLp(c=c, a_eq=_matrix(eq, flow.b_eq.size, n), b_eq=flow.b_eq,
+                       a_in=_matrix(ineq, b_in.size, n), b_in=b_in, lower=lower, layout=lay)
 
 
-def build_occupancy_lp(
-    instance: CmdpInstance, tangent_cuts: Optional[int] = None
-) -> OccupancyLp:
-    """Assemble the whole occupancy LP for an instance with affine or
-    weighted-L1 rewards (or, with ``tangent_cuts=K``, concave quadratic
-    rewards under a K-cut outer approximation whose objective is an upper
-    bound only). :func:`solve_occupancy` solves it by column generation;
-    this is the LP that route must reach, and the one ``export_lp``
-    writes.
-
-    A single-entry row alpha u_k <= h d of a weighted-L1 state, from its
-    polytope or a sign row, whose center meets it (alpha c_k <= h) is
-    written tight, on one split column: alpha p_k + (alpha c_k - h) d <= 0
-    for alpha > 0, |alpha| m_k + (alpha c_k - h) d <= 0 for alpha < 0.
-    This leaves the LP's value alone: the weights are nonnegative, so some
-    optimum never has p_k and m_k both positive, and there the tight row
-    is the row it replaces, or (with the other column positive) holds
-    since d >= 0. On a box every split column then has one inequality
-    row of its own.
-
-    The cuts touch each lifted reward at the base and K - 1 fixed points,
-    so the bound can be trivial and the LP's policy far from optimal (the
-    README's "Tangent cuts": -0.300 and a bound of 0.0 at K = 64 where the
-    optimum is near -2.7e-4). ROADMAP item 4 plans the exact route.
-
-    Raises ValueError on invalid instances, unsupported reward kinds or a
-    ``tangent_cuts`` that is neither None nor a positive integer.
-    """
-    return _assemble(instance, tangent_cuts).whole()
+def _lazy_columns(problem: OccupancyLp) -> tuple[np.ndarray, np.ndarray]:
+    """The lazy columns of the occupancy LP, in column order and so state
+    by state, and the row of each: the split columns whose one ``a_in``
+    entry is on a row that holds no other split column, a tight row of
+    :func:`build_occupancy_lp`. On a box that is every split column."""
+    lay, a_in = problem.layout, problem.a_in
+    l1 = lay.m_off > 0
+    split = np.zeros(problem.nvars, dtype=bool)
+    split[np.concatenate([lay.edge_col[l1], lay.edge_col[l1] + lay.m_off[l1]])] = True
+    count = np.diff(a_in.indptr)
+    per_row = np.bincount(a_in.indices[np.repeat(split, count)], minlength=problem.b_in.size)
+    col = np.flatnonzero(split & (count == 1))
+    row = a_in.indices[a_in.indptr[col]]
+    own = per_row[row] == 1
+    return col[own], row[own]
 
 
-def _lazy_columns(asm: _Assembly) -> tuple[np.ndarray, ...]:
-    """The lazy columns of an assembly, split columns whose one inequality
-    entry is a tight row of their own, in column order and so state by
-    state: (column, its tight row, edge, alpha, h) as in ``asm.tight``."""
-    lay = asm.layout
-    rows, edges, alpha, rhs = asm.tight
-    col = lay.edge_col[edges] + np.where(alpha < 0, lay.m_off[edges], 0)
-    lazy = np.flatnonzero(np.bincount(asm.ineq[1], minlength=asm.c.size)[col] == 1)
-    lazy = lazy[np.argsort(col[lazy])]
-    return col[lazy], rows[lazy], edges[lazy], alpha[lazy], rhs[lazy]
-
-
-def _generate(asm: _Assembly, lazy, deadline) -> np.ndarray:
-    """The whole LP's optimal column values by column generation over the
-    ``lazy`` columns (:func:`_lazy_columns`); raises as
-    :func:`raise_for_status` does, a certificate covering the whole LP."""
-    lay, flow = asm.layout, asm.flow
-    n, m_in = asm.c.size, asm.b_in.size
-    col, row, edges, alpha, rhs = lazy
-    keep_col = np.ones(n, dtype=bool)
-    keep_col[col] = False
+def _generate(problem: OccupancyLp, lazy, deadline) -> lpmod.LpSolution:
+    """The whole LP's solution by column generation over the ``lazy``
+    columns and their rows (:func:`_lazy_columns`): the master's x padded
+    with zeros, or its certificate padded to the whole LP's rows and
+    columns."""
+    col, row = lazy
+    n, m_in = problem.nvars, problem.b_in.size
+    keep = np.ones(n, dtype=bool)
+    keep[col] = False
     keep_row = np.ones(m_in, dtype=bool)
     keep_row[row] = False
-    col_at = np.cumsum(keep_col) - 1  # master column of each kept column
-    n_cols, n_rows = int(keep_col.sum()), int(keep_row.sum())
-
-    # a lazy column is p (+1) or m (-1) of its edge mass u, which has a 1
-    # on its state's outgoing row and on its successor's incoming row
-    sign = np.sign(alpha)
-    g = lay.edge_src[edges]
-    flow_rows = np.stack([flow.out_row[g], flow.in_start[g] + edges - lay.edge_start[g]])
-    cost = asm.c[col]
-    d_at = col_at[lay.d_col[g]]
-    d_val = lay.center[edges] * alpha - rhs  # its tight row's d entry, as summed whole
-
-    r, j, v = asm.eq
-    k = keep_col[j]
-    a_eq = _matrix([(r[k], col_at[j[k]], v[k])], flow.b_eq.size, n_cols)
-    r, j, v = asm.ineq
-    k = keep_row[r]
-    a_in = _matrix([((np.cumsum(keep_row) - 1)[r[k]], col_at[j[k]], v[k])], n_rows, n_cols)
+    n_cols, n_rows = n - col.size, m_in - row.size
+    in_keep = problem.a_in[:, keep]  # every inequality row over the master's columns
     master = lpmod.Master(lpmod.LpProblem(
-        c=asm.c[keep_col], a_eq=a_eq, b_eq=flow.b_eq, a_in=a_in, b_in=asm.b_in[keep_row],
-        lower=asm.lower[keep_col]))
+        c=problem.c[keep], a_eq=problem.a_eq[:, keep], b_eq=problem.b_eq,
+        a_in=in_keep[keep_row], b_in=problem.b_in[keep_row],
+        lower=problem.lower[keep], upper=problem.upper[keep]))
+
+    # a lazy column's entries: its flow rows, alpha on its own row, and the
+    # rest of that row over the master's columns (its d entry), the j-th
+    # lazy row in the j-th column of ``rest``
+    cost, lazy_eq = problem.c[col], problem.a_eq[:, col]
+    alpha = problem.a_in.data[problem.a_in.indptr[col]]
+    rest = in_keep[row].T.tocsc()
     held = np.zeros(col.size, dtype=bool)
 
     def price(y_eq, y_in):
-        return sign * y_eq[flow_rows].sum(axis=0)
+        # their own rows, not in the master, have multiplier 0
+        return lazy_eq.T @ y_eq
 
     def write(j):
         # each column added so far brought one row
         k, at, before = j.size, np.arange(j.size), int(held.sum()) - j.size
         m = n_rows + before
-        a_eq = sp.csc_matrix((np.tile(sign[j], 2), (flow_rows[:, j].ravel(), np.tile(at, 2))),
-                             shape=(flow.b_eq.size, k))
-        a_in = sp.csc_matrix((np.abs(alpha[j]), (m + at, at)), shape=(m + k, k))
-        own = sp.csr_matrix((d_val[j], (at, d_at[j])), shape=(k, n_cols + before))
-        own.eliminate_zeros()
+        r, c, v = lpmod.column_entries(lazy_eq, j, at)
+        a_eq = sp.csc_matrix((v, (r, c)), shape=(problem.b_eq.size, k))
+        a_in = sp.csc_matrix((alpha[j], (m + at, at)), shape=(m + k, k))
+        r, c, v = lpmod.column_entries(rest, j, at)
+        own = sp.csr_matrix((v, (c, r)), shape=(k, n_cols + before))
         return cost[j], a_eq, a_in, (own, np.zeros(k))
 
-    sol, added = lpmod.generate_columns(master, cost, price, np.searchsorted(col, lay.col_start),
+    sol, added = lpmod.generate_columns(master, cost, price,
+                                        np.searchsorted(col, problem.layout.col_start),
                                         write, held, deadline, SPLIT_COLUMNS_PER_ROUND)
-    cols = np.concatenate([np.flatnonzero(keep_col), col[added]])
-    problem = None
-    if sol.status == "infeasible":
-        # the certificate over the whole LP's rows and columns
-        problem = asm.whole()
+    cols = np.concatenate([np.flatnonzero(keep), col[added]])
+    x = cert = None
+    if sol.status == "optimal":
+        x = np.zeros(n)
+        x[cols] = sol.x
+    elif sol.status == "infeasible":
         y_in, up = np.zeros(m_in), np.zeros(n)
         y_in[np.concatenate([np.flatnonzero(keep_row), row[added]])] = sol.certificate["in"]
         up[cols] = sol.certificate["up"]
-        sol = lpmod.LpSolution("infeasible", message=sol.message,
-                               certificate={"eq": sol.certificate["eq"], "in": y_in, "up": up})
-    raise_for_status(problem, sol, "occupancy LP")
-    x = np.zeros(n)
-    x[cols] = sol.x
-    return x
+        cert = {"eq": sol.certificate["eq"], "in": y_in, "up": up}
+    return lpmod.LpSolution(sol.status, x=x, objective=sol.objective, iterations=sol.iterations,
+                            certificate=cert, message=sol.message)
 
 
 def solve_occupancy(
@@ -562,21 +526,21 @@ def solve_occupancy(
     """Solve the occupancy program and return the optimal masses.
 
     The LP is that of :func:`build_occupancy_lp`. Its lazy columns are the
-    split columns whose one inequality entry is a tight row of their own
-    (on a box, every split column). With more than ``LAZY_COLUMNS_MIN`` of
-    them it is solved by delayed column generation
-    (:func:`lp.generate_columns`); otherwise whole, by :func:`lp.solve_lp`.
-    The first restricted master (:class:`lp.Master`) holds every column
-    and row but the lazy columns and their rows; with every lazy column at
-    0 each state sits at its center, so each point of a master is one of
-    the whole LP. Each round prices the lazy columns against the flow and
-    cap duals, from the layout (their own rows, not yet in the master,
-    have multiplier 0), and adds per state up to
-    ``SPLIT_COLUMNS_PER_ROUND`` of those that enter, each with its tight
-    row. A master that cannot meet the caps runs phase 1 and prices
-    against its Farkas certificate. When nothing enters, the master's
-    solution with every other lazy column at 0 is the whole LP's optimum,
-    or its certificate, padded with zeros, certifies the whole LP.
+    split columns whose one ``a_in`` entry is on a row that holds no other
+    split column, a tight row of their own (on a box, every split column).
+    With more than ``LAZY_COLUMNS_MIN`` of them it is solved by delayed
+    column generation (:func:`lp.generate_columns`); otherwise whole, by
+    :func:`lp.solve_lp`. The first restricted master (:class:`lp.Master`)
+    is the LP without the lazy columns and their rows; with every lazy
+    column at 0 each state sits at its center, so each point of a master
+    is one of the whole LP. Each round prices the lazy columns, read from
+    the LP's ``a_eq``, against the flow duals (their own rows, not yet in
+    the master, have multiplier 0), and adds per state up to
+    ``SPLIT_COLUMNS_PER_ROUND`` of those that enter, each with its row.
+    A master that cannot meet the caps runs phase 1 and prices against
+    its Farkas certificate. When nothing enters, the master's solution
+    with every other lazy column at 0 is the whole LP's optimum, or its
+    certificate, padded with zeros, certifies the whole LP.
     ``time_limit`` runs from entry and covers every round.
 
     With ``tangent_cuts=K``, ``objective`` is the true return of the
@@ -591,17 +555,16 @@ def solve_occupancy(
     formulation bug).
     """
     deadline = lpmod.deadline_after(time_limit)
-    asm = _assemble(instance, tangent_cuts)
-    lazy = _lazy_columns(asm)
+    problem = build_occupancy_lp(instance, tangent_cuts)
+    lazy = _lazy_columns(problem)
     if lazy[0].size > LAZY_COLUMNS_MIN:
-        x = _generate(asm, lazy, deadline)
+        sol = _generate(problem, lazy, deadline)
     else:
-        problem = asm.whole()
         sol = lpmod.solve_lp(problem, time_limit=lpmod.time_left(deadline))
-        raise_for_status(problem, sol, "occupancy LP")
-        x = sol.x
+    raise_for_status(problem, sol, "occupancy LP")
+    x = sol.x
 
-    lay = asm.layout
+    lay = problem.layout
     space = instance.states
     u = np.maximum(lay.edge_mass(x), 0.0)
     keys = [(s, s2) for layer, nxt in zip(space.layers, space.layers[1:])
@@ -612,7 +575,7 @@ def solve_occupancy(
     if tangent_cuts:
         # the LP objective only bounds the true (quadratic) return; report
         # the extracted policy's achieved return as the objective
-        bound = float(asm.c @ x)
+        bound = float(problem.c @ x)
         policy = extract_policy(OccupancySolution(edge, visit, objective=bound), instance)
         report = evaluate_exact(instance, policy)
         return OccupancySolution(edge, visit, objective=report.value, bound=bound)
@@ -622,7 +585,7 @@ def solve_occupancy(
     e = np.flatnonzero(lay.m_off)
     p, m = lay.edge_col[e], lay.edge_col[e] + lay.m_off[e]
     x[p], x[m] = abs(x[p] - x[m]), 0.0
-    return OccupancySolution(edge, visit, objective=float(asm.c @ x))
+    return OccupancySolution(edge, visit, objective=float(problem.c @ x))
 
 
 def split_action_lp(

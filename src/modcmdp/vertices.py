@@ -42,7 +42,6 @@ import scipy.sparse as sp
 
 from . import lp as lpmod
 from .lp import COLUMNS_PER_STATE
-from .lp import top_per_state as _top_per_state  # its name here before it moved to lp
 from .model import (
     FEAS_TOL,
     ActionPolytope,
@@ -437,16 +436,6 @@ def _atoms(weights, vertices) -> list[tuple[float, np.ndarray]]:
     return [(float(w), vertices[i]) for w, i in zip(weights, keep)]
 
 
-def _csc_entries(m: sp.csc_matrix, cols, at):
-    """(row, column, value) triplets of the entries of ``m``'s columns
-    ``cols``, those of ``cols[i]`` placed in column ``at[i]``."""
-    start = m.indptr[cols]
-    count = m.indptr[cols + 1] - start
-    # the entries of each column, one column after the other
-    pos = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
-    return m.indices[pos], np.repeat(at, count), m.data[pos]
-
-
 class FiniteLp:
     """The occupancy LP of a finite-action reduction, never assembled
     whole: the restricted master's columns are written from the vertex
@@ -504,10 +493,10 @@ class FiniteLp:
             parts.append((self.in_start[g[k[r]]] + c, at_v[k[r]], block[r, c]))
         at_d = np.flatnonzero(j >= self.n_vertex)
         d = j[at_d] - self.n_vertex
-        parts.append(_csc_entries(self.d_eq, d, at_d))
+        parts.append(lpmod.column_entries(self.d_eq, d, at_d))
         rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
         a_eq = sp.csc_matrix((vals, (rows, cols)), shape=(self.b_eq.size, j.size))
-        rows, cols, vals = _csc_entries(self.d_in, d, at_d)
+        rows, cols, vals = lpmod.column_entries(self.d_in, d, at_d)
         a_in = sp.csc_matrix((vals, (rows, cols)), shape=(self.b_in.size, j.size))
         return lpmod.LpProblem(c=self.cost[j], a_eq=a_eq, b_eq=self.b_eq,
                                a_in=a_in, b_in=self.b_in)
@@ -580,13 +569,13 @@ def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPoli
 
     held = np.zeros(n_u, dtype=bool)
     every = np.ones(n_u, dtype=bool)
-    held[_top_per_state(flp.cost, every, flp.col_start, COLUMNS_PER_STATE)] = True
+    held[lpmod.top_per_state(flp.cost, every, flp.col_start, COLUMNS_PER_STATE)] = True
     # and those that lead to the least capped mass, where the vertices differ
     mass = flp.cap_mass()
     starts = flp.col_start[:-1]
     varies = np.repeat(np.maximum.reduceat(mass, starts) > np.minimum.reduceat(mass, starts),
                        np.diff(flp.col_start))
-    held[_top_per_state(-mass, varies, flp.col_start, COLUMNS_PER_STATE)] = True
+    held[lpmod.top_per_state(-mass, varies, flp.col_start, COLUMNS_PER_STATE)] = True
     cols = np.concatenate([np.flatnonzero(held), np.arange(n_u, flp.nvars)])
 
     def write(j):

@@ -1,7 +1,9 @@
 """Import hygiene: no module of the package uses another module's
 private (single-underscore) name, whether imported by name or read as
-an attribute of the imported module; every exported name resolves, once;
-and every module is imported from the package or its console script."""
+an attribute of the imported module; no module but the package's
+``__init__`` imports a name it never uses; every exported name
+resolves, once; and every module is imported from the package or its
+console script."""
 
 import ast
 import os
@@ -57,6 +59,43 @@ def test_no_module_imports_a_private_name():
         p.name: found
         for p in modules
         if (found := private_names(p.read_text()))
+    }
+    assert bad == {}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names ``source`` imports and never reads: the name each import
+    binds (its ``as`` name, or the first part of a dotted module) that no
+    ``Name`` node of the module holds; ``from __future__`` imports bind
+    nothing."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
+
+
+def test_the_rule_flags_unused_imports_only():
+    source = ("from __future__ import annotations\nimport numpy as np\nimport os.path\n"
+              "from .lp import column_entries, solve_lp\nfrom dataclasses import replace\n"
+              "x: np.ndarray = solve_lp(os.path.sep)\n")
+    assert unused_imports(source) == ["line 4: column_entries", "line 5: replace"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package's __init__ imports names to export them
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    bad = {
+        p.name: found
+        for p in modules
+        if (found := unused_imports(p.read_text()))
     }
     assert bad == {}
 

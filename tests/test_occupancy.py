@@ -743,7 +743,7 @@ class TestColumnGeneration:
         solve_occupancy(inst)
         (run,) = by_columns
         sol, added = run["sol"], run["added"]
-        col, row = occupancy._lazy_columns(occupancy._assemble(inst, None))[:2]
+        col, row = occupancy._lazy_columns(build_occupancy_lp(inst))[:2]
         whole = build_occupancy_lp(inst)
         keep_col = np.ones(whole.nvars, dtype=bool)
         keep_col[col] = False
@@ -772,6 +772,70 @@ class TestColumnGeneration:
         with pytest.raises(lpmod.LpError, match="against an infinite bound"):
             lpmod.check_optimal(whole, padded())
         assert lpmod.entering(sol, *args).tolist() == [j]
+
+    @pytest.mark.parametrize("n", [20, 25])
+    def test_both_sides_of_the_fork_agree(self, monkeypatch, n):
+        # the default route generates columns; at most LAZY_COLUMNS_MIN lazy
+        # columns, the same LP is solved whole
+        runs = []
+        loop = lpmod.generate_columns
+        monkeypatch.setattr(lpmod, "generate_columns", lambda *a: runs.append(1) or loop(*a))
+        inst = generate_loan_instance(LoanConfig(n_states=n))
+        m = base_mass(inst)
+        for q in (0.04, 0.5 * m, 0.1 * m):
+            cell = with_cap(inst, q)
+            lazy = occupancy._lazy_columns(build_occupancy_lp(cell))[0].size
+            assert lazy > occupancy.LAZY_COLUMNS_MIN
+            by_columns = solve_occupancy(cell)
+            with monkeypatch.context() as patch:
+                patch.setattr(occupancy, "LAZY_COLUMNS_MIN", lazy)
+                whole = solve_occupancy(cell)
+            assert len(runs) == 1
+            del runs[:]
+            scale = max(1.0, abs(whole.objective))
+            assert abs(by_columns.objective - whole.objective) <= 1e-12 * scale
+            got, want = extract_policy(by_columns, cell), extract_policy(whole, cell)
+            if q > m:  # every state at its center, the one optimum
+                for s in cell.states.nonterminal():
+                    np.testing.assert_allclose(got.actions[s], want.actions[s], rtol=0, atol=1e-9)
+            # a binding cap leaves ties, where the two routes may pick
+            # different optima (actions 0.4 apart at n=25): both earn it
+            for policy in (got, want):
+                report = evaluate_exact(cell, policy)
+                assert report.feasible
+                assert abs(report.value - whole.objective) <= 1e-12 * scale
+
+    def test_lazy_columns_leave_out_shared_and_violated_rows(self):
+        # a split column stays in the first master when its row holds the
+        # other split column of its edge (a single-entry row the center
+        # violates) or another edge's (a row with more nonzeros)
+        rng = np.random.default_rng(4321)
+        seen = dict(violated=0, shared=0, lazy=0)
+        for _ in range(40):
+            inst = general_l1_instance(rng)
+            problem = build_occupancy_lp(inst)
+            lay = problem.layout
+            col, row = occupancy._lazy_columns(problem)
+            lazy = set(col.tolist())
+            for g, s in enumerate(occupancy.FlowRows(inst).states):
+                poly, center = inst.polytopes[s], inst.rewards[s].center
+                edges = np.arange(lay.edge_start[g], lay.edge_start[g + 1])
+                split = np.stack([lay.edge_col[edges], lay.edge_col[edges] + lay.m_off[edges]])
+                for h_row, h in zip(poly.H, poly.h):
+                    (k,) = np.nonzero(h_row)
+                    if k.size == 1 and h_row[k[0]] * center[k[0]] <= h:
+                        continue
+                    out = split[:, k].ravel().tolist()
+                    assert lazy.isdisjoint(out), (s, h_row, h)
+                    seen["violated" if k.size == 1 else "shared"] += 1
+            # every lazy column is its row's one split column and its one entry
+            a_in = problem.a_in.tocsr()
+            for j, r in zip(col, row):
+                assert problem.a_in[:, j].nnz == 1
+                assert set(a_in.indices[a_in.indptr[r] : a_in.indptr[r + 1]]) <= {
+                    j, *lay.d_col.tolist()}
+            seen["lazy"] += col.size
+        assert min(seen.values()) >= 5, seen
 
     @pytest.mark.parametrize("make", [
         lambda: with_cap(generate_loan_instance(LoanConfig(n_states=20)), 0.002),

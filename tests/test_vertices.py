@@ -61,7 +61,6 @@ from modcmdp.vertices import (
     FiniteLp,
     VertexSet,
     _dedup,
-    _top_per_state,
     box_simplex_vertices,
     check_vertex_set,
 )
@@ -821,7 +820,7 @@ class TestColumnGeneration:
             k = int(rng.integers(1, 12))
             want = [lo + np.flatnonzero(mask[lo:hi]) for lo, hi in zip(col_start, col_start[1:])]
             want = [i[np.argsort(-score[i], kind="stable")[:k]] for i in want]
-            got = _top_per_state(score, mask, col_start, k)
+            got = lpmod.top_per_state(score, mask, col_start, k)
             np.testing.assert_array_equal(got, np.concatenate(want))
 
     def test_zero_time_limit_times_out(self):
