@@ -1,8 +1,8 @@
 """Linear programs: one HiGHS model per problem (:class:`Master`), which
-column generation (:func:`generate_columns`, the loop of the occupancy
-and finite-action routes) grows, with columns and rows of their own,
-and re-solves warm, and :func:`solve_lp` solves once; :func:`export_lp`
-writes the same model as MPS with HiGHS's writer. The small hull LPs of
+:func:`solve_lp` solves once and column generation (:func:`generate_columns`
+over the candidates of a :class:`ListPricer`, the loop of the occupancy and
+finite-action routes) grows and re-solves warm; :func:`export_lp` writes
+the same model as MPS with HiGHS's writer. The small hull LPs of
 :func:`solve_once` instead share one HiGHS model per thread, made on the
 thread's first such solve and emptied after every one.
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -50,9 +50,6 @@ FEAS_TOL = 1e-8
 DUAL_TOL = 1e-7
 
 DEFAULT_MAXITER = 1_000_000
-# Column generation (generate_columns): the most columns one pricing round
-# adds per state, unless the caller sets its own.
-COLUMNS_PER_STATE = 10
 
 
 class LpError(ValueError):
@@ -518,8 +515,8 @@ class Master:
     re-solved; a problem HiGHS found infeasible or unbounded is then
     reported unbounded.
 
-    Solutions and certificates cover the caller's columns only, in the
-    order they were loaded and added.
+    Solutions and certificates cover the caller's columns, in the order
+    loaded and added; :func:`generate_columns` pads them to the whole LP.
     """
 
     def __init__(self, problem: LpProblem):
@@ -729,62 +726,112 @@ def top_per_state(score, mask, col_start, k: int) -> np.ndarray:
     return idx[np.lexsort((-score[idx], state))]
 
 
-def entering(sol: LpSolution, cost, price, col_start, held, scale: float,
-             per_state: int) -> np.ndarray:
-    """One pricing round of :func:`generate_columns`: the candidate
-    columns outside the master that enter it, per state up to
-    ``per_state`` of them, best first.
-
-    Candidate j costs ``cost[j]`` and has ``price(y_eq, y_in)[j] == a_j @
-    y`` at row multipliers y; rows the master lacks have multiplier 0.
-    ``held`` marks the candidates the master holds. At an optimal master,
-    j enters when its reduced cost ``cost[j] - a_j @ y`` exceeds
-    ``DUAL_TOL * scale``; at an infeasible one, when it breaks the
-    Farkas certificate, ``-a_j @ y > DUAL_TOL`` (Farkas pricing)."""
-    if sol.status == "optimal":
-        score = cost - price(sol.dual_eq, sol.dual_in)
-        tol = DUAL_TOL * scale
-    else:
-        score = -price(sol.certificate["eq"], sol.certificate["in"])
-        tol = DUAL_TOL
-    return top_per_state(score, (score > tol) & ~held, col_start, per_state)
+def _scatter(values, at, size: int) -> np.ndarray:
+    out = np.zeros(size)
+    out[at] = values
+    return out
 
 
-def generate_columns(master: Master, cost, price, col_start, write, held, deadline,
-                     per_state: int = COLUMNS_PER_STATE) -> tuple[LpSolution, np.ndarray]:
+class ListPricer:
+    """The candidates of :func:`generate_columns`: a numbered list of the
+    whole LP's columns, all priced in every round.
+
+    Candidate j is column ``cols[j]`` of the whole LP, costs ``cost[j]``,
+    lies in [0, inf) and has no entry on the first master's inequality
+    rows; ``price(y_eq, y_in)[j] == a_j @ y`` at row multipliers y (rows
+    the master lacks at 0), and ``write(j)`` gives the ``a_eq`` columns
+    of candidates ``j``. State ``g`` owns candidates ``col_start[g]`` to
+    ``col_start[g + 1] - 1``; a round adds up to ``per_state`` per state.
+    ``master_cols`` and ``master_rows`` are the whole LP's columns and
+    inequality rows in the master, in its order; ``held`` marks the
+    candidates in it and ``added`` lists those added, round by round.
+    With ``own_rows = (rows, alpha, rest)``, candidate j brings its own
+    inequality row, row ``rows[j]`` of the whole LP, with right-hand side
+    0, entry ``alpha[j]`` on the candidate, column j of the CSC matrix
+    ``rest`` on the first master's columns, and nothing else. The whole
+    LP is the first master with every other candidate and its row.
+    """
+
+    def __init__(self, cost, price, col_start, write, per_state: int, cols,
+                 master_cols, master_rows, own_rows=None):
+        self.cost, self.price, self.col_start, self.write, self.per_state = (
+            cost, price, col_start, write, per_state)
+        self.cols, self.master_cols, self.master_rows = cols, master_cols, master_rows
+        self.rows, self.alpha, self.rest = own_rows or (None, None, None)
+        first = np.zeros(cols.size + master_cols.size, dtype=bool)  # by whole-LP column
+        first[master_cols] = True
+        self.held = first[cols]
+        self.added: list[np.ndarray] = []
+        outside = int((~self.held).sum())
+        self.nvars = master_cols.size + outside
+        self.n_in = master_rows.size + (0 if self.rows is None else outside)
+        self.reduced_costs = None  # of every candidate, at the last optimal master
+
+    def __call__(self, sol: LpSolution, scale: float):
+        """The arguments of :meth:`Master.add_columns` for the candidates
+        outside the master that enter it at its solution ``sol``, best
+        first, or None when none enters. At an optimal master candidate j
+        enters when its reduced cost ``cost[j] - a_j @ y`` exceeds
+        ``DUAL_TOL * scale``; at an infeasible one, when it breaks the
+        Farkas certificate, ``-a_j @ y > DUAL_TOL`` (Farkas pricing)."""
+        if sol.status == "optimal":
+            score = self.reduced_costs = self.cost - self.price(sol.dual_eq, sol.dual_in)
+            tol = DUAL_TOL * scale
+        else:
+            score = -self.price(sol.certificate["eq"], sol.certificate["in"])
+            tol = DUAL_TOL
+        j = top_per_state(score, (score > tol) & ~self.held, self.col_start, self.per_state)
+        if j.size == 0:
+            return None
+        self.held[j] = True
+        self.added.append(j)
+        n, m, k, at = self.master_cols.size, self.master_rows.size, j.size, np.arange(j.size)
+        self.master_cols = np.concatenate([self.master_cols, self.cols[j]])
+        if self.rows is None:
+            return self.cost[j], self.write(j), sp.csc_matrix((m, k))
+        self.master_rows = np.concatenate([self.master_rows, self.rows[j]])
+        r, c, v = column_entries(self.rest, j, at)
+        return (self.cost[j], self.write(j),
+                sp.csc_matrix((self.alpha[j], (m + at, at)), shape=(m + k, k)),
+                (sp.csr_matrix((v, (c, r)), shape=(k, n)), np.zeros(k)))
+
+
+def generate_columns(master: Master, pricer: ListPricer, deadline) -> LpSolution:
     """Delayed column generation (Dantzig & Wolfe 1960): solve ``master``,
-    price the candidate columns it lacks (:func:`entering`), add those
-    that enter, up to ``per_state`` per state, with
-    ``master.add_columns(*write(j))``, and repeat until none enters or
-    the master is neither optimal nor infeasible. Returns the last
-    solution and the candidates added, in the order added.
+    add the candidates ``pricer`` finds entering, and repeat until none
+    enters, or return the master's solution as it is once it is neither
+    optimal nor infeasible. ``deadline`` (:func:`deadline_after`) covers
+    every round.
 
-    Candidates are numbered by state, state ``g`` owning ``col_start[g]``
-    to ``col_start[g + 1] - 1``, and ``held`` (updated in place) marks
-    those in the master. Each candidate lies in [0, inf) and the master's
-    other columns are the whole LP's rest, so the whole LP's solution is
-    the master's with every other candidate at 0. When nothing enters at
-    an optimal master, that solution is the whole LP's optimum: the
-    master's solve passed :func:`check_optimal`, and every candidate
-    outside has a reduced cost of at most ``DUAL_TOL`` times the whole
-    LP's cost scale, the one condition the whole LP's check adds for a
-    column at 0. When nothing enters at an infeasible master, no column
-    breaks its certificate, which certifies the whole LP with its margin.
-    ``deadline`` (:func:`deadline_after`) covers every round."""
+    The result is the whole LP's: the master's solution with every
+    candidate outside it at 0 and every row outside it at multiplier 0,
+    ``x``, ``dual_in``, ``reduced_costs`` and the certificate's ``in``
+    and ``up`` padded to the whole LP's rows and columns. It is the whole
+    LP's optimum: the master's solve passed :func:`check_optimal`, and
+    every candidate outside has a reduced cost of at most ``DUAL_TOL``
+    times the whole LP's cost scale, the one condition the whole LP's
+    check adds for a column at 0. An infeasible master's certificate
+    breaks on no column, so it certifies the whole LP with its margin."""
     scale = max(1.0, float(np.abs(master.cost).max(initial=0.0)),
-                float(np.abs(cost).max(initial=0.0)))
-    added = [np.zeros(0, dtype=np.int64)]
+                float(np.abs(pricer.cost).max(initial=0.0)))
     while True:
         sol = master.solve(time_limit=time_left(deadline))
         if sol.status not in ("optimal", "infeasible"):
+            return sol
+        new = pricer(sol, scale)
+        if new is None:
             break
-        new = entering(sol, cost, price, col_start, held, scale, per_state)
-        if new.size == 0:
-            break
-        held[new] = True
-        added.append(new)
-        master.add_columns(*write(new))
-    return sol, np.concatenate(added)
+        master.add_columns(*new)
+    p = pricer
+    if sol.status == "infeasible":
+        cert = sol.certificate
+        return replace(sol, certificate={"eq": cert["eq"],
+                                         "in": _scatter(cert["in"], p.master_rows, p.n_in),
+                                         "up": _scatter(cert["up"], p.master_cols, p.nvars)})
+    rc = _scatter(sol.reduced_costs, p.master_cols, p.nvars)
+    rc[p.cols[~p.held]] = p.reduced_costs[~p.held]
+    return replace(sol, x=_scatter(sol.x, p.master_cols, p.nvars), reduced_costs=rc,
+                   dual_in=_scatter(sol.dual_in, p.master_rows, p.n_in))
 
 
 def export_lp(problem: LpProblem, path) -> None:

@@ -462,60 +462,24 @@ def _lazy_columns(problem: OccupancyLp) -> tuple[np.ndarray, np.ndarray]:
 
 def _generate(problem: OccupancyLp, lazy, deadline) -> lpmod.LpSolution:
     """The whole LP's solution by column generation over the ``lazy``
-    columns and their rows (:func:`_lazy_columns`): the master's x padded
-    with zeros, or its certificate padded to the whole LP's rows and
-    columns."""
+    columns and their rows (:func:`_lazy_columns`)."""
     col, row = lazy
-    n, m_in = problem.nvars, problem.b_in.size
-    keep = np.ones(n, dtype=bool)
-    keep[col] = False
-    keep_row = np.ones(m_in, dtype=bool)
-    keep_row[row] = False
-    n_cols, n_rows = n - col.size, m_in - row.size
+    keep, keep_row = np.ones(problem.nvars, dtype=bool), np.ones(problem.b_in.size, dtype=bool)
+    keep[col] = keep_row[row] = False
     in_keep = problem.a_in[:, keep]  # every inequality row over the master's columns
     master = lpmod.Master(lpmod.LpProblem(
         c=problem.c[keep], a_eq=problem.a_eq[:, keep], b_eq=problem.b_eq,
         a_in=in_keep[keep_row], b_in=problem.b_in[keep_row],
         lower=problem.lower[keep], upper=problem.upper[keep]))
-
-    # a lazy column's entries: its flow rows, alpha on its own row, and the
-    # rest of that row over the master's columns (its d entry), the j-th
-    # lazy row in the j-th column of ``rest``
-    cost, lazy_eq = problem.c[col], problem.a_eq[:, col]
-    alpha = problem.a_in.data[problem.a_in.indptr[col]]
-    rest = in_keep[row].T.tocsc()
-    held = np.zeros(col.size, dtype=bool)
-
-    def price(y_eq, y_in):
-        # their own rows, not in the master, have multiplier 0
-        return lazy_eq.T @ y_eq
-
-    def write(j):
-        # each column added so far brought one row
-        k, at, before = j.size, np.arange(j.size), int(held.sum()) - j.size
-        m = n_rows + before
-        r, c, v = lpmod.column_entries(lazy_eq, j, at)
-        a_eq = sp.csc_matrix((v, (r, c)), shape=(problem.b_eq.size, k))
-        a_in = sp.csc_matrix((alpha[j], (m + at, at)), shape=(m + k, k))
-        r, c, v = lpmod.column_entries(rest, j, at)
-        own = sp.csr_matrix((v, (c, r)), shape=(k, n_cols + before))
-        return cost[j], a_eq, a_in, (own, np.zeros(k))
-
-    sol, added = lpmod.generate_columns(master, cost, price,
-                                        np.searchsorted(col, problem.layout.col_start),
-                                        write, held, deadline, SPLIT_COLUMNS_PER_ROUND)
-    cols = np.concatenate([np.flatnonzero(keep), col[added]])
-    x = cert = None
-    if sol.status == "optimal":
-        x = np.zeros(n)
-        x[cols] = sol.x
-    elif sol.status == "infeasible":
-        y_in, up = np.zeros(m_in), np.zeros(n)
-        y_in[np.concatenate([np.flatnonzero(keep_row), row[added]])] = sol.certificate["in"]
-        up[cols] = sol.certificate["up"]
-        cert = {"eq": sol.certificate["eq"], "in": y_in, "up": up}
-    return lpmod.LpSolution(sol.status, x=x, objective=sol.objective, iterations=sol.iterations,
-                            certificate=cert, message=sol.message)
+    lazy_eq = problem.a_eq[:, col]
+    # their own rows, not in the master, have multiplier 0; a lazy column's
+    # one a_in entry is on its row, whose rest is over the master's columns
+    pricer = lpmod.ListPricer(
+        problem.c[col], lambda y_eq, y_in: lazy_eq.T @ y_eq,
+        np.searchsorted(col, problem.layout.col_start), lambda j: lazy_eq[:, j],
+        SPLIT_COLUMNS_PER_ROUND, col, np.flatnonzero(keep), np.flatnonzero(keep_row),
+        (row, problem.a_in.data[problem.a_in.indptr[col]], in_keep[row].T.tocsc()))
+    return lpmod.generate_columns(master, pricer, deadline)
 
 
 def solve_occupancy(
@@ -533,14 +497,12 @@ def solve_occupancy(
     :func:`lp.solve_lp`. The first restricted master (:class:`lp.Master`)
     is the LP without the lazy columns and their rows; with every lazy
     column at 0 each state sits at its center, so each point of a master
-    is one of the whole LP. Each round prices the lazy columns, read from
-    the LP's ``a_eq``, against the flow duals (their own rows, not yet in
-    the master, have multiplier 0), and adds per state up to
-    ``SPLIT_COLUMNS_PER_ROUND`` of those that enter, each with its row.
-    A master that cannot meet the caps runs phase 1 and prices against
-    its Farkas certificate. When nothing enters, the master's solution
-    with every other lazy column at 0 is the whole LP's optimum, or its
-    certificate, padded with zeros, certifies the whole LP.
+    is one of the whole LP. A :class:`lp.ListPricer` prices the lazy
+    columns against the flow duals (their own rows, outside the master,
+    at multiplier 0) or a phase-1 certificate, and each round adds per
+    state up to ``SPLIT_COLUMNS_PER_ROUND`` that enter, each with its
+    row. The loop returns the master's solution padded with zeros to the
+    whole LP: its optimum, or a certificate of it.
     ``time_limit`` runs from entry and covers every round.
 
     With ``tangent_cuts=K``, ``objective`` is the true return of the

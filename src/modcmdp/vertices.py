@@ -41,7 +41,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lp as lpmod
-from .lp import COLUMNS_PER_STATE
 from .model import (
     FEAS_TOL,
     ActionPolytope,
@@ -63,6 +62,9 @@ VERTEX_FEAS_TOL = 1e-9
 FACE_TOL = 1e-12
 # Exhaustive enumeration refuses beyond this dimension.
 MAX_EXHAUSTIVE_DIM = 25
+# Column generation (solve_finite): the most columns one pricing round adds
+# per state, and the vertices per state the first master takes by reward.
+COLUMNS_PER_STATE = 10
 
 _BATCH = 1 << 15
 
@@ -553,13 +555,12 @@ def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPoli
     ``COLUMNS_PER_STATE`` vertices of highest reward and as many that
     lead to the least capped mass (:meth:`FiniteLp.cap_mass`), so that
     the first master tends to meet the caps. It lives in one HiGHS model
-    (:class:`lp.Master`): each round prices every vertex column against
-    the master's duals, one product per distinct vertex array, and adds
-    the columns that enter, written from the vertex arrays; a master that
-    cannot meet the caps runs phase 1 and prices against its Farkas
-    certificate. When no column enters, the master's checked optimum is
-    the whole LP's, or its certificate certifies the whole LP, whose
-    :func:`lp.farkas_gap` is :meth:`FiniteLp.farkas_gap`: the smallest
+    (:class:`lp.Master`); each round prices every vertex column against
+    the master's duals or phase-1 certificate, one product per distinct
+    vertex array, and adds the columns that enter, written from the
+    vertex arrays. The loop returns the master's solution padded with
+    zeros to the whole LP: its optimum, or a certificate of it whose
+    :func:`lp.farkas_gap` is :meth:`FiniteLp.farkas_gap`, the smallest
     total row violation. ``time_limit`` runs from entry and covers the
     column setup and all rounds.
     """
@@ -567,34 +568,23 @@ def solve_finite(fc: FiniteCmdp, time_limit=None) -> tuple[float, RandomizedPoli
     flp = FiniteLp(fc)
     n_u = flp.n_vertex
 
-    held = np.zeros(n_u, dtype=bool)
-    every = np.ones(n_u, dtype=bool)
-    held[lpmod.top_per_state(flp.cost, every, flp.col_start, COLUMNS_PER_STATE)] = True
-    # and those that lead to the least capped mass, where the vertices differ
     mass = flp.cap_mass()
     starts = flp.col_start[:-1]
     varies = np.repeat(np.maximum.reduceat(mass, starts) > np.minimum.reduceat(mass, starts),
                        np.diff(flp.col_start))
-    held[lpmod.top_per_state(-mass, varies, flp.col_start, COLUMNS_PER_STATE)] = True
-    cols = np.concatenate([np.flatnonzero(held), np.arange(n_u, flp.nvars)])
-
-    def write(j):
-        p = flp.columns(j)
-        return p.c, p.a_eq, p.a_in
-
-    sol, added = lpmod.generate_columns(
-        lpmod.Master(flp.columns(cols)), flp.cost[:n_u],
-        lambda y_eq, y_in: flp.price(y_eq, y_in)[:n_u], flp.col_start, write, held, deadline)
-    cols = np.concatenate([cols, added])
-    if sol.status == "infeasible":
-        up = np.zeros(flp.nvars)
-        up[cols] = sol.certificate["up"]
-        sol = lpmod.LpSolution("infeasible", certificate=dict(sol.certificate, up=up),
-                               message=sol.message)
+    # the vertices of highest reward, and those that lead to the least
+    # capped mass where the vertices differ
+    best = [lpmod.top_per_state(score, mask, flp.col_start, COLUMNS_PER_STATE)
+            for score, mask in ((flp.cost, np.ones(n_u, dtype=bool)), (-mass, varies))]
+    cols = np.concatenate([np.union1d(*best), np.arange(n_u, flp.nvars)])
+    pricer = lpmod.ListPricer(
+        flp.cost[:n_u], lambda y_eq, y_in: flp.price(y_eq, y_in)[:n_u], flp.col_start,
+        lambda j: flp.columns(j).a_eq, COLUMNS_PER_STATE, np.arange(n_u), cols,
+        np.arange(flp.b_in.size))
+    sol = lpmod.generate_columns(lpmod.Master(flp.columns(cols)), pricer, deadline)
     raise_for_status(flp, sol, "finite-action LP", margin=FiniteLp.farkas_gap)
 
-    x = np.zeros(flp.nvars)
-    x[cols] = sol.x
+    x = sol.x
     mixtures = {}
     for g, s in enumerate(flp.states):
         verts = flp.vertices[g]

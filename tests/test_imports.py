@@ -1,9 +1,9 @@
 """Import hygiene: no module of the package uses another module's
 private (single-underscore) name, whether imported by name or read as
 an attribute of the imported module; no module but the package's
-``__init__`` imports a name it never uses; every exported name
-resolves, once; and every module is imported from the package or its
-console script."""
+``__init__`` imports a name it never uses; every module-level name is
+read by the package or exported; every exported name resolves, once;
+and every module is imported from the package or its console script."""
 
 import ast
 import os
@@ -98,6 +98,47 @@ def test_no_module_imports_a_name_it_never_uses():
         if (found := unused_imports(p.read_text()))
     }
     assert bad == {}
+
+
+def unread_names(sources: dict[str, str], exported) -> list[str]:
+    """Module-level functions, classes and constants of ``sources`` (module
+    name to source text) that no module reads, as a ``Name`` or as the
+    attribute of an ``Attribute``, and that are not in ``exported``.
+    Dunders such as ``__all__`` are left out."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, node.lineno, t.id) for t in targets
+                            if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{module} line {line}: {name}" for module, line, name in defined
+            if name not in read and name not in exported
+            and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_the_rule_flags_unread_names_only():
+    sources = {
+        "a": "LIMIT = 3\nUNUSED = 4\n__all__ = ['f']\n\ndef f():\n    return LIMIT\n\n"
+             "def g():\n    pass\n\nclass K:\n    pass\n",
+        "b": "from . import a\nx = a.g()\n",
+    }
+    assert unread_names(sources, {"f"}) == ["a line 2: UNUSED", "a line 11: K", "b line 2: x"]
+    assert unread_names(sources, {"f", "K", "UNUSED", "x"}) == []
+
+
+def test_every_module_level_name_is_read_by_the_package():
+    # helpers only tests use belong in tests/, so reads from tests do not count
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_names(sources, set(modcmdp.__all__)) == []
 
 
 def test_importing_the_package_leaves_scipy_optimize_unloaded():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -643,11 +645,13 @@ def by_columns(monkeypatch):
     runs = []
     loop = lpmod.generate_columns
 
-    def spy(master, cost, price, col_start, write, held, deadline, per_state):
-        sol, added = loop(master, cost, price, col_start, write, held, deadline, per_state)
-        runs.append(dict(cost=cost, price=price, col_start=col_start, held=held,
-                         per_state=per_state, sol=sol, added=added))
-        return sol, added
+    def spy(master, pricer, deadline):
+        sol = loop(master, pricer, deadline)
+        # a copy of x: solve_occupancy folds each split pair of it in place
+        runs.append(dict(pricer=pricer, held=pricer.held,
+                         sol=replace(sol, x=None if sol.x is None else sol.x.copy()),
+                         added=np.concatenate([np.zeros(0, dtype=int)] + pricer.added)))
+        return sol
 
     monkeypatch.setattr(lpmod, "generate_columns", spy)
     return runs
@@ -742,36 +746,28 @@ class TestColumnGeneration:
         inst = with_cap(inst, 0.5 * base_mass(inst))
         solve_occupancy(inst)
         (run,) = by_columns
-        sol, added = run["sol"], run["added"]
-        col, row = occupancy._lazy_columns(build_occupancy_lp(inst))[:2]
+        sol, pricer = run["sol"], run["pricer"]
         whole = build_occupancy_lp(inst)
-        keep_col = np.ones(whole.nvars, dtype=bool)
-        keep_col[col] = False
-        keep_row = np.ones(whole.b_in.size, dtype=bool)
-        keep_row[row] = False
-        x, y_in = np.zeros(whole.nvars), np.zeros(whole.b_in.size)
-        x[np.concatenate([np.flatnonzero(keep_col), col[added]])] = sol.x
-        y_in[np.concatenate([np.flatnonzero(keep_row), row[added]])] = sol.dual_in
+        col = occupancy._lazy_columns(whole)[0]
+        lpmod.check_optimal(whole, sol)
 
-        def padded():
-            rc = whole.c - (whole.a_eq.T @ sol.dual_eq + whole.a_in.T @ y_in)
-            return lpmod.LpSolution("optimal", x=x, objective=sol.objective,
-                                    dual_eq=sol.dual_eq, dual_in=y_in, reduced_costs=rc)
+        def priced():
+            rc = whole.c - (whole.a_eq.T @ sol.dual_eq + whole.a_in.T @ sol.dual_in)
+            return replace(sol, reduced_costs=rc)
 
-        lpmod.check_optimal(whole, padded())
+        lpmod.check_optimal(whole, priced())
         scale = max(1.0, float(np.abs(whole.c).max()))
-        args = (run["cost"], run["price"], run["col_start"], run["held"], scale,
-                run["per_state"])
-        assert lpmod.entering(sol, *args).size == 0
+        assert pricer(sol, scale) is None
         # the lazy column outside the master that prices best, made to earn 1
         out = np.flatnonzero(~run["held"])
-        rc = padded().reduced_costs[col[out]]
+        rc = priced().reduced_costs[col[out]]
         j = out[np.argmax(rc)]
         whole.c[col[j]] += 1.0 - rc.max()
-        run["cost"][j] = whole.c[col[j]]
+        pricer.cost[j] = whole.c[col[j]]
         with pytest.raises(lpmod.LpError, match="against an infinite bound"):
-            lpmod.check_optimal(whole, padded())
-        assert lpmod.entering(sol, *args).tolist() == [j]
+            lpmod.check_optimal(whole, priced())
+        assert pricer(sol, scale) is not None
+        assert pricer.added[-1].tolist() == [j]
 
     @pytest.mark.parametrize("n", [20, 25])
     def test_both_sides_of_the_fork_agree(self, monkeypatch, n):

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,16 +122,15 @@ def passes(check, *args) -> bool:
 def column_generation_verdict(flp, cols, sol):
     """The verdict lp.generate_columns reaches on solve_finite's master
     over ``cols`` at ``sol``: the master's lp.check_optimal, then a
-    pricing round (lp.entering) in which no vertex column enters."""
+    pricing round (lp.ListPricer) in which no vertex column enters."""
     lpmod.check_optimal(flp.columns(cols), sol)
     n_u = flp.n_vertex
-    held = np.zeros(n_u, dtype=bool)
-    held[cols[cols < n_u]] = True
+    pricer = lpmod.ListPricer(flp.cost[:n_u], lambda y_eq, y_in: flp.price(y_eq, y_in)[:n_u],
+                              flp.col_start, lambda j: flp.columns(j).a_eq, COLUMNS_PER_STATE,
+                              np.arange(n_u), cols, np.arange(flp.b_in.size))
     scale = max(1.0, float(np.abs(flp.cost).max()))
-    new = lpmod.entering(sol, flp.cost[:n_u], lambda y_eq, y_in: flp.price(y_eq, y_in)[:n_u],
-                         flp.col_start, held, scale, lpmod.COLUMNS_PER_STATE)
-    if new.size:
-        raise lpmod.LpError(f"{new.size} columns enter")
+    if pricer(sol, scale) is not None:
+        raise lpmod.LpError(f"{pricer.added[-1].size} columns enter")
 
 
 def assert_optimal_verdicts_agree(flp, problem, cols, sol):
@@ -739,12 +739,12 @@ class TestColumnGeneration:
         seen = []
         loop = lpmod.generate_columns
 
-        def spy(master, cost, price, col_start, write, held, *args):
+        def spy(master, pricer, deadline):
             # the master's columns: the seeded vertices, every d, then those added
-            first = np.flatnonzero(held)
-            sol, added = loop(master, cost, price, col_start, write, held, *args)
-            seen.append((first, sol, added))
-            return sol, added
+            first = np.flatnonzero(pricer.held)
+            sol = loop(master, pricer, deadline)
+            seen.append((first, sol, np.concatenate([first[:0]] + pricer.added)))
+            return sol
 
         monkeypatch.setattr(lpmod, "generate_columns", spy)
         obj, pol = solve_finite(fc)
@@ -752,8 +752,11 @@ class TestColumnGeneration:
         assert obj == pytest.approx(oracle.objective, abs=1e-9)
         assert evaluate_exact(inst, pol).value == pytest.approx(obj, abs=1e-9)
         (first, sol, added), = seen
+        # the whole LP's solution, and the master's within it
+        lpmod.check_optimal(problem, sol)
         flp = FiniteLp(fc)
         cols = np.concatenate([first, np.arange(flp.n_vertex, flp.nvars), added])
+        sol = replace(sol, x=sol.x[cols], reduced_costs=sol.reduced_costs[cols])
         assert_optimal_verdicts_agree(flp, problem, cols, sol)
 
     @pytest.mark.parametrize("n", [10, 14, 20])
